@@ -83,10 +83,12 @@ def run_key(
 def aux_breakdown(phase_seconds: Dict[str, float]) -> Dict[str, float]:
     """The tables/walks sub-phase split of the auxiliary strategy.
 
-    ``tables`` is the time spent building the Section 8.1/8.2/8.3 auxiliary
-    tables, ``walks`` the Section 8.2.1 id-path walk enumeration and
-    ``assembly`` the per-edge path-cover minimisation; all zero under the
-    direct strategy (the solver never enters the Section 8 pipeline).
+    ``tables`` is the time spent building the Section 8.1/8.2/8.3 tables
+    and ``assembly`` the per-edge path-cover minimisation; all zero under
+    the direct strategy (the solver never enters the Section 8 pipeline).
+    ``walks`` (the Section 8.2.1 walk split) now reads 0: the exact
+    Section 8.2 tables need no walks, so the pipeline no longer runs it.
+    The key stays so rows keep one shape across recordings.
     """
     return {
         "tables": phase_seconds.get("aux_tables", 0.0),

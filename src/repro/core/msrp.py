@@ -232,10 +232,8 @@ class MSRPSolver:
         self.landmark_trees = {r: trees[r] for r in landmark_roots}
         self.phase_seconds["bfs_trees"] = time.perf_counter() - start
 
-        start = time.perf_counter()
-        self.landmark_tables = self._compute_landmark_tables(rng)
-        self.phase_seconds["landmark_replacement_paths"] = time.perf_counter() - start
-
+        # The Section 7.1 tables come first: the auxiliary strategy's
+        # Section 8.1 and 8.3 builds reuse them.
         start = time.perf_counter()
         from repro.parallel.tasks import near_small_task
 
@@ -246,12 +244,15 @@ class MSRPSolver:
                 "graph": self.graph,
                 "trees": self.source_trees,
                 "scale": self.scale,
-                "with_paths": False,
             },
             workers=workers,
             pool=self._pool,
         )
         self.phase_seconds["near_small_auxiliary"] = time.perf_counter() - start
+
+        start = time.perf_counter()
+        self.landmark_tables = self._compute_landmark_tables(rng)
+        self.phase_seconds["landmark_replacement_paths"] = time.perf_counter() - start
 
     def _compute_landmark_tables(self, rng: random.Random) -> SourceLandmarkTables:
         if self.landmark_strategy == "direct":
@@ -259,7 +260,7 @@ class MSRPSolver:
                 self.graph, self.source_trees, self.landmarks.union
             )
         # Imported lazily: repro.multisource depends on repro.core for the
-        # small-replacement-path construction it reuses (Section 8.2.1).
+        # Section 7.1 tables its Section 8.1 and 8.3 builds reuse.
         from repro.multisource.pipeline import compute_auxiliary_tables
 
         return compute_auxiliary_tables(
@@ -269,6 +270,7 @@ class MSRPSolver:
             source_trees=self.source_trees,
             landmarks=self.landmarks,
             landmark_trees=self.landmark_trees,
+            near_small=self.near_small_tables,
             rng=rng,
             phase_seconds=self.phase_seconds,
             workers=self.params.workers,

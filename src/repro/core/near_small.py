@@ -26,8 +26,11 @@ the same length that avoids ``e`` (the ``(v, t) != e`` guards make this
 sound), so the value is always a valid upper bound.
 
 The optional predecessor tracking reconstructs the corresponding walk in the
-original graph; Section 8.2.1 needs those explicit walks to decide whether a
-small replacement path passes through a given center.
+original graph.  The solver never asks for it: only the Section 8.2.1 split
+(:func:`repro.multisource.tables.compute_small_paths_through_centers`), which
+seeds the paper-construction reference of the Section 8.2 tables, needs those
+explicit walks to decide whether a small replacement path passes through a
+given center.
 
 Walk reconstruction runs on flat integer *id-paths*: the Dijkstra
 predecessors are kept as the dense-id array the interned substrate already
@@ -100,7 +103,8 @@ class NearSmallTables:
     ``value(t, e)`` returns ``w[t, e]`` (``inf`` when the auxiliary graph has
     no ``[s] -> [t, e]`` path).  When built with ``with_paths=True`` the
     corresponding walk in the original graph can be reconstructed, which the
-    Section 8.2.1 enumeration requires.
+    Section 8.2.1 enumeration behind the reference Section 8.2 construction
+    requires.
 
     Path state (``with_paths=True`` only) is flat: ``predecessors`` is the
     interned Dijkstra's mapping view (its raw dense-id ``pred`` array and

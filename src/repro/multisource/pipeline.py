@@ -5,22 +5,26 @@
 direct strategy, but through the paper's Bernstein–Karger adaptation:
 
 1. sample centers with priorities and run BFS from every center,
-2. Section 7.1 tables with path reconstruction (needed by 8.2.1),
-3. Section 8.2.1 — split small replacement paths at the centers they visit,
-4. Section 8.2 — per-center auxiliary graphs: ``d(center, landmark, e)``,
-5. Section 8.1 — per-source auxiliary graphs: ``d(source, center, e)``,
-6. Section 8.3 — bottleneck edges per interval and the interval-avoiding
+2. Section 8.2 — exact per-center tables ``d(center, landmark, e)`` by
+   subtree repair (``compute_center_to_landmark_tables``),
+3. Section 8.1 — per-source auxiliary graphs: ``d(source, center, e)``,
+   seeded by the caller's Section 7.1 tables,
+4. Section 8.3 — bottleneck edges per interval and the interval-avoiding
    Dijkstra,
-7. assembly via the path cover lemma, taking the minimum over every
-   realisable candidate (small replacement path, MTC, interval-avoiding
-   value, and — for edges close to the landmark, where the path cover
-   lemma's second term degenerates — an Algorithm-4-style scan over the
-   level-0 centers).
+5. assembly via the path cover lemma, taking the minimum over the
+   candidates (small replacement path, MTC, interval-avoiding value, and —
+   for edges close to the landmark, where the path cover lemma's second
+   term degenerates — an Algorithm-4-style scan over the level-0 centers).
 
-Every candidate corresponds to a walk that provably avoids the failed edge,
-so the assembled value never underestimates the true replacement distance;
-the high-probability lemmas of the paper (9, 12, 13, 18-22, 25) guarantee
-that one candidate matches it exactly.
+The assembled value can *underestimate*: the Section 8.3 interval-avoiding
+value ``sr <> B[s, r, i]`` avoids only the interval's bottleneck edge, yet
+assembly applies it to every edge of the interval.  On the ``sparse-aux``
+benchmark instances (``perfbench/workloads.py``, instance seeds 1-60) this
+gives wrong, too-small entries on 23 seeds;
+``tests/test_differential_fuzz.py::test_auxiliary_pipeline_subsampled_regime``
+pins one of them as a strict xfail.  The other candidates are realisable
+walks avoiding the failed edge, and the high-probability lemmas of the
+paper (9, 12, 13, 18-22, 25) make one of them exact.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ from repro.multisource.centers import CenterHierarchy
 from repro.multisource.intervals import PathInterval, decompose_path
 from repro.multisource.tables import (
     PairEdgeTable,
-    compute_center_to_landmark_tables,
-    compute_small_paths_through_centers,
     compute_source_to_center_tables,
 )
+# Not called here: perfbench/tracing.py installs its "multisource.walks"
+# span through vars(pipeline)["compute_small_paths_through_centers"].
+from repro.multisource.tables import compute_small_paths_through_centers  # noqa: F401
 from repro.parallel import Executor, child_rng, run_sharded
 
 
@@ -60,6 +65,7 @@ def compute_auxiliary_tables(
     source_trees: Mapping[int, ShortestPathTree],
     landmarks: LandmarkHierarchy,
     landmark_trees: Mapping[int, ShortestPathTree],
+    near_small: Mapping[int, NearSmallTables],
     rng: Optional[random.Random] = None,
     centers: Optional[CenterHierarchy] = None,
     phase_seconds: Optional[Dict[str, float]] = None,
@@ -68,11 +74,13 @@ def compute_auxiliary_tables(
 ) -> SourceLandmarkTables:
     """Compute ``d(s, r, e)`` for all sources and landmarks via Section 8.
 
+    ``near_small`` holds the Section 7.1 tables of every source (the
+    solver's own, built once per source).
+
     When ``phase_seconds`` is given, wall-clock sub-phase durations are
-    accumulated into it under ``aux_walks`` (the Section 8.2.1 walk
-    enumeration), ``aux_tables`` (the 8.1/8.2/8.3 auxiliary-table builds)
-    and ``aux_assembly`` (the per-edge path-cover minimisation) — the
-    ``tables``/``walks`` breakdown the e2e benchmark harness reports.
+    accumulated into it under ``aux_tables`` (the 8.1/8.2/8.3 table
+    builds) and ``aux_assembly`` (the per-edge path-cover minimisation) —
+    the breakdown the e2e benchmark harness reports.
     With ``workers > 1`` the per-worker sub-phase times are *summed* into
     the same keys, so the breakdown reports aggregate compute seconds
     (wall time is what the caller measures around this function).
@@ -114,46 +122,20 @@ def compute_auxiliary_tables(
             missing.append(center)
     center_trees.update(bfs_many(graph, missing, workers=workers, pool=pool))
 
-    # Section 7.1 tables with walk reconstruction (feeds 8.1 and 8.2.1),
-    # one independent auxiliary build per source.
-    from repro.parallel.tasks import assemble_task, center_tables_task, near_small_task
+    from repro.parallel.tasks import assemble_task, center_tables_task
 
-    near_small: Dict[int, NearSmallTables] = run_sharded(
-        near_small_task,
-        sources,
-        {
-            "graph": graph,
-            "trees": source_trees,
-            "scale": scale,
-            "with_paths": True,
-        },
-        workers=workers,
-        pool=pool,
-    )
-
-    # Section 8.2.1 — small replacement paths split at centers (the flat
-    # id-path walk reconstructions; timed as the "walks" sub-phase).
-    start = time.perf_counter()
-    small_through = compute_small_paths_through_centers(
-        sources, landmarks.union, near_small, centers
-    )
-    timings["aux_walks"] = (
-        timings.get("aux_walks", 0.0) + time.perf_counter() - start
-    )
-
-    # Section 8.2 — per-center tables d(c, r, e).  One independent
-    # |L|^2 x budget build per center: the widest shard of the pipeline.
+    # Section 8.2 — exact per-center tables d(c, r, e), one subtree-repair
+    # sweep of the center's tree each.
     start = time.perf_counter()
     center_to_landmark: Dict[int, PairEdgeTable] = run_sharded(
         center_tables_task,
         sorted(centers.all),
         {
+            "graph": graph,
             "center_trees": center_trees,
             "hierarchy": centers,
             "landmarks": landmarks.union,
-            "landmark_trees": landmark_trees,
             "scale": scale,
-            "small_through": small_through,
         },
         workers=workers,
         pool=pool,

@@ -7,23 +7,22 @@ centers* term (Definition 17) of the path cover lemma:
   auxiliary graph of Section 8.1 whose Dijkstra distances give
   ``d(s, c, e)`` for every center ``c`` and every edge ``e`` among the first
   ``O~(2^k sqrt(n/sigma))`` edges of the canonical ``c``-``s`` path (``k`` =
-  priority of ``c``).
+  priority of ``c``).  Every arc is guarded by the "does the canonical path
+  avoid the failed edge" predicates of the relevant BFS trees, so every
+  distance is a real walk avoiding the edge and never underestimates;
+  completeness holds with high probability (Lemmas 19 and 20).
 * :func:`compute_center_to_landmark_tables` — for one center ``c``, the
-  auxiliary graph of Section 8.2 giving ``d(c, r, e)`` for every landmark
-  ``r`` and every edge ``e`` among the first ``O~(2^k sqrt(n/sigma))`` edges
-  of the canonical ``c``-``r`` path.
-* :func:`compute_small_paths_through_centers` — the Section 8.2.1
-  enumeration: reconstruct the *small* replacement paths found by the
-  Section 7.1 Dijkstra and record, for every center they pass through, the
-  length of their suffix from that center; those suffixes seed the
-  ``[c] -> [r, e]`` edges of the Section 8.2 graphs.
-
-Every edge added to an auxiliary graph is guarded by the "does the canonical
-path avoid the failed edge" predicates of the relevant BFS trees, so every
-Dijkstra distance corresponds to a real walk avoiding the failed edge — the
-tables never underestimate the true replacement distance.  Completeness
-(they do not overestimate either) holds with high probability through
-Lemmas 19, 20 and 22.
+  exact ``d(c, r, e)`` for every landmark ``r`` and every edge ``e`` among
+  the first ``O~(2^k sqrt(n/sigma))`` edges of the canonical ``c``-``r``
+  path.  It repairs the center's BFS tree once per budgeted tree edge
+  (:mod:`repro.graph.repair`), for ``O(sum_v deg(v) * min(depth_c(v),
+  budget))`` per center.
+* :func:`compute_center_to_landmark_tables_reference` — the paper's own
+  Section 8.2 construction (Bernstein–Karger auxiliary graph ``G_c``, seeded
+  by the Section 8.2.1 split of small replacement paths,
+  :func:`compute_small_paths_through_centers`).  Its values are realisable
+  walks, so never below the exact tables; the differential battery pins
+  that one-sided relation.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.near_small import NearSmallTables
 from repro.core.params import ProblemScale
 from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.repair import subtree_repair_distances
 from repro.graph.tree import ShortestPathTree
 from repro.multisource.centers import CenterHierarchy
 from repro.npsupport import np, numpy_enabled
@@ -84,13 +84,13 @@ def _fold_via_np(
     base_dist: Sequence[float],
     max_tin: int,
 ) -> List[float]:
-    """Vectorized twin of the via-fold double loop (numpy tier).
+    """Vectorized twin of the Section 8.1 via-fold double loop (numpy tier).
 
-    Both Section 8 builders fold the dominant ``via [x']`` arc family into
-    the per-node seed minima with the same ``|L|^2 x budget`` sweep; this
-    helper flattens every ``(x, e)`` entry across all keys into one index
-    triple up front and replaces the two inner loops with a single masked
-    gather + fancy-indexed minimum per ``x'``.  The candidates
+    :func:`compute_source_to_center_tables` folds the dominant ``via [c']``
+    arc family into the per-node seed minima with a ``|C|^2 x budget``
+    sweep; this helper flattens every ``(x, e)`` entry across all keys into
+    one index triple up front and replaces the two inner loops with a single
+    masked gather + fancy-indexed minimum per ``x'``.  The candidates
     ``cand_base + hop`` are IEEE-double additions — bit-identical to the
     reference loop's Python-float arithmetic — and each ``(x, e)`` node id
     occurs exactly once in the flattened entry list, so the fancy-indexed
@@ -179,11 +179,10 @@ def compute_source_to_center_tables(
     every edge among the first ``interval_edge_budget(priority(c))`` edges
     of the canonical ``c``-``source`` path.
 
-    The quadratic ``[c'] -> [c, e]`` loop runs on the same dense
-    distinct-edge Euler-bound tables as
-    :func:`compute_center_to_landmark_tables`; the per-query tree-predicate
-    form survives as :func:`compute_source_to_center_tables_reference`, the
-    oracle the differential fuzz battery pins this builder against.
+    The quadratic ``[c'] -> [c, e]`` loop runs on dense distinct-edge
+    Euler-bound tables; the per-query tree-predicate form survives as
+    :func:`compute_source_to_center_tables_reference`, the oracle the
+    differential fuzz battery pins this builder against.
     """
     aux = InternedAuxiliaryGraph()
     src_node = ("s",)
@@ -239,10 +238,11 @@ def compute_source_to_center_tables(
 
     # ``best[id]`` folds every ``[s] -> [c, e]`` contribution — the small
     # replacement paths and the whole ``via [c']`` family — into a running
-    # minimum, exactly as in :func:`compute_center_to_landmark_tables`: the
-    # ``[c']`` layer's Dijkstra distance is ``|s c'|`` up front, so one seed
-    # arc per ``[c, e]`` node yields identical distances with the dominant
-    # arc family folded away.
+    # minimum.  The ``[c']`` layer of the reference graph has exactly one
+    # incoming arc ``[s] -> [c']`` of weight ``|s c'|``, so its Dijkstra
+    # distance is known up front and relaxing ``[c'] -> [c, e]`` can only
+    # ever produce ``|s c'| + |c' c|``; one seed arc per ``[c, e]`` node
+    # yields identical distances with the dominant arc family folded away.
     inf = math.inf
     best: List[float] = [inf] * aux.num_nodes
     source_dist = source_tree.dist
@@ -307,9 +307,11 @@ def compute_source_to_center_tables(
         if value != inf:
             add_arc(src_id, node_id, value)
 
-    # [c', e] -> [c, e] arcs survive as real auxiliary arcs; only centers
-    # sharing the budgeted edge qualify.  Same shape as the landmark case:
-    # arc-source center outermost, dense interval guard, buffered flush.
+    # [c', e] -> [c, e] arcs survive as real auxiliary arcs (their sources
+    # have genuinely recursive Dijkstra distances); only centers sharing the
+    # budgeted edge qualify.  The arc-source center c' is outermost so each
+    # edge resolves against c''s tree once, the guard is a dense interval
+    # test, and the arcs flush into the typed arrays in one extend each.
     b_src: List[int] = []
     b_dst: List[int] = []
     b_w: List[float] = []
@@ -434,7 +436,8 @@ def compute_small_paths_through_centers(
     ``c`` on the walk the length of the walk's suffix from (the last
     occurrence of) ``c`` to ``r`` is recorded.  The result maps each center
     to ``(landmark, edge) -> suffix length`` and seeds the ``[c] -> [r, e]``
-    edges of the Section 8.2 auxiliary graphs.
+    edges of the paper's Section 8.2 auxiliary graphs
+    (:func:`compute_center_to_landmark_tables_reference`).
     """
     landmark_set = set(int(r) for r in landmarks)
     through: Dict[int, Dict[Tuple[int, Edge], float]] = {}
@@ -466,208 +469,28 @@ def compute_small_paths_through_centers(
 
 
 def compute_center_to_landmark_tables(
+    graph: Graph,
     center: int,
     center_tree: ShortestPathTree,
     priority: int,
     landmarks: Iterable[int],
-    landmark_trees: Mapping[int, ShortestPathTree],
     scale: ProblemScale,
-    small_through: Optional[Mapping[Tuple[int, Edge], float]] = None,
 ) -> PairEdgeTable:
-    """Build the Section 8.2 auxiliary graph ``G_c`` for one center.
+    """Exact Section 8.2 tables ``d(c, r, e)`` for one center.
 
-    Returns ``(landmark, edge) -> length`` where ``edge`` ranges over the
-    first ``interval_edge_budget(priority)`` edges of the canonical
-    ``center``-``landmark`` path.  The returned length upper-bounds the true
-    replacement distance by a realisable walk avoiding the edge, and for
-    every replacement path from a source that passes through the center it
-    is no longer than that path's suffix (Lemma 22), which is exactly what
-    the path cover lemma needs.
+    Returns ``(landmark, edge) -> length`` for every reachable landmark
+    ``r != center`` and every edge among the first
+    ``interval_edge_budget(priority)`` edges of the canonical
+    ``center``-``landmark`` path: the restriction of
+    :func:`repro.graph.repair.subtree_repair_distances` to the landmarks
+    and the budget, as floats.  The lengths are exact, so Lemma 22 (the
+    table is no longer than the suffix of any replacement path through the
+    center) holds deterministically.  Cost ``O(sum_v deg(v) *
+    min(depth_c(v), budget))``.
     """
-    small_through = small_through or {}
     budget = scale.interval_edge_budget(priority)
-
-    aux = InternedAuxiliaryGraph()
-    src_node = ("c",)
-    src_id = aux.intern(src_node)
-
-    reachable_landmarks: List[int] = []
-    node_edges: Dict[int, List[Edge]] = {}
-    for landmark in sorted(set(int(r) for r in landmarks)):
-        if not center_tree.is_reachable(landmark) or landmark == center:
-            continue
-        reachable_landmarks.append(landmark)
-        node_edges[landmark] = _first_edges_from_root(center_tree, landmark, budget)
-
-    re_ids: Dict[Tuple[int, Edge], int] = {
-        (landmark, e): aux.intern(("re", landmark, e))
-        for landmark, edges in node_edges.items()
-        for e in edges
-    }
-
-    # Dense index over the *distinct* budgeted edges (canonical paths share
-    # prefixes, so the same edge appears for many landmarks).  Every
-    # budgeted edge is a tree edge of the center tree, so its subtree
-    # interval — the "canonical center path to x uses e" test — is resolved
-    # here once and becomes two integer compares in the hot loop.  Landmarks
-    # whose budget contains the same edge are collected per distinct edge
-    # (``sharers``): they are exactly the candidates for ``[r', e]`` arcs.
-    c_tec_get = center_tree.edge_child_map().get
-    c_tin, c_tout = center_tree.euler_intervals()
-    e_index: Dict[Edge, int] = {}
-    distinct_edges: List[Edge] = []
-    c_bounds: List[Tuple[int, int]] = []
-    sharers: List[List[Tuple[int, int]]] = []
-    edge_entries: Dict[int, List[Tuple[int, int]]] = {}
-    for landmark, edges in node_edges.items():
-        entries = []
-        for e in edges:
-            idx = e_index.get(e)
-            if idx is None:
-                idx = len(distinct_edges)
-                e_index[e] = idx
-                distinct_edges.append(e)
-                child = c_tec_get(e)
-                c_bounds.append((c_tin[child], c_tout[child]))
-                sharers.append([])
-            node_id = re_ids[(landmark, e)]
-            entries.append((idx, node_id))
-            sharers[idx].append((landmark, node_id))
-        edge_entries[landmark] = entries
-    num_distinct = len(distinct_edges)
-
-    # ``best[id]`` folds every ``[c] -> [r, e]`` contribution — the small
-    # paths through the center and the whole ``via [r']`` family — into a
-    # running minimum.  The ``[r']`` layer of the reference graph has
-    # exactly one incoming arc ``[c] -> [r']`` of weight ``|c r'|``, so its
-    # Dijkstra distance is known up front and relaxing ``[r'] -> [r, e]``
-    # can only ever produce ``|c r'| + |r' r|``; taking the minimum here and
-    # emitting one seed arc per ``[r, e]`` node yields *identical* distances
-    # while shrinking the auxiliary graph by its dominant arc family (the
-    # differential fuzz battery pins this against the reference builder).
-    inf = math.inf
-    best: List[float] = [inf] * aux.num_nodes
-    center_dist = center_tree.dist
-    for landmark in reachable_landmarks:
-        for e in node_edges[landmark]:
-            small_value = small_through.get((landmark, e), inf)
-            if small_value != inf:
-                node_id = re_ids[(landmark, e)]
-                if small_value < best[node_id]:
-                    best[node_id] = small_value
-
-    # The via-[r'] fold.  This |L|^2 x budget loop dominates the whole
-    # Section 8 construction, so the body is two dense reads and a compare:
-    # per r' the distinct edges are resolved against r''s tree once into
-    # interval arrays, and "e lies on the canonical c-r' path" (which bars
-    # the [r'] term) is merged into the same arrays as an everything-covers
-    # interval, leaving a single containment test per (r', r, e).
-    # Euler timestamps span [0, 2n); anything >= 2n upper-bounds every tin.
-    # The vectorized tier runs the identical sweep through _fold_via_np.
-    max_tin = 2 * len(center_tree.parent)
-    if numpy_enabled() and num_distinct:
-        best = _fold_via_np(
-            best,
-            reachable_landmarks,
-            landmark_trees,
-            edge_entries,
-            e_index,
-            c_bounds,
-            c_tin,
-            center_dist,
-            max_tin,
-        )
-    else:
-        for other in reachable_landmarks:
-            other_tree = landmark_trees[other]
-            o_dist = other_tree.dist
-            o_tec_get = other_tree.edge_child_map().get
-            o_tin, o_tout = other_tree.euler_intervals()
-            c_t_other = c_tin[other]
-            cand_base = float(center_dist[other])
-            # Per distinct edge: the subtree interval in r''s tree ((1, 0) —
-            # empty — when e is not a tree edge there), widened to cover
-            # every tin when e lies on the canonical c-r' path.
-            o_lo = [1] * num_distinct
-            o_hi = [0] * num_distinct
-            for e, idx in e_index.items():
-                lo, hi = c_bounds[idx]
-                if lo <= c_t_other <= hi:
-                    o_lo[idx] = -1
-                    o_hi[idx] = max_tin
-                    continue
-                child = o_tec_get(e)
-                if child is not None:
-                    o_lo[idx] = o_tin[child]
-                    o_hi[idx] = o_tout[child]
-            for landmark in reachable_landmarks:
-                hop = o_dist[landmark]
-                if hop is math.inf:
-                    continue
-                cand = cand_base + hop
-                o_t_landmark = o_tin[landmark]
-                for idx, target_id in edge_entries[landmark]:
-                    # other_tree.tree_path_uses_edge(e, landmark), or e on
-                    # the canonical c-r' path (widened interval)
-                    if o_lo[idx] <= o_t_landmark <= o_hi[idx]:
-                        continue
-                    if cand < best[target_id]:
-                        best[target_id] = cand
-    add_arc = aux.add_arc
-    for node_id, value in enumerate(best):
-        if value != inf:
-            add_arc(src_id, node_id, value)
-
-    # [r', e] -> [r, e] arcs survive as real auxiliary arcs (their sources
-    # have genuinely recursive Dijkstra distances).  Only landmarks sharing
-    # the same budgeted edge can be linked; canonical paths share prefixes,
-    # so near-center edges are shared by many landmarks and this family is
-    # still sizeable.  Iterating the arc-source landmark r' outermost (its
-    # shared edges are exactly its own entries) resolves each edge against
-    # r''s tree once, the guard is a dense interval test, and the arcs flush
-    # into the typed arrays through one C-level extend per array.
-    b_src: List[int] = []
-    b_dst: List[int] = []
-    b_w: List[float] = []
-    src_app, dst_app, w_app = b_src.append, b_dst.append, b_w.append
-    for r1 in reachable_landmarks:
-        r1_tree = landmark_trees[r1]
-        r1_dist = r1_tree.dist
-        r1_tec_get = r1_tree.edge_child_map().get
-        r1_tin, r1_tout = r1_tree.euler_intervals()
-        for idx, id1 in edge_entries[r1]:
-            edge_sharers = sharers[idx]
-            if len(edge_sharers) < 2:
-                continue
-            child = r1_tec_get(distinct_edges[idx])
-            if child is None:
-                lo, hi = 1, 0
-            else:
-                lo, hi = r1_tin[child], r1_tout[child]
-            for r2, id2 in edge_sharers:
-                if r1 == r2:
-                    continue
-                hop = r1_dist[r2]
-                if hop is math.inf:
-                    continue
-                # r1_tree.tree_path_uses_edge(e, r2)
-                if lo <= r1_tin[r2] <= hi:
-                    continue
-                src_app(id1)
-                dst_app(id2)
-                w_app(float(hop))
-    arc_src, arc_dst, arc_w = aux.arc_lists()
-    arc_src.extend(b_src)
-    arc_dst.extend(b_dst)
-    arc_w.extend(b_w)
-
-    distances, _ = aux.dijkstra(src_node)
-
-    table: PairEdgeTable = {}
-    by_id = distances.by_id
-    for key, node_id in re_ids.items():
-        table[key] = by_id(node_id, math.inf)
-    return table
+    repaired = subtree_repair_distances(graph, center_tree, landmarks, budget)
+    return {key: float(length) for key, length in repaired.items()}
 
 
 def compute_center_to_landmark_tables_reference(
@@ -679,13 +502,18 @@ def compute_center_to_landmark_tables_reference(
     scale: ProblemScale,
     small_through: Optional[Mapping[Tuple[int, Edge], float]] = None,
 ) -> PairEdgeTable:
-    """Pre-dense reference for :func:`compute_center_to_landmark_tables`.
+    """The paper's Section 8.2 construction of the center->landmark tables.
 
-    Materialises the full Section 8.2 auxiliary graph — explicit ``[r]``
-    nodes and all four arc families — on the dict-based
-    :class:`AuxiliaryGraphBuilder` with per-query tree predicates.  The
-    differential fuzz battery asserts the folded dense builder produces an
-    identical table on every instance.
+    Materialises the Bernstein–Karger auxiliary graph ``G_c`` — explicit
+    ``[r]`` nodes and all four arc families, seeded by the Section 8.2.1
+    suffixes ``small_through`` — on the dict-based
+    :class:`AuxiliaryGraphBuilder` with per-query tree predicates.  Every
+    auxiliary path is a real walk avoiding the edge, so each value is at
+    least the exact :func:`compute_center_to_landmark_tables` value, over
+    the same keys; the differential fuzz battery pins that one-sided
+    relation.  The graph only composes canonical landmark-to-landmark paths
+    and small-path suffixes, so it misses the optimum whenever the sampled
+    landmarks do not cover a replacement path.
     """
     small_through = small_through or {}
     budget = scale.interval_edge_budget(priority)

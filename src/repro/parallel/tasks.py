@@ -92,43 +92,38 @@ def bruteforce_edges_task(
 def near_small_task(sources: Sequence[int]) -> Dict[int, Any]:
     """Section 7.1 auxiliary build per source.
 
-    Context: ``{"graph", "trees", "scale", "with_paths"}``.
+    Context: ``{"graph", "trees", "scale"}``.
     """
     ctx = worker_context()
     graph = ctx["graph"]
     trees = ctx["trees"]
     scale = ctx["scale"]
-    with_paths = ctx["with_paths"]
     return {
-        source: compute_near_small_tables(
-            graph, source, trees[source], scale, with_paths=with_paths
-        )
+        source: compute_near_small_tables(graph, source, trees[source], scale)
         for source in sources
     }
 
 
 def center_tables_task(centers: Sequence[int]) -> Dict[int, Any]:
-    """Section 8.2 table ``d(c, r, e)`` per center.
+    """Exact Section 8.2 table ``d(c, r, e)`` per center.
 
-    Context: ``{"center_trees", "hierarchy", "landmarks", "landmark_trees",
-    "scale", "small_through"}``.
+    Context: ``{"graph", "center_trees", "hierarchy", "landmarks",
+    "scale"}``.
     """
     ctx = worker_context()
+    graph = ctx["graph"]
     center_trees = ctx["center_trees"]
     hierarchy = ctx["hierarchy"]
     landmarks = ctx["landmarks"]
-    landmark_trees = ctx["landmark_trees"]
     scale = ctx["scale"]
-    small_through = ctx["small_through"]
     return {
         center: compute_center_to_landmark_tables(
+            graph=graph,
             center=center,
             center_tree=center_trees[center],
             priority=hierarchy.priority_of(center),
             landmarks=landmarks,
-            landmark_trees=landmark_trees,
             scale=scale,
-            small_through=small_through.get(center),
         )
         for center in centers
     }

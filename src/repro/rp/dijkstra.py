@@ -32,10 +32,11 @@ loop.  The interned graph compiles its CSR arrays lazily on the first
 :meth:`InternedAuxiliaryGraph.dijkstra` call and caches them; adding arcs
 afterwards invalidates the cache.
 
-The optional predecessor tracking (Section 8.2.1 needs it to enumerate the
-actual small replacement paths) returns mapping views that translate the
-internal integer ids back to the original tuple nodes, so
-:func:`reconstruct_path` works identically on both substrates.
+The optional predecessor tracking (the Section 7.1 walk reconstruction uses
+it to enumerate the actual small replacement paths for the Section 8.2.1
+split) returns mapping views that translate the internal integer ids back
+to the original tuple nodes, so :func:`reconstruct_path` works identically
+on both substrates.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -119,21 +118,20 @@ class TestSourceToCenterTables:
 class TestCenterToLandmarkTables:
     def test_values_are_realisable_upper_bounds(self):
         (graph, sources, _, scale, landmarks, centers, _,
-         landmark_trees, center_trees) = _setup_medium_instance(seed=7)
+         _, center_trees) = _setup_medium_instance(seed=7)
         center = sorted(centers.all)[1]
         table = compute_center_to_landmark_tables(
+            graph=graph,
             center=center,
             center_tree=center_trees[center],
             priority=centers.priority_of(center),
             landmarks=landmarks.union,
-            landmark_trees=landmark_trees,
             scale=scale,
         )
+        assert table
         for (landmark, edge), value in table.items():
-            if value is math.inf:
-                continue
             truth = bfs_distances(graph, center, forbidden_edge=edge)[landmark]
-            assert value >= truth
+            assert value == truth
 
 
 class TestSmallPathsThroughCenters:
@@ -167,6 +165,10 @@ class TestAuxiliaryPipeline:
             source_trees=source_trees,
             landmarks=landmarks,
             landmark_trees=landmark_trees,
+            near_small={
+                s: compute_near_small_tables(graph, s, source_trees[s], scale)
+                for s in sources
+            },
             rng=random.Random(13),
             centers=centers,
         )

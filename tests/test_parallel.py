@@ -33,6 +33,7 @@ import pytest
 
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import MSRPSolver
+from repro.core.near_small import compute_near_small_tables
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.exceptions import InternalInvariantError, InvalidParameterError
 from repro.graph import generators
@@ -544,6 +545,9 @@ def test_fallback_center_sampling_decorrelated_from_landmarks(monkeypatch):
         source_trees={s: trees[s] for s in sources},
         landmarks=landmarks,
         landmark_trees={r: trees[r] for r in landmarks.union},
+        near_small={
+            s: compute_near_small_tables(graph, s, trees[s], scale) for s in sources
+        },
         # rng deliberately omitted: exercise the fallback path
     )
     centers = captured["centers"]
