@@ -45,17 +45,8 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.bfs import _force_path
 from repro.graph.graph import Graph
 from repro.graph.tree import ShortestPathTree
-from repro.npsupport import np, numpy_enabled
 
 _INF = math.inf
-
-#: Dual-substrate registry (checked by ``repro-lint`` REPRO006): each
-#: numpy-tier kernel here maps to the pure-Python twin that the
-#: differential batteries hold it byte-identical to.
-__reference_twin__ = {
-    "_bfs_distances_np": "repro.graph.csr.bfs_distances_csr_py",
-    "_bfs_tree_np": "repro.graph.csr.bfs_tree_csr_py",
-}
 
 #: Functions in this module accept either a :class:`Graph` (whose cached CSR
 #: view is used) or an explicitly compiled :class:`CSRGraph`.
@@ -74,16 +65,14 @@ class CSRGraph:
         ``neighbors[offsets[u]:offsets[u + 1]]``.  Materialised lazily —
         the pure-Python kernels iterate ``rows`` and never touch it, so the
         flat pair costs nothing until a consumer actually asks for it.
-        Compiled as a numpy ``int64`` ndarray when the vectorized tier is
-        enabled (:func:`repro.npsupport.numpy_enabled`), else ``array('i')``
-        — both expose the buffer protocol and identical element values.
+        An ``array('i')`` whatever ``REPRO_NUMPY`` says: numpy does not
+        back the graph kernels.
     neighbors:
         Length ``2m``, all adjacency rows back-to-back, each row sorted
         ascending (inherited from :class:`Graph`'s sorted adjacency, which
         keeps traversal order — and hence every canonical shortest path —
         identical to the dict BFS).  Materialised lazily together with
-        ``offsets``; numpy ``intc`` ndarray in the vectorized tier, else
-        ``array('i')``.
+        ``offsets``, as an ``array('i')``.
     """
 
     __slots__ = ("num_vertices", "rows", "_num_arcs", "_offsets", "_neighbors")
@@ -98,20 +87,6 @@ class CSRGraph:
         self._neighbors = None
 
     def _compile_flat(self) -> None:
-        if numpy_enabled():
-            counts = np.fromiter(
-                map(len, self.rows), dtype=np.int64, count=self.num_vertices
-            )
-            offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            neighbors = np.fromiter(
-                (v for row in self.rows for v in row),
-                dtype=np.intc,
-                count=self._num_arcs,
-            )
-            self._offsets = offsets
-            self._neighbors = neighbors
-            return
         offsets = array("i", [0]) * (self.num_vertices + 1)
         neighbors = array("i")
         total = 0
@@ -224,151 +199,6 @@ def _banned_endpoints(
     return (u, v) if u <= v else (v, u)
 
 
-def _flat_np(csr: CSRGraph):
-    """ndarray views of the flat CSR pair.
-
-    When the CSR form was compiled by the pure-Python tier the typed
-    arrays are wrapped zero-copy via ``np.frombuffer`` (offsets are
-    upcast to ``int64`` once; a small copy relative to the traversal).
-    """
-    offsets = csr.offsets
-    neighbors = csr.neighbors
-    if not isinstance(offsets, np.ndarray):
-        offsets = np.frombuffer(offsets, dtype=np.intc).astype(np.int64)
-        neighbors = (
-            np.frombuffer(neighbors, dtype=np.intc)
-            if len(neighbors)
-            else np.zeros(0, dtype=np.intc)
-        )
-    return offsets, neighbors
-
-
-def _gather_level(offsets, neighbors, frontier):
-    """Concatenate the adjacency rows of ``frontier`` in frontier order.
-
-    Returns ``(neigh, prefix)`` where ``neigh`` holds the rows of
-    ``frontier[0]``, ``frontier[1]``, ... back to back (each row in its
-    CSR — i.e. ascending — order) and ``prefix[j]:prefix[j + 1]`` is the
-    slice contributed by ``frontier[j]``.  This frontier-major layout is
-    exactly the iteration order of the pure-Python sweep, which is what
-    makes first-occurrence dedup reproduce its FIFO discovery order.
-    """
-    starts = offsets[frontier]
-    counts = offsets[frontier + 1] - starts
-    prefix = np.zeros(frontier.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=prefix[1:])
-    total = int(prefix[-1])
-    if total == 0:
-        return None, prefix
-    gather = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - prefix[:-1], counts
-    )
-    return neighbors[gather], prefix
-
-
-def _filter_banned(frontier, prefix, neigh, fu, fv):
-    """Boolean keep-mask dropping the two banned arcs, or ``None``.
-
-    Only the (at most two) frontier positions holding a banned endpoint
-    are touched, mirroring the hoisted row filter of the Python tier.
-    """
-    keep = None
-    for a, b in ((fu, fv), (fv, fu)):
-        pos = np.nonzero(frontier == a)[0]
-        if pos.size:
-            j = int(pos[0])
-            lo, hi = int(prefix[j]), int(prefix[j + 1])
-            if keep is None:
-                keep = np.ones(neigh.size, dtype=bool)
-            keep[lo:hi] &= neigh[lo:hi] != b
-    return keep
-
-
-def _bfs_distances_np(csr: CSRGraph, source: int, fu: int, fv: int) -> List[float]:
-    """Vectorized level-synchronous BFS distances (numpy tier).
-
-    Works on an ``int64`` distance array with ``-1`` as the unseen
-    sentinel and converts to the canonical Python form (ints plus the
-    ``math.inf`` singleton) only once at the end, so no numpy scalar can
-    leak into identity-sensitive callers.
-    """
-    offsets, neighbors = _flat_np(csr)
-    dist_np = np.full(csr.num_vertices, -1, dtype=np.int64)
-    dist_np[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        neigh, prefix = _gather_level(offsets, neighbors, frontier)
-        if neigh is None:
-            break
-        if fu >= 0:
-            keep = _filter_banned(frontier, prefix, neigh, fu, fv)
-            if keep is not None:
-                neigh = neigh[keep]
-        unseen = neigh[dist_np[neigh] < 0]
-        if unseen.size == 0:
-            break
-        # Distances are order-insensitive within a level, so the sorted
-        # order of np.unique is as good as FIFO here.
-        newly = np.unique(unseen)
-        dist_np[newly] = level
-        frontier = newly
-    inf = _INF
-    return [inf if d < 0 else d for d in dist_np.tolist()]
-
-
-def _bfs_tree_np(csr: CSRGraph, source: int, fu: int, fv: int):
-    """Vectorized BFS tree sweep; returns ``(dist, parent, order)`` lists.
-
-    Reproduces the Python tier bit for bit: candidates are gathered in
-    frontier-major, ascending-row order, and ``np.unique``'s
-    first-occurrence indices (sorted back into appearance order) yield
-    the same FIFO dequeue order and first-discovery parents.
-    """
-    offsets, neighbors = _flat_np(csr)
-    n = csr.num_vertices
-    dist_np = np.full(n, -1, dtype=np.int64)
-    parent_np = np.full(n, -1, dtype=np.int64)
-    dist_np[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    levels = []
-    level = 0
-    while frontier.size:
-        level += 1
-        neigh, prefix = _gather_level(offsets, neighbors, frontier)
-        if neigh is None:
-            break
-        counts = prefix[1:] - prefix[:-1]
-        src = np.repeat(frontier, counts)
-        if fu >= 0:
-            keep = _filter_banned(frontier, prefix, neigh, fu, fv)
-            if keep is not None:
-                neigh = neigh[keep]
-                src = src[keep]
-        mask = dist_np[neigh] < 0
-        cand = neigh[mask]
-        if cand.size == 0:
-            break
-        cand_src = src[mask]
-        uniq, first = np.unique(cand, return_index=True)
-        appearance = np.argsort(first)
-        newly = uniq[appearance]
-        dist_np[newly] = level
-        parent_np[newly] = cand_src[first[appearance]]
-        levels.append(newly)
-        frontier = newly
-    inf = _INF
-    dist: List[float] = [inf if d < 0 else d for d in dist_np.tolist()]
-    parent: List[Optional[int]] = [
-        None if p < 0 else p for p in parent_np.tolist()
-    ]
-    order: List[int] = [source]
-    if levels:
-        order.extend(np.concatenate(levels).tolist())
-    return dist, parent, order
-
-
 def bfs_distances_csr(
     graph: GraphLike,
     source: int,
@@ -379,28 +209,9 @@ def bfs_distances_csr(
     Returns exactly what :func:`repro.graph.bfs.bfs_distances` returns —
     ``dist[v]`` is the number of edges on a shortest ``source``-``v`` path
     and ``math.inf`` (the identical singleton) for unreachable vertices.
-    Dispatches to the vectorized frontier kernel when the numpy tier is
-    enabled, else to :func:`bfs_distances_csr_py`; both produce identical
-    lists (Python ints plus the ``math.inf`` singleton).
-    """
-    if numpy_enabled():
-        csr = ensure_csr(graph)
-        _check_source(csr, source)
-        fu, fv = _banned_endpoints(forbidden_edge)
-        return _bfs_distances_np(csr, source, fu, fv)
-    return bfs_distances_csr_py(graph, source, forbidden_edge)
-
-
-def bfs_distances_csr_py(
-    graph: GraphLike,
-    source: int,
-    forbidden_edge: Optional[Sequence[int]] = None,
-) -> List[float]:
-    """Pure-Python frontier BFS over the CSR rows (the reference tier).
-
-    Runs on the compiled CSR rows with a level-synchronous frontier sweep,
-    and hoists the ``forbidden_edge`` test out of the per-arc loop: only
-    the rows of the two banned endpoints are filtered.
+    Runs a level-synchronous frontier sweep over the compiled CSR rows and
+    hoists the ``forbidden_edge`` test out of the per-arc loop: only the
+    rows of the two banned endpoints are filtered.
     """
     csr = ensure_csr(graph)
     _check_source(csr, source)
@@ -443,29 +254,8 @@ def bfs_tree_csr(
     and dequeue order as :func:`repro.graph.bfs.bfs_tree` (the adjacency
     rows are sorted identically, and a level-synchronous sweep discovers
     vertices in FIFO order), including the ``forbidden_edge`` and
-    ``prefer_path`` options and their validation errors.  Dispatches to
-    the vectorized kernel when the numpy tier is enabled, else to
-    :func:`bfs_tree_csr_py`; the trees are indistinguishable.
+    ``prefer_path`` options and their validation errors.
     """
-    if numpy_enabled():
-        csr = ensure_csr(graph)
-        _check_source(csr, source)
-        fu, fv = _banned_endpoints(forbidden_edge)
-        dist, parent, order = _bfs_tree_np(csr, source, fu, fv)
-        if prefer_path is not None:
-            banned = (fu, fv) if fu >= 0 else None
-            _force_path(csr, source, dist, parent, prefer_path, banned)
-        return ShortestPathTree(source, parent, dist, order)
-    return bfs_tree_csr_py(graph, source, forbidden_edge, prefer_path)
-
-
-def bfs_tree_csr_py(
-    graph: GraphLike,
-    source: int,
-    forbidden_edge: Optional[Sequence[int]] = None,
-    prefer_path: Optional[Sequence[int]] = None,
-) -> ShortestPathTree:
-    """Pure-Python frontier BFS tree over the CSR rows (the reference tier)."""
     csr = ensure_csr(graph)
     _check_source(csr, source)
     fu, fv = _banned_endpoints(forbidden_edge)

@@ -87,7 +87,6 @@ class ShortestPathTree:
         "_tout",
         "_tree_edge_child",
         "_preorder",
-        "_np_views",
     )
 
     def __init__(
@@ -113,7 +112,6 @@ class ShortestPathTree:
         self._tin: Optional[List[int]] = None
         self._tout: Optional[List[int]] = None
         self._preorder: Optional[List[int]] = None
-        self._np_views = None
 
     # -- lazy construction helpers ------------------------------------------
 
@@ -207,31 +205,6 @@ class ShortestPathTree:
             return self._build_intervals()
         return tin, self._tout  # type: ignore[return-value]
 
-    def np_views(self):
-        """Cached ``(dist, tin, tout)`` ndarray views for vectorized folds.
-
-        Numpy-tier callers only — the caller must have checked
-        :func:`repro.npsupport.numpy_enabled` (this accessor imports numpy
-        unconditionally).  The arrays are derived caches like the Euler
-        intervals: built once per tree (``dist`` as float64, ``tin``/
-        ``tout`` as int64 with ``-1`` for unreachable), shared by every
-        Section 8 builder that sweeps against this tree, and never
-        pickled.  The tree's lists stay the source of truth; these views
-        are read-only by convention.
-        """
-        views = self._np_views
-        if views is None:
-            from repro.npsupport import np
-
-            tin, tout = self.euler_intervals()
-            views = (
-                np.array(self.dist, dtype=np.float64),
-                np.array(tin, dtype=np.int64),
-                np.array(tout, dtype=np.int64),
-            )
-            self._np_views = views
-        return views
-
     def preorder(self) -> List[int]:
         """The reachable vertices in DFS preorder (cached).
 
@@ -279,7 +252,6 @@ class ShortestPathTree:
         self._tin = None
         self._tout = None
         self._preorder = None
-        self._np_views = None
 
     @property
     def has_structural_cache(self) -> bool:

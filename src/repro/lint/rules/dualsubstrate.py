@@ -16,7 +16,7 @@ of three ways:
 * declare a module-level registration::
 
       __reference_twin__ = {
-          "_bfs_distances_np": "repro.graph.bfs.bfs_distances",
+          "_SegmentReader._read_view": "repro.store.format._SegmentReader.read",
       }
 
   mapping each fast symbol defined here to the dotted path of its pure
@@ -25,7 +25,10 @@ of three ways:
   project — a registration pointing at nothing is itself a finding, so
   the registry cannot rot into documentation.
 
-``repro.npsupport`` itself (the gate) is exempt.
+A registration in a module that no longer branches on the tier is a
+finding too: the module lost its fast path, so the registration is left
+over and must be deleted.  ``repro.npsupport`` itself (the gate) is
+exempt.
 """
 
 from __future__ import annotations
@@ -159,16 +162,28 @@ def _validate_registration(
 
 @rule(
     "REPRO006",
-    "numpy-gated fast-path module lacks a reference-twin registration",
+    "numpy-gated fast-path module lacks a valid reference-twin registration",
 )
 def check_dual_substrate(project: Project) -> Iterable[Finding]:
     for module in project.repro_modules():
         if module.name == "repro.npsupport":
             continue
         gate_line = _gate_call_line(module)
-        if gate_line is None:
-            continue
         registration = module.module_assigns.get(REGISTRATION_NAME)
+        if gate_line is None:
+            if registration is not None:
+                yield Finding(
+                    path=module.path,
+                    line=registration.lineno,
+                    col=registration.col_offset,
+                    rule="REPRO006",
+                    message=(
+                        f"module {module.name} declares {REGISTRATION_NAME} "
+                        f"but has no numpy branch left; delete the "
+                        f"registration"
+                    ),
+                )
+            continue
         if registration is not None:
             yield from _validate_registration(project, module, registration)
             continue

@@ -34,7 +34,6 @@ from repro.graph.graph import Edge, normalize_edge
 from repro.graph.tree import ShortestPathTree
 from repro.multisource.intervals import PathInterval
 from repro.multisource.tables import PairEdgeTable
-from repro.npsupport import np, numpy_enabled
 from repro.rp.dijkstra import (
     AuxiliaryGraphBuilder,
     InternedAuxiliaryGraph,
@@ -287,24 +286,8 @@ def compute_interval_avoiding_tables(
     path_lengths = {r: len(landmark_paths[r]) - 1 for r in landmarks}
 
     # Via other landmarks r', iterated outermost so each r' tree resolves
-    # every distinct bottleneck edge exactly once.  The numpy tier keeps
-    # the exact loop structure but evaluates the dominant "canonical s-r'
-    # path avoids the bottleneck" branch as one masked minimum per r'; the
-    # rare on-path branch (MTC evaluation + real arc appends, whose intern
-    # order fixes the dense ids) replays in Python in entry order, so the
-    # arc arrays — and hence the compiled CSR and every Dijkstra distance —
-    # are byte-identical across tiers.
+    # every distinct bottleneck edge exactly once.
     add_arc = aux.add_arc
-    use_np = numpy_enabled() and bool(entries)
-    if use_np:
-        count = len(entries)
-        ent_landmark = np.fromiter((l for l, _, _ in entries), np.intp, count=count)
-        ent_node = np.fromiter((n for _, n, _ in entries), np.intp, count=count)
-        ent_eidx = np.fromiter((i for _, _, i in entries), np.intp, count=count)
-        s_lo_a = np.array(s_lo, dtype=np.int64)[ent_eidx]
-        s_hi_a = np.array(s_hi, dtype=np.int64)[ent_eidx]
-        best_np = np.array(best, dtype=np.float64)
-    distinct_edges = list(e_index)  # ordered by index (insertion order)
     for other in landmarks:
         other_tree = landmark_trees[other]
         o_dist = other_tree.dist
@@ -313,61 +296,8 @@ def compute_interval_avoiding_tables(
         cand_base = float(source_dist[other])
         other_length = path_lengths[other]
         iof_get = interval_of_index[other].get
-        if use_np:
-            # Subtree interval of every distinct edge in r''s tree, the
-            # vectorized form of the list loop below ((1, 0) — empty —
-            # when e is not a tree edge there).
-            o_dist_np, o_tin_np, o_tout_np = other_tree.np_views()
-            child_a = np.fromiter(
-                (o_tec_get(e, -1) for e in distinct_edges),
-                dtype=np.int64,
-                count=num_distinct,
-            )
-            has_child = child_a >= 0
-            safe = np.where(has_child, child_a, 0)
-            lo_all = np.where(has_child, o_tin_np[safe], 1)
-            hi_all = np.where(has_child, o_tout_np[safe], 0)
-            hop_a = o_dist_np[ent_landmark]
-            t_l = o_tin_np[ent_landmark]
-            lo_e = lo_all[ent_eidx]
-            hi_e = hi_all[ent_eidx]
-            valid = (
-                (ent_landmark != other)
-                & (hop_a != np.inf)
-                & ~((lo_e <= t_l) & (t_l <= hi_e))
-            )
-            on_s_path = (s_lo_a <= s_t_other) & (s_t_other <= s_hi_a)
-            easy = valid & ~on_s_path
-            sel = ent_node[easy]
-            if sel.size:
-                # The plain distance |s r'| is realisable for all of these;
-                # python-float-exact since hops are integral BFS levels.
-                best_np[sel] = np.minimum(best_np[sel], cand_base + hop_a[easy])
-            for k in np.nonzero(valid & on_s_path)[0].tolist():
-                landmark, node_id, idx = entries[k]
-                hop = float(o_dist[landmark])
-                other_interval = iof_get(e_path_index[idx])
-                if other_interval is None:
-                    continue
-                mtc_other = evaluator.mtc(
-                    other, other_length, other_interval, edge_of_idx[idx]
-                )
-                cand = mtc_other + hop
-                if cand < best_np[node_id]:
-                    best_np[node_id] = cand
-                other_ri_id = ri_ids.get((other, other_interval.ordinal))
-                if other_ri_id is None:
-                    # Late-interned nodes never receive seed contributions
-                    # (best is only ever updated at entry node ids), so
-                    # best_np need not grow to cover them.
-                    other_ri_id = aux.intern(
-                        ("ri", other, other_interval.ordinal)
-                    )
-                    ri_ids[(other, other_interval.ordinal)] = other_ri_id
-                add_arc(other_ri_id, node_id, hop)
-            continue
-        # Pure tier: subtree interval of every distinct edge in r''s tree
-        # ((1, 0) — empty — when e is not a tree edge there).
+        # Subtree interval of every distinct edge in r''s tree ((1, 0) —
+        # empty — when e is not a tree edge there).
         o_tin, o_tout = other_tree.euler_intervals()
         o_lo = [1] * num_distinct
         o_hi = [0] * num_distinct
@@ -414,8 +344,6 @@ def compute_interval_avoiding_tables(
                 cand = cand_base + hop
                 if cand < best[node_id]:
                     best[node_id] = cand
-    if use_np:
-        best = best_np.tolist()
 
     for node_id, value in enumerate(best):
         if value != inf:

@@ -7,8 +7,10 @@ direct strategy, but through the paper's Bernstein–Karger adaptation:
 1. sample centers with priorities and run BFS from every center,
 2. Section 8.2 — exact per-center tables ``d(center, landmark, e)`` by
    subtree repair (``compute_center_to_landmark_tables``),
-3. Section 8.1 — per-source auxiliary graphs: ``d(source, center, e)``,
-   seeded by the caller's Section 7.1 tables,
+3. Section 8.1 — exact per-source tables ``d(source, center, e)`` by
+   subtree repair of the source's tree
+   (``compute_source_to_center_tables``; it does not read the Section 7.1
+   tables),
 4. Section 8.3 — bottleneck edges per interval and the interval-avoiding
    Dijkstra,
 5. assembly via the path cover lemma, taking the minimum over the
@@ -22,9 +24,11 @@ assembly applies it to every edge of the interval.  On the ``sparse-aux``
 benchmark instances (``perfbench/workloads.py``, instance seeds 1-60) this
 gives wrong, too-small entries on 23 seeds;
 ``tests/test_differential_fuzz.py::test_auxiliary_pipeline_subsampled_regime``
-pins one of them as a strict xfail.  The other candidates are realisable
-walks avoiding the failed edge, and the high-probability lemmas of the
-paper (9, 12, 13, 18-22, 25) make one of them exact.
+pins one of them as a strict xfail, and
+``test_auxiliary_pipeline_n480_known_underestimates`` two entries of an
+n=480 instance.  The other candidates are realisable walks avoiding the
+failed edge, and the high-probability lemmas of the paper (9, 12, 13,
+18-22, 25) make one of them exact.
 """
 
 from __future__ import annotations
@@ -193,9 +197,7 @@ def _assemble_for_source(
         source=source,
         source_tree=source_tree,
         centers=centers,
-        center_trees=center_trees,
         scale=scale,
-        near_small=near_small,
     )
     evaluator = MTCEvaluator(
         source=source,

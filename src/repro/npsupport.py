@@ -1,10 +1,15 @@
 """Optional numpy gating for the vectorized kernel tier.
 
-numpy is an *optional* accelerator for this repository: every kernel that
-consumes it keeps a pure-Python twin (the established dual-substrate
-pattern), and the whole pipeline must produce byte-identical output with
-and without it.  This module centralises the import guard and the runtime
-switch so call sites never touch ``import numpy`` directly:
+numpy is an *optional* accelerator for this repository, and it backs two
+kernels only: the CSR compile of the interned auxiliary graph
+(``InternedAuxiliaryGraph._compile_np`` in :mod:`repro.rp.dijkstra`) and
+the memory-mapped store load (:mod:`repro.store.format`).  Each keeps a
+pure-Python twin (the established dual-substrate pattern), and the whole
+pipeline must produce byte-identical output with and without numpy.  The
+graph kernels (CSR BFS, subtree repair) and the Section 8 table builders
+are pure Python on every tier, because vectorized twins of them did not
+beat the pure code.  This module centralises the import guard and the
+runtime switch so call sites never touch ``import numpy`` directly:
 
 * ``np`` is the imported module, or ``None`` when numpy is not installed.
 * :func:`numpy_enabled` is the per-call gate the kernels consult.  It is a

@@ -370,20 +370,6 @@ class InternedAuxiliaryGraph:
         """Add the directed edge ``u -> v``, interning both endpoints."""
         self.add_arc(self.intern(u), self.intern(v), weight)
 
-    def arc_lists(self) -> Tuple[array, array, array]:
-        """The raw parallel ``(src, dst, weight)`` arc arrays, for bulk appends.
-
-        The tightest builder loops (the ``|L|^2 x budget`` Section 8 ones)
-        bind the three ``append`` methods directly instead of paying a
-        method call per arc.  The arrays are typed (``'i'``/``'i'``/``'d'``),
-        so each append stores a C int / double, not a PyObject pointer.
-        Appends must keep the arrays parallel; the compiled CSR cache is
-        invalidated here, so call this *before* appending (our builders
-        fetch the arrays once, up front).
-        """
-        self._csr_offsets = None
-        return self._arc_src, self._arc_dst, self._arc_w
-
     # -- accessors -----------------------------------------------------------
 
     @property
@@ -534,17 +520,12 @@ class InternedAuxiliaryGraph:
         Compiles (or recompiles after mutation) on demand and returns the
         cached arrays without copying — the same buffers the heap loop
         consumes, suitable for handing to a native kernel via the buffer
-        protocol.  Staleness covers both mutation kinds: arcs appended
-        through the raw arrays (arc count outgrows ``offsets[-1]``) and
-        nodes interned after compilation (``offsets`` must always span
+        protocol.  ``add_arc`` drops the cache; nodes interned after
+        compilation make it stale too (``offsets`` must always span
         ``num_nodes + 1`` rows, even for arc-less nodes).
         """
         offsets = self._csr_offsets
-        if (
-            offsets is None
-            or offsets[-1] != len(self._arc_src)
-            or len(offsets) != len(self._nodes) + 1
-        ):
+        if offsets is None or len(offsets) != len(self._nodes) + 1:
             return self._compile()
         return offsets, self._csr_dst, self._csr_w  # type: ignore[return-value]
 
@@ -558,12 +539,10 @@ class InternedAuxiliaryGraph:
         by the dense ids.  Ties are broken by id, which preserves the
         distances exactly (any tie-break yields the same distance array).
         """
-        # compiled_csr() recompiles when missing or stale — arcs appended
-        # through the raw arc_lists() references after a previous run (they
-        # grow the arc arrays past the compiled total) and nodes interned
-        # after compilation both invalidate the cached arrays.  The loop
-        # itself consumes the Python-native mirrors _compile installs so
-        # every distance stays a plain float regardless of tier.
+        # compiled_csr() recompiles when missing or stale (arcs added or
+        # nodes interned after the last compile).  The loop itself consumes
+        # the Python-native mirrors _compile installs so every distance
+        # stays a plain float regardless of tier.
         self.compiled_csr()
         offsets, dst, weights = self._heap_offsets, self._heap_dst, self._heap_w
         source_id = self.intern(source)

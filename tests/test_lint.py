@@ -36,6 +36,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.reporters import report_github, report_json
+from repro.lint.rules.dualsubstrate import REGISTRATION_NAME
 from repro.lint.symbols import module_name_for, parse_module
 
 ALL_RULE_IDS = {"REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO005", "REPRO006"}
@@ -416,13 +417,15 @@ class TestRepro006DualSubstrate:
 
     def test_mutation_removes_every_twin_signal(self, tmp_path):
         # Drop the registration AND break the naming convention.
-        mutant = NUMPY_CLEAN.replace(
+        mutant = textwrap.dedent(NUMPY_CLEAN).replace(
             '__reference_twin__ = {\n    "walk_np": "repro.fast.walk",\n}\n\n', ""
         ).replace("def walk(", "def crawl(").replace("return walk(", "return crawl(")
+        assert REGISTRATION_NAME not in mutant
         report = lint_paths(self.tree(tmp_path, mutant) / "src")
         findings = fired(report, "REPRO006")
         assert len(findings) == 1
         assert "repro.fast" in findings[0].message
+        assert "registers no reference twin" in findings[0].message
 
     def test_mutation_makes_the_registration_stale(self, tmp_path):
         mutant = NUMPY_CLEAN.replace('"repro.fast.walk"', '"repro.fast.gone"')
@@ -430,6 +433,17 @@ class TestRepro006DualSubstrate:
         findings = fired(report, "REPRO006")
         assert len(findings) == 1
         assert "stale" in findings[0].message
+
+    def test_mutation_removes_the_numpy_gate(self, tmp_path):
+        # The fast path is gone but its registration was left behind.
+        mutant = textwrap.dedent(NUMPY_CLEAN).replace(
+            "from repro.npsupport import numpy_enabled\n\n", ""
+        ).replace("    if not numpy_enabled():\n        return walk(xs)\n", "")
+        assert "numpy_enabled" not in mutant and REGISTRATION_NAME in mutant
+        report = lint_paths(self.tree(tmp_path, mutant) / "src")
+        findings = fired(report, "REPRO006")
+        assert len(findings) == 1
+        assert "no numpy branch left" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
