@@ -97,7 +97,7 @@ def _setup_medium_instance(seed: int = 5, n: int = 30):
 
 
 class TestSourceToCenterTables:
-    def test_values_are_exact(self):
+    def test_never_underestimates_and_usually_exact(self):
         (graph, sources, _, scale, _, centers, source_trees,
          _, _) = _setup_medium_instance()
         s = sources[0]
@@ -105,9 +105,13 @@ class TestSourceToCenterTables:
             graph, s, source_trees[s], centers, scale
         )
         assert table  # some (center, edge) pairs must be covered
+        exact = 0
         for (center, edge), value in table.items():
             truth = bfs_distances(graph, s, forbidden_edge=edge)[center]
-            assert value == truth
+            assert value >= truth
+            exact += value == truth
+        # Subtree repair makes the tables exact on every key, not only w.h.p.
+        assert exact == len(table)
 
 
 class TestCenterToLandmarkTables:

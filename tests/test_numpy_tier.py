@@ -6,6 +6,10 @@ store load.  This module runs the SAME seeded instances through both
 tiers in one interpreter — toggling ``REPRO_NUMPY`` between calls — and
 asserts the outputs are *identical*, not merely equal-ish:
 
+* BFS distances/trees: the CSR kernels have no numpy branch, so toggling
+  the tier must leave their output untouched — same dist lists as the
+  dict BFS twin (``is math.inf`` identity on the unreachable entries),
+  same parents, same FIFO discovery order, plain Python value types.
 * Full MSRP pipeline: byte-identical fingerprints across tiers, at worker
   counts 0 and 2 (workers inherit the tier through the environment, so a
   sharded numpy run must reproduce a serial pure-Python run bit for bit).
@@ -13,9 +17,12 @@ asserts the outputs are *identical*, not merely equal-ish:
   tier and a pickle round trip of a sharded result.
 * Store round-trip: the mmap zero-copy load and the classic load of the
   same directory answer every entry identically.
+* Pickle forms: a CSR graph compiled under one tier ships through
+  ``__getstate__`` and rebuilds correctly under the other — the flat
+  caches are derived state and must never leak into worker transfer.
 
-The graph kernels (CSR BFS, subtree repair) have no numpy tier;
-``tests/test_csr.py`` and the property battery pin them to the dict BFS.
+``tests/test_csr.py`` and the property battery pin the graph kernels
+(CSR BFS, subtree repair) to the dict BFS in more depth.
 """
 
 from __future__ import annotations
@@ -29,12 +36,32 @@ import pytest
 from repro.core.msrp import MSRPSolver, multiple_source_replacement_paths
 from repro.core.params import AlgorithmParams
 from repro.graph import generators
-from repro.npsupport import NUMPY_ENV_VAR, numpy_available
+from repro.graph.bfs import bfs_distances, bfs_tree
+from repro.graph.csr import (
+    CSRGraph,
+    bfs_distances_csr,
+    bfs_tree_csr,
+    ensure_csr,
+)
+from repro.npsupport import NUMPY_ENV_VAR, numpy_available, numpy_enabled
 from repro.store import load_store, write_store
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy tier not installed"
 )
+
+#: Generators chosen so the battery sees disconnected graphs (real inf
+#: entries), bridges, ties and dense neighbourhoods.
+GENERATORS = {
+    "gnp_sparse": lambda seed: generators.gnp_random_graph(16, 0.12, seed=seed),
+    "gnp_dense": lambda seed: generators.gnp_random_graph(12, 0.45, seed=seed),
+    "connected": lambda seed: generators.random_connected_graph(
+        14, extra_edges=10, seed=seed
+    ),
+    "clusters": lambda seed: generators.path_with_clusters(4, 3, 2, seed=seed),
+}
+
+SEEDS = range(4)
 
 
 @pytest.fixture()
@@ -55,6 +82,58 @@ def _assert_plain_types(tree) -> None:
         assert p is None or type(p) is int, type(p)
     for v in tree.order:
         assert type(v) is int, type(v)
+
+
+def _random_edge(graph, rng):
+    edges = list(graph.edges())
+    return edges[rng.randrange(len(edges))] if edges else None
+
+
+class TestBfsTierEquality:
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_distances_and_trees_identical(self, name, monkeypatch):
+        for seed in SEEDS:
+            graph = GENERATORS[name](seed)
+            csr = ensure_csr(graph)
+            rng = random.Random(seed)
+            source = rng.randrange(graph.num_vertices)
+            banned = _random_edge(graph, rng)
+
+            for forbidden in (None, banned):
+                runs = {}
+                for tier in (True, False):
+                    _force_tier(monkeypatch, tier)
+                    runs[tier] = (
+                        bfs_distances_csr(csr, source, forbidden_edge=forbidden),
+                        bfs_tree_csr(csr, source, forbidden_edge=forbidden),
+                    )
+                dist_np, tree_np = runs[True]
+                dist_py, tree_py = runs[False]
+                assert dist_np == dist_py
+                assert tree_np.parent == tree_py.parent
+                assert tree_np.dist == tree_py.dist
+                assert tree_np.order == tree_py.order
+                ref_dist = bfs_distances(graph, source, forbidden_edge=forbidden)
+                ref_tree = bfs_tree(graph, source, forbidden_edge=forbidden)
+                assert dist_np == ref_dist
+                assert tree_np.parent == ref_tree.parent
+                assert tree_np.order == ref_tree.order
+                for got, want in zip(dist_np, dist_py):
+                    if want == math.inf:
+                        assert got is math.inf
+                _assert_plain_types(tree_np)
+
+    def test_dispatch_honours_env_toggle(self, monkeypatch):
+        """The tier gate re-reads the env var on every call; BFS ignores it."""
+        graph = generators.gnp_random_graph(10, 0.3, seed=3)
+        csr = ensure_csr(graph)
+        _force_tier(monkeypatch, False)
+        assert not numpy_enabled()
+        off = bfs_distances_csr(csr, 0)
+        _force_tier(monkeypatch, True)
+        assert numpy_enabled()
+        on = bfs_distances_csr(csr, 0)
+        assert off == on
 
 
 class TestPipelineTierEquality:
@@ -106,6 +185,27 @@ class TestPipelineTierEquality:
 
 
 class TestPickleAcrossTiers:
+    def test_csr_pickled_under_numpy_rebuilds_pure(self, monkeypatch):
+        """Compiled flat caches are derived state: never pickled."""
+        graph = generators.random_connected_graph(12, extra_edges=8, seed=2)
+        _force_tier(monkeypatch, True)
+        csr = ensure_csr(graph)
+        list(csr.offsets)  # force the compile under the numpy tier
+        payload = pickle.dumps(csr)
+        _force_tier(monkeypatch, False)
+        clone = pickle.loads(payload)
+        assert isinstance(clone, CSRGraph)
+        assert clone._offsets is None and clone._neighbors is None
+        assert clone.num_arcs == csr.num_arcs
+        assert list(clone.offsets) == list(csr.offsets)
+        assert list(clone.neighbors) == list(csr.neighbors)
+        tree_a = bfs_tree_csr(clone, 0)
+        _force_tier(monkeypatch, True)
+        tree_b = bfs_tree_csr(csr, 0)
+        assert tree_a.dist == tree_b.dist
+        assert tree_a.parent == tree_b.parent
+        assert tree_a.order == tree_b.order
+
     @pytest.mark.parametrize("workers", [0, 2])
     def test_sharded_solve_round_trips_results(self, workers, monkeypatch):
         """Results built numpy-tier pickle/unpickle without numpy types."""
