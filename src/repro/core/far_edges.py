@@ -14,17 +14,29 @@ landmark set, keep the landmarks within the radius, and take the minimum
 candidate.  The per-edge cost is ``O~(sqrt(n sigma) / 2^k)`` and, summed over
 the geometric ranges of a path, ``O~(n)`` per target — the scaling trick the
 paper highlights as its main idea.
+
+Two details make the scan deterministic and cheaper.  Each level's
+landmarks are scanned in id order (a level is a frozenset, whose iteration
+order can differ between equal hierarchies and across a pickle round
+trip), so a tie between a table value (``7.0`` under the auxiliary
+strategy) and the tree-distance fallback (``7``) always resolves the same
+way.  And a landmark whose ``d(s, r) + d(r, t)`` is not below the best
+candidate so far is skipped before its table lookup: every ``d(s, r, e)``
+table value is the length of an ``s``-``r`` walk, hence at least
+``d(s, r)``, and a candidate replaces the best only when strictly smaller,
+so the skipped landmark could change neither the value nor the tie-break.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.core.classification import ClassifiedEdge
 from repro.core.landmark_rp import SourceLandmarkTables
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import ProblemScale
+from repro.exceptions import InvalidParameterError
 from repro.graph.tree import ShortestPathTree
 
 
@@ -44,7 +56,7 @@ class FarEdgeSolver:
         The ``d(s, r, e)`` tables computed in the preprocessing phase.
     """
 
-    __slots__ = ("_scale", "_landmarks", "_trees", "_tables")
+    __slots__ = ("_scale", "_levels", "_tables")
 
     def __init__(
         self,
@@ -54,9 +66,17 @@ class FarEdgeSolver:
         landmark_tables: SourceLandmarkTables,
     ):
         self._scale = scale
-        self._landmarks = landmarks
-        self._trees = landmark_trees
         self._tables = landmark_tables
+        # ``(landmark, tree)`` pairs of every level in landmark-id order,
+        # resolved once instead of per candidate.
+        self._levels = tuple(
+            tuple(
+                (landmark, landmark_trees[landmark])
+                for landmark in sorted(level)
+                if landmark in landmark_trees
+            )
+            for level in landmarks.levels
+        )
 
     def candidate(
         self, source: int, target: int, classified_edge: ClassifiedEdge
@@ -79,29 +99,24 @@ class FarEdgeSolver:
         Entry point of the assembly sweep, which classifies path edges with
         array lookups and has no :class:`ClassifiedEdge` object to hand.
         """
+        if level < 0:
+            raise InvalidParameterError("landmark level must be non-negative")
+        if level >= len(self._levels):
+            # Levels beyond the sampled range are empty.
+            return math.inf
         radius = self._scale.landmark_radius(level)
+        tables = self._tables
+        source_dist = tables.tree_for(source).dist
         best = math.inf
-        for landmark in self._landmarks.level(level):
-            tree = self._trees.get(landmark)
-            if tree is None:
-                continue
+        for landmark, tree in self._levels[level]:
             distance_to_target = tree.dist[target]
             if distance_to_target > radius:
                 continue
-            candidate = self._tables.query(source, landmark, edge) + distance_to_target
+            # d(s, r, e) + d(r, t) >= d(s, r) + d(r, t): skip landmarks
+            # that cannot beat the best so far.
+            if source_dist[landmark] + distance_to_target >= best:
+                continue
+            candidate = tables.query(source, landmark, edge) + distance_to_target
             if candidate < best:
                 best = candidate
         return best
-
-    def candidates_for_path(
-        self,
-        source: int,
-        target: int,
-        classified_edges,
-    ) -> Dict:
-        """Evaluate Algorithm 3 for every far edge of one canonical path."""
-        return {
-            item.edge: self.candidate(source, target, item)
-            for item in classified_edges
-            if item.is_far
-        }

@@ -407,7 +407,8 @@ def solve_single_source(
             level = far_level_of[length - i - 1]
             if level < 0:
                 value = small_value(target, edge)
-                alternative = large_candidate(source, target, edge)
+                # Bounded by the Section 7.1 value: math.inf unless smaller.
+                alternative = large_candidate(source, target, edge, value)
                 if alternative < value:
                     value = alternative
             else:

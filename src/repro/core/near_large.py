@@ -12,12 +12,23 @@ the best ``d(s, r, e) + d(r, t)``.
 Every candidate the solver emits is realisable (both summands correspond to
 paths avoiding ``e``), so using it for *small* replacement paths as well is
 harmless — the Section 7.1 value then wins the minimum.
+
+The scan is bounded: the candidate through ``r`` is at least
+``d(s, r) + d(r, t)``, because every ``d(s, r, e)`` table value is the
+length of an ``s``-``r`` walk (under both landmark strategies) and the
+fallback is ``d(s, r)`` itself.  A landmark whose bound is not below the
+caller's ``bound`` or the best candidate so far is skipped before its
+``distance_avoiding`` call and table lookup.  A candidate replaces the
+current value only when strictly smaller, so a skipped landmark could
+change neither the minimum nor which landmark wins a tie (``7`` against
+``7.0``): the result is the plain scan's minimum when that is below
+``bound`` and ``math.inf`` otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.landmark_rp import SourceLandmarkTables
 from repro.core.landmarks import LandmarkHierarchy
@@ -39,7 +50,7 @@ class NearLargeSolver:
         The ``d(s, r, e)`` tables from the preprocessing phase.
     """
 
-    __slots__ = ("_level0", "_trees", "_tables", "_pairs")
+    __slots__ = ("_tables", "_pairs")
 
     def __init__(
         self,
@@ -47,31 +58,36 @@ class NearLargeSolver:
         landmark_trees: Mapping[int, ShortestPathTree],
         landmark_tables: SourceLandmarkTables,
     ):
-        self._level0 = sorted(landmarks.level(0))
-        self._trees = landmark_trees
         self._tables = landmark_tables
         # The scan below runs once per (target, near edge) pair, so resolve
         # the landmark -> tree mapping once instead of per candidate.
         self._pairs = tuple(
             (landmark, landmark_trees[landmark])
-            for landmark in self._level0
+            for landmark in sorted(landmarks.level(0))
             if landmark in landmark_trees
         )
 
-    def candidate(self, source: int, target: int, edge: Edge) -> float:
-        """Best Algorithm 4 candidate for one near edge.
+    def candidate(
+        self, source: int, target: int, edge: Edge, bound: float = math.inf
+    ) -> float:
+        """Best Algorithm 4 candidate for one near edge, if below ``bound``.
 
-        Returns ``math.inf`` when no level-0 landmark qualifies (either the
-        target is unreachable from every landmark or every canonical
-        landmark-target path uses ``e``).
+        Returns ``math.inf`` when no level-0 landmark gives a candidate
+        below ``bound`` (in particular when the target is unreachable from
+        every landmark or every canonical landmark-target path uses ``e``).
         """
         if edge[0] > edge[1]:
             edge = (edge[1], edge[0])
         inf = math.inf
         best = inf
+        limit = bound
         table = self._tables.table_for(source)
         source_dist = self._tables.tree_for(source).dist
         for landmark, tree in self._pairs:
+            # d(s, r, e) + d(r, t) >= d(s, r) + d(r, t): skip landmarks
+            # that cannot beat the value in hand.
+            if source_dist[landmark] + tree.dist[target] >= limit:
+                continue
             distance_to_target = tree.distance_avoiding(edge, target)
             if distance_to_target is inf:
                 continue
@@ -83,12 +99,6 @@ class NearLargeSolver:
             else:
                 d_sle = source_dist[landmark]
             candidate = d_sle + distance_to_target
-            if candidate < best:
-                best = candidate
+            if candidate < limit:
+                best = limit = candidate
         return best
-
-    def candidates_for_edges(
-        self, source: int, target: int, edges: Sequence[Edge]
-    ) -> dict:
-        """Evaluate Algorithm 4 for a batch of near edges of one path."""
-        return {edge: self.candidate(source, target, edge) for edge in edges}

@@ -17,6 +17,10 @@ direct strategy, but through the paper's Bernstein–Karger adaptation:
    candidates (small replacement path, MTC, interval-avoiding value, and —
    for edges close to the landmark, where the path cover lemma's second
    term degenerates — an Algorithm-4-style scan over the level-0 centers).
+   The scan is bounded by the minimum of the other three: a center ``c``
+   whose ``d(s, c) + d(c, r)`` is not below it is skipped, which is exact
+   because every Section 8.1 value ``d(s, c, e)`` is at least ``d(s, c)``
+   and a candidate replaces the value in hand only when strictly smaller.
 
 The assembled value can *underestimate*: the Section 8.3 interval-avoiding
 value ``sr <> B[s, r, i]`` avoids only the interval's bottleneck edge, yet
@@ -237,7 +241,10 @@ def _assemble_for_source(
     )
     start = time.perf_counter()
 
-    level0_centers = sorted(centers.level(0))
+    source_dist = source_tree.dist
+    level0_centers = [
+        (center, center_trees[center]) for center in sorted(centers.level(0))
+    ]
 
     per_source: PerSourceLandmarkTable = {}
     for landmark in sorted(landmarks.union):
@@ -267,7 +274,7 @@ def _assemble_for_source(
                 value = min(
                     value,
                     _near_landmark_candidate(
-                        evaluator, center_trees, level0_centers, landmark, edge
+                        evaluator, source_dist, level0_centers, landmark, edge, value
                     ),
                 )
             per_edge[edge] = value
@@ -280,10 +287,11 @@ def _assemble_for_source(
 
 def _near_landmark_candidate(
     evaluator: MTCEvaluator,
-    center_trees: Mapping[int, ShortestPathTree],
-    level0_centers: Sequence[int],
+    source_dist: Sequence[float],
+    level0_centers: Sequence[Tuple[int, ShortestPathTree]],
     landmark: int,
     edge: Edge,
+    bound: float,
 ) -> float:
     """Algorithm-4-style candidate for edges close to the landmark.
 
@@ -295,15 +303,25 @@ def _near_landmark_candidate(
     the edge; scanning the level-0 centers recovers that case.  Every
     candidate is realisable, so this extra generator can only tighten the
     minimum, never corrupt it.
+
+    ``level0_centers`` are ``(center, tree)`` pairs in center-id order and
+    ``source_dist`` the source tree's distances.  The candidate through
+    ``c`` is at least ``d(s, c) + d(c, r)``, so centers whose bound is not
+    below ``bound`` or the best so far are skipped; the result is the
+    unbounded scan's minimum when that is below ``bound``, else
+    ``math.inf``.
     """
     inf = math.inf
     best = inf
-    for center in level0_centers:
+    limit = bound
+    for center, tree in level0_centers:
+        if source_dist[center] + tree.dist[landmark] >= limit:
+            continue
         # Fused reachability + "canonical path avoids edge" + distance scan.
-        hop = center_trees[center].distance_avoiding(edge, landmark)
+        hop = tree.distance_avoiding(edge, landmark)
         if hop is inf:
             continue
         candidate = evaluator.source_to_center(center, edge) + float(hop)
-        if candidate < best:
-            best = candidate
+        if candidate < limit:
+            best = limit = candidate
     return best

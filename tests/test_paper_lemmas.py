@@ -5,23 +5,34 @@ end-to-end output: landmark concentration (Lemma 4), the soundness of the
 far-edge radius check (Section 6), the suffix-length observation
 (Observation 8 / Lemma 11), and the candidate generators of Algorithms 3
 and 4.
+
+The generators skip every landmark or center ``x`` whose
+``d(s, x) + d(x, t)`` cannot beat the value in hand.  ``TestBoundedScans``
+compares each bounded scan with a plain scan kept here as its reference
+(every landmark, in id order), and ``TestBoundPrecondition`` pins the fact
+that makes the skip exact: no table value is below the plain distance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import pytest
 
+import repro.multisource.pipeline as pipeline
+from perfbench.workloads import WORKLOADS, build_instance
 from repro.core.classification import classify_path_edges
 from repro.core.far_edges import FarEdgeSolver
-from repro.core.landmark_rp import compute_direct_tables
+from repro.core.landmark_rp import SourceLandmarkTables, compute_direct_tables
 from repro.core.landmarks import LandmarkHierarchy
+from repro.core.msrp import MSRPSolver
 from repro.core.near_large import NearLargeSolver
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
+from repro.graph.csr import bfs_distances_csr
 from repro.rp.bruteforce import brute_force_single_source
 
 
@@ -117,6 +128,40 @@ class TestFarEdgeSolver:
                 checked += 1
         assert checked > 0, "workload must contain far edges"
 
+    def test_equal_hierarchies_break_a_tie_alike(self):
+        # On the 12-cycle, s=4, t=1 and e=(3, 4), the replacement path
+        # 4-5-...-11-0-1 passes landmarks 0 and 8.  Through 0 the candidate
+        # is the float table value d(4, 0, e) = 8.0 plus 1; through 8 it is
+        # the int fallback d(4, 8) = 4 plus 5.  The level {0, 8} is a
+        # frozenset, and built in opposite orders it iterates in opposite
+        # orders; the scan must not inherit that order.
+        g = generators.cycle_graph(12)
+        source, target, edge = 4, 1, (3, 4)
+        trees = {v: bfs_tree(g, v) for v in (0, source, 8)}
+
+        def float_table(landmark):
+            return {
+                e: float(bfs_distances_csr(g, source, forbidden_edge=e)[landmark])
+                for e in trees[source].path_edges_to(landmark)
+            }
+
+        tables = SourceLandmarkTables(
+            {source: {0: float_table(0), 8: float_table(8), source: {}}},
+            {source: trees[source]},
+            trees,
+        )
+        scale = ProblemScale(12, 1, AlgorithmParams(seed=0))
+        hierarchies = [
+            LandmarkHierarchy([[source], order], [source]) for order in ([8, 0], [0, 8])
+        ]
+        assert [list(h.level(1)) for h in hierarchies] == [[8, 0], [0, 8]]
+        values = [
+            FarEdgeSolver(scale, h, trees, tables).candidate_edge(source, target, edge, 1)
+            for h in hierarchies
+        ]
+        assert values[0] == values[1] == 9
+        assert [type(v) for v in values] == [float, float]
+
     def test_radius_check_never_uses_the_failed_edge(self):
         # The radius accepted by Algorithm 3 is below the k-far window, so a
         # landmark within the radius cannot have the failed edge on any
@@ -193,3 +238,237 @@ class TestLemma9HitRate:
                         misses += 1
         assert total > 0, "workloads must contain far edges"
         assert misses == 0
+
+
+# ---------------------------------------------------------------------------
+# bounded candidate scans against plain scans
+# ---------------------------------------------------------------------------
+
+
+def plain_near_large(solver, source, target, edge):
+    """Algorithm 4 without the bound: every level-0 landmark, in id order."""
+    best = math.inf
+    for landmark in sorted(solver.landmarks.level(0)):
+        tree = solver.landmark_trees[landmark]
+        distance_to_target = tree.distance_avoiding(edge, target)
+        if distance_to_target is math.inf:
+            continue
+        candidate = (
+            solver.landmark_tables.query(source, landmark, edge) + distance_to_target
+        )
+        if candidate < best:
+            best = candidate
+    return best
+
+
+def plain_far(solver, source, target, edge, level):
+    """Algorithm 3 without the bound: every level-``k`` landmark, in id order."""
+    radius = solver.scale.landmark_radius(level)
+    best = math.inf
+    for landmark in sorted(solver.landmarks.level(level)):
+        distance_to_target = solver.landmark_trees[landmark].dist[target]
+        if distance_to_target > radius:
+            continue
+        candidate = (
+            solver.landmark_tables.query(source, landmark, edge) + distance_to_target
+        )
+        if candidate < best:
+            best = candidate
+    return best
+
+
+def plain_near_landmark(evaluator, level0_centers, landmark, edge):
+    """The Section 8 near-landmark scan without the bound."""
+    best = math.inf
+    for center, tree in level0_centers:
+        hop = tree.distance_avoiding(edge, landmark)
+        if hop is math.inf:
+            continue
+        candidate = evaluator.source_to_center(center, edge) + float(hop)
+        if candidate < best:
+            best = candidate
+    return best
+
+
+def _check_bounded(bounded, plain, bounds):
+    """``bounded(b)`` is ``plain`` (same type) when ``plain < b``, else inf."""
+    for b in (math.inf, plain, plain + 1, *bounds):
+        got = bounded(b)
+        if plain < b:
+            assert got == plain and type(got) is type(plain), (b, got, plain)
+        else:
+            assert got is math.inf, (b, got, plain)
+
+
+def _grid_2x150():
+    # The TestFarEdgeSolver setup: far edges exist on this grid.
+    params = AlgorithmParams(seed=2, threshold_constant=0.25, sampling_constant=16)
+    return generators.grid_graph(2, 150), [0], params
+
+
+def _benchmark_instance(name, seed):
+    instance = build_instance(WORKLOADS[name], seed)
+    return instance.graph, list(instance.sources), instance.params
+
+
+SETUPS = {
+    "grid-5x6": lambda: (generators.grid_graph(5, 6), [0], AlgorithmParams(seed=4)),
+    "cycle-12": lambda: (generators.cycle_graph(12), [0], AlgorithmParams(seed=5)),
+    "grid-2x150": _grid_2x150,
+    # The benchmark's n=160 instances: landmark and center sampling below
+    # 1 (p0=0.55), and on far-clusters the far regime of Algorithm 3.
+    "sparse-aux-1": lambda: _benchmark_instance("sparse-aux", 1),
+    "sparse-aux-2": lambda: _benchmark_instance("sparse-aux", 2),
+    "far-clusters-1": lambda: _benchmark_instance("far-clusters", 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _preprocessed(name, strategy):
+    """A preprocessed solver plus what its Section 8 assembly saw.
+
+    Returns ``(solver, near_landmark_calls, source_to_center)``: the
+    arguments of every ``_near_landmark_candidate`` call and every
+    ``(source tree, Section 8.1 table)`` pair (both empty under
+    ``direct``).
+    """
+    graph, sources, params = SETUPS[name]()
+    calls, source_to_center = [], []
+    scan = pipeline._near_landmark_candidate
+    build = pipeline.compute_source_to_center_tables
+
+    def recording_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    def recording_build(**kwargs):
+        table = build(**kwargs)
+        source_to_center.append((kwargs["source_tree"], table))
+        return table
+
+    pipeline._near_landmark_candidate = recording_scan
+    pipeline.compute_source_to_center_tables = recording_build
+    try:
+        solver = MSRPSolver(
+            graph, sources, params=params, landmark_strategy=strategy
+        ).preprocess()
+    finally:
+        pipeline._near_landmark_candidate = scan
+        pipeline.compute_source_to_center_tables = build
+    return solver, calls, source_to_center
+
+
+def _path_entries(solver):
+    """``(source, target, edge, far level)`` of every entry; -1 is near."""
+    for source, tree in solver.source_trees.items():
+        for target in tree.reachable_vertices():
+            if target == source:
+                continue
+            for item in classify_path_edges(tree.path_to(target), solver.scale):
+                yield source, target, item.edge, item.far_level
+
+
+class TestBoundedScans:
+    """Each bounded scan equals its plain scan wherever the bound allows."""
+
+    @pytest.mark.parametrize(
+        "name,strategy",
+        [
+            ("grid-5x6", "direct"),
+            ("cycle-12", "direct"),
+            ("grid-5x6", "auxiliary"),
+            ("sparse-aux-2", "auxiliary"),
+            ("far-clusters-1", "direct"),
+        ],
+    )
+    def test_near_large_candidate(self, name, strategy):
+        solver = _preprocessed(name, strategy)[0]
+        large = NearLargeSolver(
+            solver.landmarks, solver.landmark_trees, solver.landmark_tables
+        )
+        checked = 0
+        for source, target, edge, level in _path_entries(solver):
+            if level >= 0:
+                continue
+            small = solver.near_small_tables[source].value(target, edge)
+            _check_bounded(
+                lambda b: large.candidate(source, target, edge, b),
+                plain_near_large(solver, source, target, edge),
+                [small],
+            )
+            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize(
+        "name,strategy",
+        [("grid-2x150", "direct"), ("far-clusters-1", "direct"),
+         ("far-clusters-1", "auxiliary")],
+    )
+    def test_far_candidate_edge(self, name, strategy):
+        solver = _preprocessed(name, strategy)[0]
+        far = FarEdgeSolver(
+            solver.scale, solver.landmarks, solver.landmark_trees,
+            solver.landmark_tables,
+        )
+        checked = 0
+        for source, target, edge, level in _path_entries(solver):
+            if level < 0:
+                continue
+            got = far.candidate_edge(source, target, edge, level)
+            plain = plain_far(solver, source, target, edge, level)
+            assert got == plain and type(got) is type(plain)
+            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize(
+        "name", ["grid-5x6", "cycle-12", "sparse-aux-2", "far-clusters-1"]
+    )
+    def test_near_landmark_candidate(self, name):
+        _solver, calls, _tables = _preprocessed(name, "auxiliary")
+        assert calls
+        for evaluator, source_dist, centers, landmark, edge, bound in calls:
+            _check_bounded(
+                lambda b: pipeline._near_landmark_candidate(
+                    evaluator, source_dist, centers, landmark, edge, b
+                ),
+                plain_near_landmark(evaluator, centers, landmark, edge),
+                [bound],
+            )
+
+
+class TestBoundPrecondition:
+    """No value a bounded scan reads is below the plain distance.
+
+    The bound ``d(s, x) + d(x, t)`` is a lower bound on every candidate
+    only because no ``d(s, r, e)`` table value is below ``d(s, r)`` and no
+    Section 8.1 value ``d(s, c, e)`` is below ``d(s, c)``.  Sparse-aux
+    seed 1 has a known Section 8.3 underestimate; it stays above
+    ``d(s, r)``, as every auxiliary value is the length of a walk.
+    """
+
+    @pytest.mark.parametrize("strategy", ["direct", "auxiliary"])
+    @pytest.mark.parametrize(
+        "name", ["cycle-12", "sparse-aux-1", "sparse-aux-2", "far-clusters-1"]
+    )
+    def test_landmark_table_values(self, name, strategy):
+        solver = _preprocessed(name, strategy)[0]
+        tables = solver.landmark_tables
+        checked = 0
+        for source in solver.sources:
+            dist = tables.tree_for(source).dist
+            for landmark, per_edge in tables.table_for(source).items():
+                for value in per_edge.values():
+                    assert value >= dist[landmark]
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize(
+        "name", ["cycle-12", "sparse-aux-1", "sparse-aux-2", "far-clusters-1"]
+    )
+    def test_source_to_center_values(self, name):
+        _solver, _calls, built = _preprocessed(name, "auxiliary")
+        assert built
+        for source_tree, table in built:
+            assert table
+            for (center, _edge), value in table.items():
+                assert value >= source_tree.dist[center]

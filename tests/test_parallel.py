@@ -369,6 +369,41 @@ def test_fingerprints_identical_across_worker_counts(strategy):
         assert _inf_identity_count(sharded) == _inf_identity_count(serial)
 
 
+def _far_regime_solve(workers: int):
+    # The n=72 instance above never leaves the near regime (its threshold
+    # is above its diameter), so Algorithm 3 does not run there.  Here the
+    # near threshold is 4.7 and the source trees are 15 deep, so the
+    # far-edge scan runs in the sharded assembly, on a pickled hierarchy.
+    graph = generators.path_with_clusters(36, 4, 4, seed=6)
+    n = graph.num_vertices
+    sources = sorted(random.Random(n).sample(range(n), 3))
+    solver = MSRPSolver(
+        graph,
+        sources,
+        params=AlgorithmParams(seed=6, threshold_constant=0.1, workers=workers),
+        landmark_strategy="auxiliary",
+    )
+    return solver, solver.solve()
+
+
+def test_far_regime_entries_and_types_identical_across_worker_counts():
+    """serial vs workers=2 in the far regime, ``7`` told apart from ``7.0``.
+
+    ``==`` cannot tell an int tree-distance fallback from an equal float
+    table value; comparing ``type(value)`` too pins the tie-break of the
+    candidate scans across the pickle boundary.
+    """
+    solver, result = _far_regime_solve(0)
+    depth = max(
+        d for tree in solver.source_trees.values() for d in tree.dist if d != math.inf
+    )
+    assert depth > 3 * solver.scale.near_threshold
+    serial = [(s, t, e, v, type(v)) for s, t, e, v in result.iter_entries()]
+    assert {kind for *_key, kind in serial} == {int, float}
+    _solver, sharded = _far_regime_solve(2)
+    assert [(s, t, e, v, type(v)) for s, t, e, v in sharded.iter_entries()] == serial
+
+
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 def test_forced_executor_matches_auto(kind):
     """``params.executor`` forces a transport without changing one entry:
