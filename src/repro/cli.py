@@ -83,26 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     common.add_argument(
-        "--no-pool-reuse",
-        action="store_true",
-        help=(
-            "open a fresh process pool per sharded phase instead of one "
-            "pool per solve (the historical scheduling; for overhead "
-            "comparisons — output is identical either way)"
-        ),
-    )
-    common.add_argument(
-        "--executor",
-        choices=("auto", "serial", "process"),
-        default="auto",
-        help=(
-            "transport for the sharded phases: 'auto' (default) picks the "
-            "process executor when --workers > 1, 'serial' forces the "
-            "in-process executor, 'process' forces the multiprocessing "
-            "one — output is byte-identical across all of them"
-        ),
-    )
-    common.add_argument(
         "--checkpoint",
         metavar="DIR",
         default=None,
@@ -228,8 +208,6 @@ def _make_solver(
         seed=args.seed,
         verify=args.verify,
         workers=args.workers,
-        pool_reuse=not args.no_pool_reuse,
-        executor=None if args.executor == "auto" else args.executor,
         checkpoint=args.checkpoint,
     )
     return MSRPSolver(graph, sources, params=params, landmark_strategy=strategy)
@@ -243,19 +221,18 @@ def _print_solve_summary(solver: MSRPSolver, result, verified: bool) -> None:
         print(f"phase {phase:28s} {seconds * 1000:10.1f} ms")
     print(f"output entries (s, t, e): {result.output_size}")
     stats = solver.executor_stats
-    if stats.get("executor") is not None:
-        line = f"executor: {stats['executor']}"
-        if stats.get("crash_recoveries"):
-            line += f", {stats['crash_recoveries']} crash recovery(ies)"
-        if stats.get("serial_degradations"):
-            line += f", {stats['serial_degradations']} serial degradation(s)"
-        journal = stats.get("journal")
-        if journal is not None:
-            line += (
-                f"; journal: {stats['keys_reused_from_journal']} key(s) "
-                f"resumed, {journal['records_written']} record(s) written"
-            )
-        print(line)
+    line = f"executor: {stats['executor']}"
+    if stats["crash_recoveries"]:
+        line += f", {stats['crash_recoveries']} crash recovery(ies)"
+    if stats["serial_degradations"]:
+        line += f", {stats['serial_degradations']} serial degradation(s)"
+    journal = stats.get("journal")
+    if journal is not None:
+        line += (
+            f"; journal: {stats['keys_reused_from_journal']} key(s) "
+            f"resumed, {journal['records_written']} record(s) written"
+        )
+    print(line)
     if verified:
         print("verification against brute force: PASSED")
 

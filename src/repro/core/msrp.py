@@ -28,7 +28,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.far_edges import FarEdgeSolver
 from repro.core.landmark_rp import SourceLandmarkTables, compute_direct_tables
@@ -41,19 +41,16 @@ from repro.exceptions import InternalInvariantError, InvalidParameterError
 from repro.graph.csr import bfs_many
 from repro.graph.graph import Graph
 from repro.graph.tree import ShortestPathTree
-from repro.parallel import CheckpointJournal, Executor, make_executor, run_sharded
+from repro.parallel import (
+    CheckpointJournal,
+    Executor,
+    LocalProcessExecutor,
+    SerialExecutor,
+    run_sharded,
+)
 
 #: Valid values of the ``landmark_strategy`` argument.
 LANDMARK_STRATEGIES = ("direct", "auxiliary")
-
-#: ``executor_stats`` of a solve that never built an executor (serial
-#: in-process path): the same shape as :meth:`Executor.stats`, all zero.
-_NO_EXECUTOR_STATS: Mapping[str, object] = {
-    "executor": None,
-    "crash_recoveries": 0,
-    "serial_degradations": 0,
-    "keys_reused_from_journal": 0,
-}
 
 
 class MSRPSolver:
@@ -108,33 +105,27 @@ class MSRPSolver:
         self.phase_seconds: Dict[str, float] = {}
         #: the Executor spanning the current solve, while one is open
         self._pool: Optional[Executor] = None
-        #: counters of the most recent executor scope (crash recoveries,
-        #: serial degradations, journal reuse); zeros until a solve ran.
-        self.executor_stats: Dict[str, object] = dict(_NO_EXECUTOR_STATS)
+        #: :meth:`Executor.stats` of the most recent executor scope (its
+        #: kind, crash recoveries, serial degradations, journal reuse);
+        #: empty until a solve ran.
+        self.executor_stats: Dict[str, object] = {}
 
     # -- pipeline --------------------------------------------------------------
 
-    def _make_executor(self) -> Optional[Executor]:
-        """Build the executor for one solve scope per ``params``.
+    def _make_executor(self) -> Executor:
+        """Build the executor for one solve scope from ``params.workers``.
 
-        ``params.executor`` picks the transport explicitly; ``None`` keeps
-        the historical automatic behaviour — a process executor when
-        ``workers > 1`` and ``pool_reuse`` is on, one-shot pools per phase
-        when ``pool_reuse`` is off, and the plain in-process path (no
-        executor object at all) for serial solves.  A checkpointed solve
-        always gets an executor (the journal rides on it), serial when
-        ``workers <= 1``.
+        A :class:`~repro.parallel.SerialExecutor` when ``workers <= 1``,
+        otherwise a :class:`~repro.parallel.LocalProcessExecutor` of that
+        many workers.  With ``params.checkpoint`` set the journal rides
+        on it.
         """
         params = self.params
-        kind = params.executor
-        if kind is None:
-            if params.checkpoint is not None:
-                kind = "process" if params.workers > 1 else "serial"
-            elif params.workers > 1 and params.pool_reuse:
-                kind = "process"
-            else:
-                return None
-        executor = make_executor(kind, workers=params.workers)
+        executor: Executor = (
+            SerialExecutor()
+            if params.workers <= 1
+            else LocalProcessExecutor(params.workers)
+        )
         if params.checkpoint is not None:
             journal = CheckpointJournal.open(
                 params.checkpoint, identity=self._journal_identity()
@@ -147,11 +138,11 @@ class MSRPSolver:
 
         Covers everything that determines the solve's output: the graph
         (by fingerprint), the result-affecting parameters (by hash — the
-        scheduling knobs ``workers``/``pool_reuse``/``executor``/
-        ``checkpoint`` and the post-hoc ``verify`` flag are excluded, so a
-        journal written under one worker count resumes under another), the
-        landmark strategy and the source set.  A journal whose identity
-        differs refuses to open rather than splice mismatched results.
+        scheduling knobs ``workers``/``checkpoint`` and the post-hoc
+        ``verify`` flag are excluded, so a journal written under one
+        worker count resumes under another), the landmark strategy and
+        the source set.  A journal whose identity differs refuses to open
+        rather than splice mismatched results.
         """
         import hashlib
         import json
@@ -160,8 +151,8 @@ class MSRPSolver:
         from repro.store.format import graph_fingerprint
 
         params = asdict(self.params)
-        for knob in ("workers", "pool_reuse", "executor", "checkpoint", "verify"):
-            params.pop(knob, None)
+        for knob in ("workers", "checkpoint", "verify"):
+            del params[knob]
         params_blob = json.dumps(params, sort_keys=True).encode("utf-8")
         return {
             "graph_fingerprint": graph_fingerprint(self.graph),
@@ -171,15 +162,14 @@ class MSRPSolver:
         }
 
     @contextmanager
-    def _pool_scope(self) -> Iterator[Optional[Executor]]:
+    def _pool_scope(self) -> Iterator[Executor]:
         """One :class:`~repro.parallel.Executor` spanning the whole solve.
 
         Every sharded phase of the pipeline (BFS fan-out, Section 7.1 and
         8.1-8.3 builds, assembly sweep, brute-force verification) runs on
         the same executor, each new phase context broadcast into the
         already-running workers — one transport start-up per solve instead
-        of one per phase.  Yields ``None`` when no executor is called for
-        (see :meth:`_make_executor`); re-entrant, so ``solve()`` calling
+        of one per phase.  Re-entrant, so ``solve()`` calling
         ``preprocess()`` shares the outer scope's executor.  On exit the
         executor's counters are preserved in :attr:`executor_stats`.
         """
@@ -187,9 +177,6 @@ class MSRPSolver:
             yield self._pool
             return
         executor = self._make_executor()
-        if executor is None:
-            yield None
-            return
         self._pool = executor
         try:
             with executor:
@@ -218,16 +205,10 @@ class MSRPSolver:
         start = time.perf_counter()
         # One batched sweep over the CSR kernel: the flat form is compiled
         # once and shared by every root, and a landmark that is also a
-        # source reuses the same tree object.  With ``params.workers`` the
-        # root fan-out shards across the solve's shared process pool.
-        workers = self.params.workers
+        # source reuses the same tree object.  The root fan-out runs on the
+        # solve's executor.
         landmark_roots = sorted(self.landmarks.union)
-        trees = bfs_many(
-            self.graph,
-            self.sources + landmark_roots,
-            workers=workers,
-            pool=self._pool,
-        )
+        trees = bfs_many(self.graph, self.sources + landmark_roots, pool=self._pool)
         self.source_trees = {s: trees[s] for s in self.sources}
         self.landmark_trees = {r: trees[r] for r in landmark_roots}
         self.phase_seconds["bfs_trees"] = time.perf_counter() - start
@@ -245,7 +226,6 @@ class MSRPSolver:
                 "trees": self.source_trees,
                 "scale": self.scale,
             },
-            workers=workers,
             pool=self._pool,
         )
         self.phase_seconds["near_small_auxiliary"] = time.perf_counter() - start
@@ -273,7 +253,6 @@ class MSRPSolver:
             near_small=self.near_small_tables,
             rng=rng,
             phase_seconds=self.phase_seconds,
-            workers=self.params.workers,
             pool=self._pool,
         )
 
@@ -310,7 +289,6 @@ class MSRPSolver:
                     "far_solver": far_solver,
                     "large_solver": large_solver,
                 },
-                workers=self.params.workers,
                 pool=pool,
             )
             self.phase_seconds["assembly"] = time.perf_counter() - start
@@ -340,9 +318,7 @@ class MSRPSolver:
     def _verify(self, result: ReplacementPathResult) -> None:
         from repro.rp.bruteforce import brute_force_multi_source
 
-        reference = brute_force_multi_source(
-            self.graph, self.sources, workers=self.params.workers, pool=self._pool
-        )
+        reference = brute_force_multi_source(self.graph, self.sources, pool=self._pool)
         mismatches = result.differences_from(reference)
         if mismatches:
             sample = mismatches[:5]

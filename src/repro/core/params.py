@@ -39,7 +39,15 @@ class AlgorithmParams:
     threshold_constant:
         Multiplier applied to the distance unit ``sqrt(n / sigma) * log n``.
         The paper uses ``1``; benchmarks use smaller values to surface the
-        asymptotic regime on modest graph sizes.
+        asymptotic regime on modest graph sizes.  It scales the unit ``X``
+        but not the sampling rate, so a value below ``1`` voids the
+        high-probability bound (Lemma 9): a ``k``-far window of length
+        ``2^k X`` then expects only ``4 * threshold_constant * log2 n``
+        landmark hits — 2.9 at ``n = 160`` with ``0.1`` — and when the
+        window holds none the far-edge candidates overestimate.  That is
+        why the ``far-clusters`` benchmark instances overestimate on 20
+        of seeds 1-60.  Errors stay one-sided: every candidate is a
+        realisable walk.
     interval_constant:
         The paper's "suitably chosen constant ``ell >= 2``" bounding the
         number of per-center failed edges materialised by the Section 8
@@ -62,25 +70,10 @@ class AlgorithmParams:
         any larger value shards the BFS fan-out, the Section 7.1/8.1-8.3
         builds, the assembly sweeps and (under ``verify``) the brute-force
         oracle's per-edge BFS sweep across that many worker processes.
-        Output is byte-identical at every worker count.
-    pool_reuse:
-        When ``True`` (default) the solver opens one
-        :class:`~repro.parallel.WorkerPool` spanning every sharded phase of
-        a solve and re-installs each phase's context into the running
-        workers; ``False`` restores the historical one-pool-per-phase
-        scheduling (one pool start-up per sharded phase), which exists for
-        the benchmark harness' overhead comparison.  Irrelevant when
-        ``workers <= 1``; the output is identical either way.
-    executor:
-        Transport for the sharded phases (:mod:`repro.parallel.executor`).
-        ``None`` (default) selects automatically — the process transport
-        when ``workers > 1``, the plain in-process path otherwise;
-        ``"serial"`` forces the in-process
-        :class:`~repro.parallel.SerialExecutor` regardless of ``workers``;
-        ``"process"`` forces a
-        :class:`~repro.parallel.LocalProcessExecutor` (which itself runs
-        serially when ``workers <= 1``).  Output is byte-identical across
-        every choice.
+        Output is byte-identical at every worker count.  A solve runs
+        every phase on one executor: a
+        :class:`~repro.parallel.SerialExecutor` when ``workers <= 1``,
+        otherwise one :class:`~repro.parallel.LocalProcessExecutor` pool.
     checkpoint:
         Directory of a :class:`~repro.parallel.CheckpointJournal`.  When
         set, every completed chunk of every sharded phase is durably
@@ -98,8 +91,6 @@ class AlgorithmParams:
     seed: Optional[int] = None
     verify: bool = False
     workers: int = 0
-    pool_reuse: bool = True
-    executor: Optional[str] = None
     checkpoint: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -111,16 +102,6 @@ class AlgorithmParams:
             raise InvalidParameterError("interval_constant must be at least 1")
         if self.workers < 0:
             raise InvalidParameterError("workers must be non-negative")
-        if self.executor is not None:
-            # Imported here: repro.parallel pulls in the fault harness and
-            # journal machinery, which params-only consumers never need.
-            from repro.parallel.executor import EXECUTOR_KINDS
-
-            if self.executor not in EXECUTOR_KINDS:
-                raise InvalidParameterError(
-                    f"executor must be one of {EXECUTOR_KINDS} (or None for "
-                    f"automatic selection), got {self.executor!r}"
-                )
         if self.checkpoint is not None and self.seed is None:
             raise InvalidParameterError(
                 "checkpointed solves require a fixed seed: a resumed run "

@@ -309,14 +309,14 @@ def bfs_many(
     and share the same tree object (mirroring how the solver shares trees
     between a landmark that is also a source).
 
-    With ``workers > 1`` the distinct roots are sharded across a process
-    pool (:func:`repro.parallel.run_sharded`): the compiled CSR form ships
-    once per worker and each worker runs a contiguous chunk of roots.  The
-    returned mapping is identical to the serial one — same trees, same
-    first-seen key order (duplicates collapse onto one dict entry in both
-    paths).  Passing an open :class:`~repro.parallel.Executor` via
-    ``pool`` reuses its running workers (the context is broadcast into
-    them) instead of opening a pool for just this fan-out.
+    The roots run as one :func:`repro.parallel.run_sharded` phase of
+    :func:`~repro.parallel.tasks.bfs_roots_task`: with ``workers > 1``
+    the distinct roots are sharded across a process pool (the compiled
+    CSR form ships once per worker and each worker runs a contiguous chunk
+    of roots), and passing an open :class:`~repro.parallel.Executor` via
+    ``pool`` reuses its running workers instead of opening a pool for
+    just this fan-out.  The returned mapping is identical either way —
+    same trees, same first-seen key order.
 
     Returns
     -------
@@ -324,33 +324,17 @@ def bfs_many(
         ``root -> ShortestPathTree`` for every distinct root, in first-seen
         order.
     """
-    csr = ensure_csr(graph)
-    distinct: List[int] = []
-    seen = set()
-    for root in roots:
-        root = int(root)
-        if root not in seen:
-            seen.add(root)
-            distinct.append(root)
+    # Imported here: repro.parallel's task module imports this one.
+    from repro.parallel import run_sharded
+    from repro.parallel.tasks import bfs_roots_task
 
-    if workers > 1 or pool is not None:
-        # run_sharded degrades to an in-process run of the same task when
-        # sharding cannot help (single root, serial pool, nested worker).
-        from repro.parallel import run_sharded
-        from repro.parallel.tasks import bfs_roots_task
-
-        return run_sharded(
-            bfs_roots_task,
-            distinct,
-            {"graph": csr, "forbidden_edge": forbidden_edge},
-            workers=workers,
-            pool=pool,
-        )
-
-    return {
-        root: bfs_tree_csr(csr, root, forbidden_edge=forbidden_edge)
-        for root in distinct
-    }
+    return run_sharded(
+        bfs_roots_task,
+        [int(root) for root in roots],
+        {"graph": ensure_csr(graph), "forbidden_edge": forbidden_edge},
+        workers=workers,
+        pool=pool,
+    )
 
 
 def connected_components(graph: GraphLike) -> List[List[int]]:

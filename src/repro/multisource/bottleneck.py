@@ -149,12 +149,19 @@ def find_bottleneck_edges(
     landmark: int,
     evaluator: MTCEvaluator,
 ) -> Dict[int, Tuple[Edge, int]]:
-    """Section 8.3.1: the max-MTC edge of every interval of one path.
+    """Section 8.3.1: the max-MTC edge of every given interval of one path.
 
     Returns ``interval ordinal -> (bottleneck edge, its edge index)``.
     Because every edge of an interval shares the same "avoid the interval"
     term, the edge maximising the MTC value also maximises the true
     replacement length (Lemma 24), so it is the bottleneck edge.
+
+    Lemma 24 needs both MTC terms exact, so the pipeline passes every
+    interval of the path but the last.  In the final interval ``[c1, r]``
+    the "passes through ``c2``" term is vacuous (``c2 = r``), the MTC
+    argmax can miss the longest replacement path, and the interval-avoiding
+    value of the edge it picks would underestimate other edges of the
+    interval; :mod:`repro.multisource.pipeline` says what covers them.
     """
     path_length = len(path) - 1
     bottlenecks: Dict[int, Tuple[Edge, int]] = {}

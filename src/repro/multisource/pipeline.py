@@ -22,17 +22,43 @@ direct strategy, but through the paper's Bernstein–Karger adaptation:
    because every Section 8.1 value ``d(s, c, e)`` is at least ``d(s, c)``
    and a candidate replaces the value in hand only when strictly smaller.
 
-The assembled value can *underestimate*: the Section 8.3 interval-avoiding
-value ``sr <> B[s, r, i]`` avoids only the interval's bottleneck edge, yet
-assembly applies it to every edge of the interval.  On the ``sparse-aux``
-benchmark instances (``perfbench/workloads.py``, instance seeds 1-60) this
-gives wrong, too-small entries on 23 seeds;
-``tests/test_differential_fuzz.py::test_auxiliary_pipeline_subsampled_regime``
-pins one of them as a strict xfail, and
-``test_auxiliary_pipeline_n480_known_underestimates`` two entries of an
-n=480 instance.  The other candidates are realisable walks avoiding the
-failed edge, and the high-probability lemmas of the paper (9, 12, 13,
-18-22, 25) make one of them exact.
+Every candidate is the length of a realisable walk avoiding the failed
+edge, so a value can only overestimate.
+
+**The final interval gets no interval-avoiding value.**  The Section 8.3
+value ``sr <> B[s, r, i]`` avoids only the interval's bottleneck edge and
+is applied to every edge of the interval, which is sound only when ``B``
+is the edge with the longest replacement path.  Lemma 24 finds it as the
+MTC argmax, and that needs both MTC terms exact.  In the final interval
+``[c1, r]`` the "passes through ``c2``" term is vacuous (``c2 = r``, the
+term would be ``sr <> e`` itself), so the argmax can miss, and applying
+that ``sr <> B`` underestimated 35 entries on 23 of the ``sparse-aux``
+benchmark seeds 1-60.  :func:`_assemble_for_source` therefore passes
+every interval but the last to :func:`find_bottleneck_edges`.  An edge
+``e`` of the final interval keeps the Section 7.1 value, the MTC ``c1``
+term and the near-landmark scan.  For an optimal replacement path ``R``:
+
+* ``R`` leaves the path at or after ``c1``: the ``c1`` term is exact.
+* ``R`` is small (``|R| <= |se| + 2X``): the Section 7.1 value is exact
+  when ``e`` is near ``r`` (Lemma 10).
+* ``R`` is large: as in Lemmas 12/19, w.h.p. a level-0 center ``c`` lies
+  on ``R``'s suffix with a canonical ``c``-``r`` path that avoids ``e``,
+  and the scan reads ``d(s, c, e) + d(c, r) = |R|``.
+
+Not proven here: that every edge of the final interval is near ``r``
+(the Section 7.1 tables and the scan cover near edges only), and that the
+scan's ``d(s, c, e)`` is a Section 8.1 table entry whenever ``e`` lies on
+the canonical ``s``-``c`` path (the fallback is then ``math.inf``).  When
+``r`` is not a center, ``c1`` is the last center before ``r``, and at the
+paper's constants level-0 centers are dense enough to keep the interval
+shorter than ``X`` w.h.p.; when ``r`` is a center the interval can be
+longer, but the ``c2`` term then reads ``r``'s own exact Section 8.1
+entry for every edge within its budget.  Measured: no underestimate on
+the ``sparse-aux`` seeds 1-60 (35 before this rule), on
+``sparse_workload(n, seed=n)`` for n = 240, 320 and 480 with algorithm
+seeds 0-5, 0-3 and 480 (14, 5 and 2 before), nor on ``cycle_graph(160)``
+plus 8 random chords at ``threshold_constant=0.1``, seeds 1-20 (39
+before).
 """
 
 from __future__ import annotations
@@ -77,7 +103,6 @@ def compute_auxiliary_tables(
     rng: Optional[random.Random] = None,
     centers: Optional[CenterHierarchy] = None,
     phase_seconds: Optional[Dict[str, float]] = None,
-    workers: int = 0,
     pool: Optional[Executor] = None,
 ) -> SourceLandmarkTables:
     """Compute ``d(s, r, e)`` for all sources and landmarks via Section 8.
@@ -87,20 +112,16 @@ def compute_auxiliary_tables(
 
     When ``phase_seconds`` is given, wall-clock sub-phase durations are
     accumulated into it under ``aux_tables`` (the 8.1/8.2/8.3 table
-    builds) and ``aux_assembly`` (the per-edge path-cover minimisation) —
-    the breakdown the e2e benchmark harness reports.
-    With ``workers > 1`` the per-worker sub-phase times are *summed* into
-    the same keys, so the breakdown reports aggregate compute seconds
-    (wall time is what the caller measures around this function).
+    builds) and ``aux_assembly`` (the per-edge path-cover minimisation),
+    the split the solver's ``phase_seconds`` reports.  On a process pool
+    the per-worker sub-phase times are *summed* into the same keys, so the
+    split reports aggregate compute seconds (wall time is what the caller
+    measures around this function).
 
-    ``workers`` shards the per-root/per-center/per-source phases across a
-    process pool (:mod:`repro.parallel`); the returned tables are
-    byte-identical to the serial run at any worker count.  Passing an open
-    :class:`~repro.parallel.Executor` via ``pool`` makes every sharded
-    phase reuse its running workers (each phase context is broadcast into
-    them), so the whole Section 8 pipeline pays at most one pool start-up;
-    without it each phase opens its own one-shot pool, which is the
-    measured ~10% overhead the solver's pool-reuse mode exists to avoid.
+    Every per-root/per-center/per-source phase runs on ``pool``, an open
+    :class:`~repro.parallel.Executor` (the solver passes the one spanning
+    its solve); without one the phases run in-process.  The returned
+    tables are byte-identical on every executor at any worker count.
     """
     timings = phase_seconds if phase_seconds is not None else {}
     if rng is None:
@@ -117,8 +138,7 @@ def compute_auxiliary_tables(
     )
 
     # BFS trees from every center, reusing the trees we already have; the
-    # remaining roots run as one batch over the graph's cached CSR kernel
-    # (sharded across the pool when ``workers`` asks for it).
+    # remaining roots run as one batch over the graph's cached CSR kernel.
     center_trees: Dict[int, ShortestPathTree] = {}
     missing: List[int] = []
     for center in sorted(centers.all):
@@ -128,7 +148,7 @@ def compute_auxiliary_tables(
             center_trees[center] = landmark_trees[center]
         else:
             missing.append(center)
-    center_trees.update(bfs_many(graph, missing, workers=workers, pool=pool))
+    center_trees.update(bfs_many(graph, missing, pool=pool))
 
     from repro.parallel.tasks import assemble_task, center_tables_task
 
@@ -145,7 +165,6 @@ def compute_auxiliary_tables(
             "landmarks": landmarks.union,
             "scale": scale,
         },
-        workers=workers,
         pool=pool,
     )
     timings["aux_tables"] = (
@@ -168,7 +187,6 @@ def compute_auxiliary_tables(
             "near_small": near_small,
             "source_trees": source_trees,
         },
-        workers=workers,
         pool=pool,
     )
     tables: Dict[int, PerSourceLandmarkTable] = {}
@@ -222,8 +240,9 @@ def _assemble_for_source(
         intervals = decompose_path(path, centers.priority_of)
         landmark_paths[landmark] = path
         landmark_intervals[landmark] = intervals
+        # No bottleneck for the final interval: see the module docstring.
         bottlenecks[landmark] = find_bottleneck_edges(
-            path, intervals, landmark, evaluator
+            path, intervals[:-1], landmark, evaluator
         )
 
     interval_avoiding = compute_interval_avoiding_tables(

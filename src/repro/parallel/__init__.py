@@ -20,13 +20,9 @@ package shards those key lists across an :class:`Executor`:
   order — byte-identical to the serial run at any worker count (the
   tasks are deterministic pure functions of the shipped context).
 * :mod:`repro.parallel.journal` — the checkpoint journal.  Attach a
-  :class:`CheckpointJournal` to an executor (or pass ``checkpoint=`` to
-  :func:`run_sharded`) and every completed chunk's results are durably
-  recorded; a killed solve resumes by re-executing only unjournaled
-  keys, fingerprint-identical to an uninterrupted run.
-* :mod:`repro.parallel.pool` — backwards-compatible facade
-  (``WorkerPool`` is the historical name of
-  :class:`LocalProcessExecutor`).
+  :class:`CheckpointJournal` to an executor and every completed chunk's
+  results are durably recorded; a killed solve resumes by re-executing
+  only unjournaled keys, fingerprint-identical to an uninterrupted run.
 * :mod:`repro.parallel.tasks` — the module-level task functions (they must
   be importable by name so the ``spawn`` start method can pickle them).
 * :mod:`repro.parallel.seeding` — tagged child-seed derivation, used to
@@ -48,31 +44,25 @@ pins this via :mod:`repro.faults`; see ``docs/robustness.md`` and
 """
 
 from repro.parallel.executor import (
-    EXECUTOR_KINDS,
     Executor,
     LocalProcessExecutor,
     SerialExecutor,
     default_start_method,
-    make_executor,
     resolve_workers,
     run_sharded,
     worker_context,
 )
 from repro.parallel.journal import CheckpointJournal
-from repro.parallel.pool import WorkerPool
 from repro.parallel.seeding import child_rng, derive_child_seed
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "CheckpointJournal",
     "Executor",
     "LocalProcessExecutor",
     "SerialExecutor",
-    "WorkerPool",
     "child_rng",
     "default_start_method",
     "derive_child_seed",
-    "make_executor",
     "resolve_workers",
     "run_sharded",
     "worker_context",

@@ -19,12 +19,10 @@ rest (dedup, journal replay, input-order fan-out) from the base class:
   exceptions (propagated unchanged, never retried).
 
 Two implementations ship today — :class:`SerialExecutor` (the in-process
-fallback, promoted to a first-class transport) and
-:class:`LocalProcessExecutor` (the multiprocessing pool previously known
-as ``WorkerPool``, with its generation-countered broadcasts, liveness
-polling and bounded crash retries intact).  A future ``RemoteExecutor``
-slots in behind the same interface and inherits the whole fault-injection
-and determinism test surface.
+transport) and :class:`LocalProcessExecutor` (the multiprocessing pool,
+with generation-countered broadcasts, liveness polling and bounded crash
+retries).  A future ``RemoteExecutor`` slots in behind the same interface
+and inherits the whole fault-injection and determinism test surface.
 
 **Scheduling contract** (shared by every transport):
 
@@ -46,32 +44,31 @@ and determinism test surface.
   the merged mapping is byte-identical to what the serial loop would have
   produced regardless of worker count, chunking or completion order.
 
-:func:`run_sharded` degrades to an in-process call of the *same* task
-function when sharding cannot help (``workers <= 1``, a single key, or
-already inside a pool worker), so serial and parallel runs execute
-identical code on identical inputs — the determinism guarantee is
+A :class:`LocalProcessExecutor` runs a phase as an in-process call of the
+*same* task function when sharding cannot help (``workers <= 1``, a
+single key, or already inside a pool worker), so serial and parallel runs
+execute identical code on identical inputs — the determinism guarantee is
 structural, not tested into existence.
 
 **Checkpointing.**  Attach a
-:class:`~repro.parallel.journal.CheckpointJournal` (or pass
-``checkpoint=`` to :func:`run_sharded` / set it on
-:class:`~repro.core.params.AlgorithmParams`) and every completed chunk's
-results are durably journaled as the solve runs.  Before executing a
-phase, the executor replays the phase's journaled keys and dispatches
-only the remainder; phase identity is ``<task name>#<occurrence>`` (the
-n-th run of that task within the executor's lifetime), which is stable
-across runs because the pipeline's phase sequence is deterministic.
+:class:`~repro.parallel.journal.CheckpointJournal` to an executor (or set
+``checkpoint`` on :class:`~repro.core.params.AlgorithmParams`) and every
+completed chunk's results are durably journaled as the solve runs.
+Before executing a phase, the executor replays the phase's journaled keys
+and dispatches only the remainder; phase identity is
+``<task name>#<occurrence>`` (the n-th run of that task within the
+executor's lifetime), which is stable across runs because the pipeline's
+phase sequence is deterministic.
 Resume granularity is per *key*, so a journal written at one worker
 count resumes at any other with identical fingerprints.
 
 **Pool lifecycle.**  Opening a :mod:`multiprocessing` pool costs a process
-start-up per worker, and a solve runs five-plus sharded phases; paying
-that cost per phase is measurable overhead (the committed
-``BENCH_msrp.json`` workers rows).  :class:`LocalProcessExecutor` owns one
-pool for the duration of a solve and re-installs each phase's context into
-the already-running workers, so the start-up amortises across the whole
-pipeline.  Call sites accept an optional ``pool`` and fall back to a
-one-shot pool (or the serial path) when none is given.
+start-up per worker, and a solve runs five-plus sharded phases.
+:class:`LocalProcessExecutor` owns one pool for the duration of a solve
+and re-installs each phase's context into the already-running workers, so
+the start-up is paid once per solve.  Call sites accept an optional
+``pool``; :func:`run_sharded` without one opens an executor for just that
+call.
 
 **Crash safety.**  A raw ``multiprocessing.Pool`` turns a SIGKILLed
 worker into a silent hang: the killed worker's chunk never completes and
@@ -112,10 +109,6 @@ from repro.parallel.journal import CheckpointJournal
 
 #: Environment variable overriding the default start method (fork/spawn).
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
-
-#: Executor kinds accepted by :func:`make_executor` (and, downstream, by
-#: ``AlgorithmParams.executor`` and the ``--executor`` CLI/bench flags).
-EXECUTOR_KINDS = ("serial", "process")
 
 #: The shared context installed by the pool initializer / context broadcast
 #: (or by the in-process serial fallback).  Thread-local rather than a
@@ -769,8 +762,7 @@ class LocalProcessExecutor(Executor):
 
         The first context travels through the pool initializer — free under
         ``fork`` (inherited memory), pickled once per worker under
-        ``spawn`` — so a one-shot use of the pool costs exactly what the
-        pre-``WorkerPool`` per-phase scheduling cost.
+        ``spawn`` — so a one-phase use of the pool pays no broadcast.
         """
         global POOLS_OPENED
         if self._pool is not None:
@@ -1001,48 +993,13 @@ class LocalProcessExecutor(Executor):
                 time.sleep(_POLL_INTERVAL)
 
 
-def make_executor(
-    kind: str,
-    workers: int = 0,
-    start_method: Optional[str] = None,
-    max_crash_retries: int = DEFAULT_MAX_CRASH_RETRIES,
-    degrade_to_serial: bool = True,
-    chunk_timeout: Optional[float] = None,
-) -> Executor:
-    """Build an executor by registry name.
-
-    ``"serial"`` forces the in-process transport regardless of
-    ``workers``; ``"process"`` builds a :class:`LocalProcessExecutor`
-    (which itself degrades to serial when ``workers <= 1`` or a phase has
-    a single key).  Unknown kinds raise :class:`InvalidParameterError`.
-    """
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "process":
-        return LocalProcessExecutor(
-            workers,
-            start_method=start_method,
-            max_crash_retries=max_crash_retries,
-            degrade_to_serial=degrade_to_serial,
-            chunk_timeout=chunk_timeout,
-        )
-    raise InvalidParameterError(
-        f"unknown executor kind {kind!r}; choose one of {EXECUTOR_KINDS}"
-    )
-
-
 def run_sharded(
     task: Callable[[Sequence[Hashable]], Dict[Hashable, Any]],
     keys: Sequence[Hashable],
     context: Any,
     workers: int = 0,
-    start_method: Optional[str] = None,
     chunks_per_worker: int = 1,
     pool: Optional[Executor] = None,
-    max_crash_retries: int = DEFAULT_MAX_CRASH_RETRIES,
-    degrade_to_serial: bool = True,
-    chunk_timeout: Optional[float] = None,
-    checkpoint: Optional[Any] = None,
 ) -> Dict[Hashable, Any]:
     """Apply ``task`` to ``keys``, sharded across an executor.
 
@@ -1060,30 +1017,16 @@ def run_sharded(
     workers:
         Requested worker count; ``0``/``1`` run the task in-process.
         Ignored when ``pool`` is given (the executor's size wins).
-    start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"``; defaults to
-        :func:`default_start_method`.  Ignored when ``pool`` is given.
     chunks_per_worker:
         Scheduling granularity (at least 1).  ``1`` (default) minimises
         transfer — one chunk per worker; larger values trade dispatch
         overhead for load balancing when per-key costs are skewed.
     pool:
         An open :class:`Executor` to reuse.  When given, this phase's
-        context is broadcast into the executor's running workers instead
-        of paying a transport start-up; when omitted, a one-shot executor
-        spans just this call.
-    max_crash_retries, degrade_to_serial, chunk_timeout:
-        Crash-recovery knobs for the one-shot executor (see
-        :class:`LocalProcessExecutor`).  Ignored when ``pool`` is given —
-        the executor's own settings win.
-    checkpoint:
-        A directory path (or an open
-        :class:`~repro.parallel.journal.CheckpointJournal`) receiving a
-        durable record of every completed chunk; a re-run with the same
-        checkpoint re-executes only unjournaled keys.  Only meaningful
-        for one-shot calls — when ``pool`` is given, attach the journal
-        to the executor instead.  Forces the executor path even for
-        serial runs (the plain in-process shortcut cannot journal).
+        context is broadcast into the executor's running workers (and
+        journaled, if the executor carries a checkpoint journal); when
+        omitted, a :class:`LocalProcessExecutor` of ``workers`` spans
+        just this call.
 
     Returns
     -------
@@ -1092,38 +1035,9 @@ def run_sharded(
         run at any worker count, journaled or not, interrupted or not.
     """
     if pool is not None:
-        if checkpoint is not None:
-            raise InvalidParameterError(
-                "run_sharded(checkpoint=...) cannot be combined with a "
-                "reused executor; attach the journal to the executor via "
-                "attach_journal() instead"
-            )
         return pool.run(task, keys, context, chunks_per_worker=chunks_per_worker)
-    _check_chunks_per_worker(chunks_per_worker)
-    key_list = list(keys)
-    distinct = _distinct_keys(key_list)
-    pool_size = resolve_workers(workers, len(distinct))
-    if pool_size == 0 and checkpoint is None:
-        return _fan_out(_run_serial(task, distinct, context), distinct, key_list, task)
-    if pool_size == 0:
-        one_shot: Executor = SerialExecutor()
-    else:
-        one_shot = LocalProcessExecutor(
-            pool_size,
-            start_method=start_method,
-            max_crash_retries=max_crash_retries,
-            degrade_to_serial=degrade_to_serial,
-            chunk_timeout=chunk_timeout,
-        )
-    if checkpoint is not None:
-        journal = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointJournal)
-            else CheckpointJournal.open(str(checkpoint))
-        )
-        one_shot.attach_journal(journal)
-    with one_shot:
-        return one_shot.run(task, key_list, context, chunks_per_worker=chunks_per_worker)
+    with LocalProcessExecutor(workers) as one_shot:
+        return one_shot.run(task, keys, context, chunks_per_worker=chunks_per_worker)
 
 
 def _run_serial(

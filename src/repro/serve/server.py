@@ -34,8 +34,9 @@ slice once (one pass over the source's table and tree) and the LRU keeps
 the hottest slices resident, so repeated traffic against a hot
 ``(source, edge)`` pair — the access pattern of an incident analysis, where
 one failure is probed against many destinations — degenerates to a dict
-lookup per query.  ``/status`` reports the hit rate so the
-``bench_msrp_qps`` harness can attribute cold/hot throughput to the cache.
+lookup per query.  ``/status`` reports the cache's hits, misses and hit
+rate, which the benchmark (``perfbench/``) reads as its hit-rate and
+slice-build rows.
 """
 
 from __future__ import annotations

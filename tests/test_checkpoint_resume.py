@@ -36,7 +36,7 @@ from repro.faults import (
     fired_count,
 )
 from repro.graph import generators
-from repro.parallel import CheckpointJournal, run_sharded
+from repro.parallel import CheckpointJournal, SerialExecutor, run_sharded
 from repro.parallel.journal import MANIFEST_NAME, RECORDS_DIR_NAME
 from repro.parallel.tasks import chaos_probe_task
 
@@ -112,16 +112,20 @@ def _records(checkpoint: str):
 
 
 def test_run_sharded_checkpoint_round_trip(tmp_path):
-    """run_sharded(checkpoint=...) journals; a second run replays from
-    the journal and returns the identical result."""
+    """run_sharded on an executor carrying a journal journals; a second
+    run on a fresh executor replays from the journal and returns the
+    identical result."""
     keys, context = list(range(24)), {"bias": 7}
-    ckpt = tmp_path / "journal"
+    ckpt = str(tmp_path / "journal")
     plain = run_sharded(chaos_probe_task, keys, context, workers=0)
-    first = run_sharded(chaos_probe_task, keys, context, workers=0, checkpoint=ckpt)
-    assert first == plain
-    assert _records(str(ckpt)), "no records journaled"
-    replay = run_sharded(chaos_probe_task, keys, context, workers=0, checkpoint=ckpt)
-    assert replay == plain
+    first = SerialExecutor().attach_journal(CheckpointJournal.open(ckpt))
+    with first:
+        assert run_sharded(chaos_probe_task, keys, context, pool=first) == plain
+    assert _records(ckpt), "no records journaled"
+    replay = SerialExecutor().attach_journal(CheckpointJournal.open(ckpt))
+    with replay:
+        assert run_sharded(chaos_probe_task, keys, context, pool=replay) == plain
+    assert replay.keys_reused_from_journal == len(keys)
 
 
 def test_journal_identity_mismatch_is_loud(tmp_path):

@@ -267,28 +267,16 @@ def test_dense_tables_match_references():
         _check_tables_match_references(seed)
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [
-        pytest.param(
-            1,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="Section 8.3: the interval-avoiding value, applied to "
-                "every edge of its interval, underestimates one entry",
-            ),
-        ),
-        2,
-        4,
-    ],
-)
+@pytest.mark.parametrize("seed", [1, 2, 4])
 def test_auxiliary_pipeline_subsampled_regime(seed):
     """The pipeline where landmark sampling is genuinely random.
 
     At n=160, sigma=3 the level-0 sampling probability is 0.55 < 1, so
     only about 120 vertices are landmarks and the Section 8 tables must
     route around the rest (the small instances above sample every
-    vertex).  The instance is the ``sparse-aux`` benchmark's.
+    vertex).  The instance is the ``sparse-aux`` benchmark's.  Seed 1
+    underestimated one entry while the final interval of a
+    source-landmark path still got a Section 8.3 interval-avoiding value.
     """
     n = 160
     graph = generators.random_connected_graph(n, extra_edges=2 * n, seed=seed)
@@ -315,26 +303,22 @@ def n480_instance():
     return graph, sources, result
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Section 8.3: the interval-avoiding value, applied to every edge "
-    "of its interval, underestimates this entry",
-)
 @pytest.mark.parametrize(
-    "source, target, edge", [(290, 12, (12, 209)), (201, 390, (330, 390))]
+    "source, target, edge, length",
+    [(290, 12, (12, 209), 5), (201, 390, (330, 390), 4)],
 )
-def test_auxiliary_pipeline_n480_known_underestimates(
-    n480_instance, source, target, edge
+def test_auxiliary_pipeline_n480_final_interval_entries(
+    n480_instance, source, target, edge, length
 ):
-    """Two known-wrong entries of the n=480 ``sparse_workload`` instance.
+    """Two entries of the n=480 ``sparse_workload`` instance.
 
-    They read 4.0 and 3.0 against true lengths 5 and 4; each case flips to
-    an unexpected pass, failing the strict xfail, once Section 8.3 is fixed.
+    They read 4.0 and 3.0 while the final interval of a source-landmark
+    path still got a Section 8.3 interval-avoiding value.
     """
     graph, sources, result = n480_instance
     assert sources == [201, 290, 434]
-    truth = bfs_distances_csr(graph, source, forbidden_edge=edge)[target]
-    assert result.replacement_length(source, target, edge) == truth
+    assert bfs_distances_csr(graph, source, forbidden_edge=edge)[target] == length
+    assert result.replacement_length(source, target, edge) == length
 
 
 def test_source_to_center_tables_subsampled_regime():
@@ -407,7 +391,7 @@ def test_auxiliary_pipeline_matches_bruteforce_sweep(name):
     The seed also toggles the process-sharded path (``workers`` cycles
     through 0/2/3) *and* the sharded brute-force oracle (``oracle_workers``
     alternates 0/2 on a coprime stride), so the nightly job fuzzes the
-    parallel merge, the pool-reuse lifecycle and the sharded oracle
+    parallel merge, the per-solve pool lifecycle and the sharded oracle
     against each other on the same instances it already sweeps — a
     sharded pipeline is regularly checked against a serial oracle and
     vice versa, so the two parallel paths can never only be compared to

@@ -33,6 +33,8 @@ from repro.core.params import AlgorithmParams, ProblemScale
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.csr import bfs_distances_csr
+from repro.graph.graph import Graph
+from repro.graph.repair import subtree_repair_distances
 from repro.rp.bruteforce import brute_force_single_source
 
 
@@ -311,6 +313,18 @@ def _benchmark_instance(name, seed):
     return instance.graph, list(instance.sources), instance.params
 
 
+def _ring(seed, n=160, chords=8):
+    # A cycle plus random chords at threshold 0.1: far and large
+    # replacement paths, where every Section 8 candidate decides entries.
+    rng = random.Random(seed)
+    edges = set(generators.cycle_graph(n).edges())
+    while len(edges) < n + chords:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    sources = sorted(random.Random(seed).sample(range(n), 3))
+    return Graph(n, edges), sources, AlgorithmParams(seed=seed, threshold_constant=0.1)
+
+
 SETUPS = {
     "grid-5x6": lambda: (generators.grid_graph(5, 6), [0], AlgorithmParams(seed=4)),
     "cycle-12": lambda: (generators.cycle_graph(12), [0], AlgorithmParams(seed=5)),
@@ -320,6 +334,7 @@ SETUPS = {
     "sparse-aux-1": lambda: _benchmark_instance("sparse-aux", 1),
     "sparse-aux-2": lambda: _benchmark_instance("sparse-aux", 2),
     "far-clusters-1": lambda: _benchmark_instance("far-clusters", 1),
+    "ring-6": lambda: _ring(6),
 }
 
 
@@ -441,24 +456,30 @@ class TestBoundPrecondition:
 
     The bound ``d(s, x) + d(x, t)`` is a lower bound on every candidate
     only because no ``d(s, r, e)`` table value is below ``d(s, r)`` and no
-    Section 8.1 value ``d(s, c, e)`` is below ``d(s, c)``.  Sparse-aux
-    seed 1 has a known Section 8.3 underestimate; it stays above
-    ``d(s, r)``, as every auxiliary value is the length of a walk.
+    Section 8.1 value ``d(s, c, e)`` is below ``d(s, c)``.  The landmark
+    tables are also never below the exact ``d(s, r, e)``: sparse-aux seed
+    1 had one such entry and ring-6 two while Section 8.3 gave the final
+    interval of an ``s``-``r`` path an interval-avoiding value.
     """
 
     @pytest.mark.parametrize("strategy", ["direct", "auxiliary"])
     @pytest.mark.parametrize(
-        "name", ["cycle-12", "sparse-aux-1", "sparse-aux-2", "far-clusters-1"]
+        "name",
+        ["cycle-12", "sparse-aux-1", "sparse-aux-2", "far-clusters-1", "ring-6"],
     )
     def test_landmark_table_values(self, name, strategy):
         solver = _preprocessed(name, strategy)[0]
         tables = solver.landmark_tables
         checked = 0
         for source in solver.sources:
-            dist = tables.tree_for(source).dist
+            tree = tables.tree_for(source)
+            exact = subtree_repair_distances(
+                solver.graph, tree, solver.landmarks.union, math.inf
+            )
             for landmark, per_edge in tables.table_for(source).items():
-                for value in per_edge.values():
-                    assert value >= dist[landmark]
+                for edge, value in per_edge.items():
+                    assert value >= tree.dist[landmark]
+                    assert value >= exact[(landmark, edge)], (source, landmark, edge)
                     checked += 1
         assert checked > 0
 

@@ -7,16 +7,14 @@ Five families:
   and the validation of every scheduling knob).
 * **Executor contract** — :class:`~repro.parallel.SerialExecutor` and
   :class:`~repro.parallel.LocalProcessExecutor` behind one interface:
-  identical results, shared stats surface, idempotent close, and the
-  ``repro.parallel.pool`` compatibility facade.
+  identical results, shared stats surface, idempotent close.
 * **Pool lifecycle** — :class:`~repro.parallel.LocalProcessExecutor`
-  (a.k.a. ``WorkerPool``) reuse across phases: one multiprocessing pool
-  per solve, generation-countered context broadcasts, the stale-worker
-  guard, and serial degradation.
+  reuse across phases: one multiprocessing pool per solve,
+  generation-countered context broadcasts, the stale-worker guard, and
+  serial degradation.
 * **Determinism** — the full MSRP solve is entry-for-entry identical at
-  ``workers`` ∈ {serial, 2, 4} for both landmark strategies and both
-  pool-reuse modes (the contract the benchmark harness' fingerprint
-  check enforces at scale).
+  ``workers`` ∈ {serial, 2, 4} for both landmark strategies, and
+  ``workers`` alone picks the one executor a solve opens.
 * **Sharded oracle** — the process-sharded brute-force oracle equals the
   serial oracle entry-for-entry on the property-battery generators.
 * **Seeding** — tagged child-seed derivation, and the regression for the
@@ -41,18 +39,14 @@ from repro.graph.csr import bfs_many
 from repro.multisource.centers import CenterHierarchy
 from repro.multisource.pipeline import compute_auxiliary_tables
 from repro.parallel import (
-    EXECUTOR_KINDS,
     LocalProcessExecutor,
     SerialExecutor,
-    WorkerPool,
     child_rng,
     derive_child_seed,
-    make_executor,
     resolve_workers,
     run_sharded,
 )
 from repro.parallel import executor as executor_module
-from repro.parallel import pool as pool_module
 from repro.parallel.executor import chunk_keys, default_start_method
 from repro.parallel.tasks import bfs_roots_task
 from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
@@ -102,9 +96,8 @@ class TestScheduler:
         roots = [0, 3, 7, 11]
         context = {"graph": graph.csr(), "forbidden_edge": None}
         serial = run_sharded(bfs_roots_task, roots, context, workers=0)
-        spawned = run_sharded(
-            bfs_roots_task, roots, context, workers=2, start_method="spawn"
-        )
+        with LocalProcessExecutor(2, start_method="spawn") as pool:
+            spawned = run_sharded(bfs_roots_task, roots, context, pool=pool)
         for root in roots:
             assert spawned[root].dist == serial[root].dist
 
@@ -142,7 +135,7 @@ class TestScheduler:
                 run_sharded(
                     bfs_roots_task, [1, 2], context, workers=0, chunks_per_worker=bad
                 )
-            with WorkerPool(2) as pool:
+            with LocalProcessExecutor(2) as pool:
                 with pytest.raises(InvalidParameterError, match="chunks_per_worker"):
                     pool.run(bfs_roots_task, [1, 2], context, chunks_per_worker=bad)
 
@@ -164,8 +157,15 @@ class TestScheduler:
 # ---------------------------------------------------------------------------
 
 
+#: Both transports by their ``Executor.kind``, sized for two workers.
+TRANSPORTS = {
+    "serial": SerialExecutor,
+    "process": lambda: LocalProcessExecutor(2),
+}
+
+
 class TestExecutorContract:
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    @pytest.mark.parametrize("kind", sorted(TRANSPORTS))
     def test_transports_match_serial(self, kind):
         """Every registered transport produces the serial result — same
         keys, same order, same values — for a multi-phase workload with
@@ -174,7 +174,7 @@ class TestExecutorContract:
         context = {"graph": graph.csr(), "forbidden_edge": None}
         roots = [5, 1, 5, 2, 9, 1]
         reference = run_sharded(bfs_roots_task, roots, context, workers=0)
-        with make_executor(kind, workers=2) as executor:
+        with TRANSPORTS[kind]() as executor:
             first = executor.run(bfs_roots_task, roots, context)
             second = executor.run(bfs_roots_task, [3, 8], context)
         assert list(first) == list(reference)
@@ -182,13 +182,13 @@ class TestExecutorContract:
             assert first[root].dist == reference[root].dist
         assert list(second) == [3, 8]
 
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    @pytest.mark.parametrize("kind", sorted(TRANSPORTS))
     def test_stats_surface(self, kind):
         """All transports expose the same stats shape; a clean run reports
         zero crashes, degradations and journal reuse."""
         graph = generators.random_connected_graph(16, extra_edges=20, seed=4)
         context = {"graph": graph.csr(), "forbidden_edge": None}
-        with make_executor(kind, workers=2) as executor:
+        with TRANSPORTS[kind]() as executor:
             executor.run(bfs_roots_task, [0, 1, 2, 3], context)
             stats = executor.stats()
         assert stats["executor"] == kind
@@ -207,14 +207,14 @@ class TestExecutorContract:
         assert list(result) == [0, 1, 2, 3]
         assert executor_module.POOLS_OPENED == before
 
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    @pytest.mark.parametrize("kind", sorted(TRANSPORTS))
     def test_close_is_idempotent(self, kind):
         """Satellite regression: ``close()`` must be safe to call any
         number of times, including on a never-opened executor and after a
         context-manager exit already closed it."""
         graph = generators.random_connected_graph(16, extra_edges=20, seed=4)
         context = {"graph": graph.csr(), "forbidden_edge": None}
-        executor = make_executor(kind, workers=2)
+        executor = TRANSPORTS[kind]()
         executor.close()  # never opened: no-op
         with executor:
             executor.run(bfs_roots_task, [0, 1, 2, 3], context)
@@ -224,25 +224,9 @@ class TestExecutorContract:
         executor.close()  # after __exit__ already closed
         assert not executor.is_open
 
-    def test_make_executor_rejects_unknown_kind(self):
-        with pytest.raises(InvalidParameterError, match="executor kind"):
-            make_executor("carrier-pigeon")
-
-    def test_pool_module_facade(self):
-        """The ``repro.parallel.pool`` facade: ``WorkerPool`` is the
-        process transport under its historical name, and live module
-        state (counters, worker TLS) is forwarded dynamically rather than
-        snapshotted at import."""
-        assert pool_module.WorkerPool is LocalProcessExecutor
-        assert pool_module._TLS is executor_module._TLS
-        assert pool_module.POOLS_OPENED == executor_module.POOLS_OPENED
-        assert pool_module.run_sharded is executor_module.run_sharded
-        with pytest.raises(AttributeError, match="no attribute"):
-            pool_module.does_not_exist
-
 
 # ---------------------------------------------------------------------------
-# pool lifecycle: WorkerPool reuse across phases
+# pool lifecycle: LocalProcessExecutor reuse across phases
 # ---------------------------------------------------------------------------
 
 
@@ -256,7 +240,7 @@ class TestWorkerPool:
         edge = (0, graph.neighbors(0)[0])
         second_ctx = {"graph": graph.csr(), "forbidden_edge": edge}
         before = executor_module.POOLS_OPENED
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             assert not pool.is_open  # opened lazily, on first sharded phase
             first = run_sharded(bfs_roots_task, list(range(8)), first_ctx, pool=pool)
             assert pool.is_open
@@ -281,7 +265,7 @@ class TestWorkerPool:
     def test_same_context_not_rebroadcast(self):
         graph = generators.random_connected_graph(20, extra_edges=24, seed=3)
         context = {"graph": graph.csr(), "forbidden_edge": None}
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             run_sharded(bfs_roots_task, [0, 1, 2, 3], context, pool=pool)
             generation = pool.generation
             run_sharded(bfs_roots_task, [4, 5, 6], context, pool=pool)
@@ -292,7 +276,7 @@ class TestWorkerPool:
         context = {"graph": graph.csr(), "forbidden_edge": None}
         before = executor_module.POOLS_OPENED
         for workers in (0, 1):
-            with WorkerPool(workers) as pool:
+            with LocalProcessExecutor(workers) as pool:
                 result = pool.run(bfs_roots_task, [0, 1, 2], context)
                 assert not pool.is_open
             assert list(result) == [0, 1, 2]
@@ -314,7 +298,7 @@ class TestWorkerPool:
 
     def test_negative_workers_rejected(self):
         with pytest.raises(InvalidParameterError):
-            WorkerPool(-1)
+            LocalProcessExecutor(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +306,7 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------------
 
 
-def _solve_entries(
-    strategy: str,
-    workers: int,
-    pool_reuse: bool = True,
-    executor: str = None,
-):
+def _solve_entries(strategy: str, workers: int):
     # n=72 matters: this seed's instance has infinite entries, which is what
     # arms the inf-identity assertion below (n=48 has none).
     n = 72
@@ -337,9 +316,7 @@ def _solve_entries(
     solver = MSRPSolver(
         graph,
         sources,
-        params=AlgorithmParams(
-            seed=n, workers=workers, pool_reuse=pool_reuse, executor=executor
-        ),
+        params=AlgorithmParams(seed=n, workers=workers),
         landmark_strategy=strategy,
     )
     return list(solver.solve().iter_entries())
@@ -356,9 +333,9 @@ def _inf_identity_count(entries):
 def test_fingerprints_identical_across_worker_counts(strategy):
     """serial vs workers=2 vs workers=4: entry-for-entry, order included.
 
-    The worker runs go through the solver's shared :class:`WorkerPool`
-    (``pool_reuse`` defaults on), so this also pins the pooled-vs-serial
-    entry equality — ``math.inf`` identity included — across the
+    The worker runs go through the solver's one
+    :class:`~repro.parallel.LocalProcessExecutor`, so this also pins the
+    pooled-vs-serial entry equality — ``math.inf`` identity included — across the
     generation-countered context swaps of a full multi-phase solve.
     """
     serial = _solve_entries(strategy, 0)
@@ -404,25 +381,20 @@ def test_far_regime_entries_and_types_identical_across_worker_counts():
     assert [(s, t, e, v, type(v)) for s, t, e, v in sharded.iter_entries()] == serial
 
 
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-def test_forced_executor_matches_auto(kind):
-    """``params.executor`` forces a transport without changing one entry:
-    the forced-serial and forced-process solves both equal the automatic
-    serial baseline, ``math.inf`` identity included."""
-    serial = _solve_entries("auxiliary", 0)
-    forced = _solve_entries("auxiliary", 2, executor=kind)
-    assert forced == serial
-    assert _inf_identity_count(forced) == _inf_identity_count(serial)
-
-
-@pytest.mark.parametrize("strategy", ["direct", "auxiliary"])
-def test_pool_reuse_off_matches_serial(strategy):
-    """``pool_reuse=False`` restores one-pool-per-phase scheduling with
-    identical output (the benchmark harness' comparison mode)."""
-    serial = _solve_entries(strategy, 0)
-    legacy = _solve_entries(strategy, 2, pool_reuse=False)
-    assert legacy == serial
-    assert _inf_identity_count(legacy) == _inf_identity_count(serial)
+@pytest.mark.parametrize(
+    "workers, kind, pools", [(0, "serial", 0), (1, "serial", 0), (2, "process", 1)]
+)
+def test_workers_pick_the_solve_executor(workers, kind, pools):
+    """``workers`` alone picks the one executor a solve opens: the
+    in-process transport up to one worker, one pool above."""
+    graph = generators.random_connected_graph(40, extra_edges=60, seed=6)
+    before = executor_module.POOLS_OPENED
+    solver = MSRPSolver(
+        graph, [0, 11, 23], params=AlgorithmParams(seed=6, workers=workers)
+    )
+    solver.solve()
+    assert solver.executor_stats["executor"] == kind
+    assert executor_module.POOLS_OPENED - before == pools
 
 
 def test_auxiliary_solve_opens_exactly_one_pool():
@@ -499,7 +471,7 @@ class TestShardedOracle:
         graph = generators.random_connected_graph(18, extra_edges=22, seed=8)
         serial = brute_force_single_source(graph, 0)
         before = executor_module.POOLS_OPENED
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             first = brute_force_single_source(graph, 0, pool=pool)
             second = brute_force_single_source(graph, 5, pool=pool)
         assert executor_module.POOLS_OPENED - before == 1
