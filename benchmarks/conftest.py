@@ -1,7 +1,7 @@
 """Shared workload builders and reporting helpers for the benchmark harness.
 
-Every benchmark module corresponds to one experiment of ``DESIGN.md``'s
-experiment index (E1-E8) and prints, besides the pytest-benchmark timing
+Every benchmark module is one experiment (E1-E9, named on the first line
+of its docstring) and prints, besides the pytest-benchmark timing
 table, the "rows" the corresponding paper claim implies: measured runtimes
 per configuration, fitted growth exponents, hit rates or speedup factors.
 Sizes are chosen so the whole suite completes in a few minutes of pure

@@ -6,12 +6,14 @@ shortest ``s``-``r`` path avoiding ``e`` — for landmarks ``r``.  The paper
 offers two ways to obtain these tables:
 
 * the **direct** strategy (Section 5, used verbatim for ``sigma = 1``):
-  run the classical single-pair algorithm of [20, 21, 22] once per
-  ``(source, landmark)`` pair, costing ``O~(m + n)`` each, i.e.
-  ``O~(m sigma sqrt(n sigma))`` overall.  For a single source this is the
-  paper's algorithm; for many sources it is the "inefficient" strategy the
-  paper improves upon, and the library keeps it both as a baseline and as a
-  correctness cross-check.
+  the paper runs the classical single-pair algorithm of [20, 21, 22] once
+  per ``(source, landmark)`` pair, ``O~(m + n)`` each, i.e.
+  ``O~(m sigma sqrt(n sigma))`` overall.  That construction is kept as
+  :func:`compute_direct_tables_reference`.  :func:`compute_direct_tables`
+  computes the same exact values by one subtree repair of each source tree
+  (:func:`repro.graph.repair.subtree_repair_distances` restricted to the
+  landmarks), ``O(sum_v deg(v) * depth_s(v)) <= O(m ecc(s))`` per source
+  whatever the number of landmarks.
 * the **auxiliary** strategy (Section 8): the adapted Bernstein–Karger
   construction implemented in :mod:`repro.multisource`, costing
   ``O~(m sqrt(n sigma) + sigma n^2)``.
@@ -27,6 +29,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.repair import subtree_repair_distances
 from repro.graph.tree import ShortestPathTree
 from repro.rp.single_pair import replacement_paths
 
@@ -108,12 +111,46 @@ def compute_direct_tables(
     source_trees: Mapping[int, ShortestPathTree],
     landmarks: Iterable[int],
 ) -> SourceLandmarkTables:
-    """Compute ``d(s, r, e)`` with one classical single-pair run per pair.
+    """Compute the exact ``d(s, r, e)`` by one subtree repair per source.
 
-    This is the strategy the paper uses for ``sigma = 1`` (Theorem 14); for
-    larger source sets it is quadratically slower in ``sigma`` than the
-    Section 8 construction but remains exact, which makes it the reference
-    the auxiliary strategy is validated against.
+    Deleting an edge of the source tree changes distances only inside the
+    subtree below it, so one :func:`subtree_repair_distances` call on each
+    source tree, restricted to the landmarks and with no depth cap, gives
+    every landmark's value at once.  That costs
+    ``O(sum_v deg(v) * depth_s(v)) <= O(m ecc(s))`` per source, against
+    ``O~(m |L|)`` for the paper's one single-pair run per landmark
+    (:func:`compute_direct_tables_reference`); only when
+    ``ecc(s) >> |L|`` is it above the paper's bound.
+
+    Every landmark has a key: ``{}`` for the source itself and for a
+    landmark the source cannot reach.  Lengths are ``int``, or
+    ``math.inf`` when the edge separates the pair, exactly as the
+    reference returns them.
+    """
+    landmark_set = sorted(set(int(r) for r in landmarks))
+    tables: Dict[int, PerSourceLandmarkTable] = {}
+    for source, tree in source_trees.items():
+        per_source: PerSourceLandmarkTable = {r: {} for r in landmark_set}
+        repaired = subtree_repair_distances(graph, tree, landmark_set, math.inf)
+        for (landmark, edge), length in repaired.items():
+            per_source[landmark][edge] = length
+        tables[source] = per_source
+    return SourceLandmarkTables(tables, source_trees, landmark_set)
+
+
+def compute_direct_tables_reference(
+    graph: Graph,
+    source_trees: Mapping[int, ShortestPathTree],
+    landmarks: Iterable[int],
+) -> SourceLandmarkTables:
+    """The paper's direct construction: one single-pair run per pair.
+
+    Runs the classical single-pair algorithm
+    (:func:`repro.rp.single_pair.replacement_paths`, a BFS from the
+    landmark plus an ``O(m log m)`` cut sweep) once per
+    ``(source, landmark)`` pair; this is the strategy of Theorem 14.  Both
+    builders are exact, so :func:`compute_direct_tables` is pinned equal
+    to this one, value types included.
     """
     landmark_set = sorted(set(int(r) for r in landmarks))
     tables: Dict[int, PerSourceLandmarkTable] = {}

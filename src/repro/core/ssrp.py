@@ -3,9 +3,12 @@
 The SSRP problem is the ``sigma = 1`` specialisation of MSRP, and the
 paper's SSRP algorithm is exactly the MSRP pipeline with the *direct*
 landmark strategy: replacement paths from the single source to every
-landmark are computed with the classical near-linear algorithm, after which
-the far/near machinery of Sections 6-7 assembles the answer in
-``O~(m sqrt(n) + n^2)`` time.
+landmark are computed exactly, after which the far/near machinery of
+Sections 6-7 assembles the answer in ``O~(m sqrt(n) + n^2)`` time.  The
+paper computes them with the classical near-linear algorithm once per
+landmark, ``O~(m sqrt(n))`` in all; the library gets the same values from
+one subtree repair of the source tree, ``O(m ecc(s))``
+(:func:`repro.core.landmark_rp.compute_direct_tables`).
 
 :func:`single_source_replacement_paths` is a thin convenience wrapper around
 :class:`repro.core.msrp.MSRPSolver` that fixes ``sigma = 1`` and always uses

@@ -19,8 +19,8 @@ contain the reversal of ``P``.  Define
 * ``B_i`` — vertices whose ``T_t`` path to ``t`` avoids ``e_i``
   (everything outside the ``T_t`` subtree of ``p_i``).
 
-Two facts make the cut formula work (proved in ``DESIGN.md`` notes and
-verified exhaustively by the property tests):
+Two facts make the cut formula work (``tests/test_single_pair.py`` checks
+the lengths it gives against brute force):
 
 1. ``A_i ∪ B_i = V`` — a vertex whose canonical path from ``s`` *and*
    canonical path to ``t`` both use ``e_i`` cannot exist in an undirected

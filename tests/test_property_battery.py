@@ -25,6 +25,11 @@ contracts against each other:
   distance-consistent predecessors) as the dict-based reference on the
   same randomly weighted auxiliary graphs, and its compiled CSR really is
   the typed-array (``'i'``/``'i'``/``'d'``) form.
+* **Repair direct tables == single-pair direct tables** —
+  ``compute_direct_tables`` (one subtree repair per source tree) equals
+  ``compute_direct_tables_reference`` (the paper's classical single-pair
+  run per source-landmark pair) key for key, value for value and type for
+  type, on ``bfs_many`` and dict-BFS trees alike.
 * **Id-path walk == tuple-node walk** — ``NearSmallTables.walk`` (flat
   integer predecessor climb, intern-table decode at reconstruction only)
   returns exactly what the historical tuple-node reconstruction
@@ -44,6 +49,12 @@ from array import array
 
 import pytest
 
+from perfbench.workloads import WORKLOADS, build_instance
+from repro.core.landmark_rp import (
+    compute_direct_tables,
+    compute_direct_tables_reference,
+)
+from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import multiple_source_replacement_paths
 from repro.core.near_small import compute_near_small_tables, near_edges_from_target
 from repro.core.params import AlgorithmParams, ProblemScale
@@ -164,6 +175,85 @@ def test_csr_bfs_equals_dict_bfs(name):
             assert bfs_distances_csr(graph, 0, forbidden_edge=edge) == bfs_distances(
                 graph, 0, forbidden_edge=edge
             )
+
+
+# -- repair direct tables vs the single-pair reference -----------------------
+
+
+def assert_direct_tables_equal(graph, sources, landmarks):
+    """Both direct builders agree on every source, from both BFS kernels.
+
+    Returns the number of ``(source, landmark, edge)`` entries compared
+    and the number of ``(source, landmark)`` pairs left empty because the
+    landmark is the source or unreachable from it.
+    """
+    entries = empty = 0
+    for trees in (
+        bfs_many(graph, sources),
+        {s: bfs_tree(graph, s) for s in sources},
+    ):
+        fast = compute_direct_tables(graph, trees, landmarks)
+        reference = compute_direct_tables_reference(graph, trees, landmarks)
+        for source in sources:
+            ours, theirs = fast.table_for(source), reference.table_for(source)
+            assert list(ours) == list(theirs), source
+            for landmark, per_edge in theirs.items():
+                assert list(ours[landmark]) == list(per_edge), (source, landmark)
+                empty += not per_edge
+                for edge, value in per_edge.items():
+                    got = ours[landmark][edge]
+                    assert (got, type(got)) == (value, type(value)), (
+                        source, landmark, edge, got, value,
+                    )
+                    assert (got is math.inf) == (value is math.inf)
+                    entries += 1
+    return entries, empty
+
+
+def assert_direct_tables_equal_on_generators(seeds):
+    unreachable = 0
+    for name, factory in sorted(GENERATORS.items()):
+        for seed in seeds:
+            graph = factory(seed)
+            every_vertex = list(range(graph.num_vertices))
+            entries, empty = assert_direct_tables_equal(
+                graph, every_vertex, every_vertex
+            )
+            assert entries > 0, f"{name}/seed={seed}"
+            # Every vertex is its own empty landmark, from both tree kinds.
+            unreachable += empty - 2 * graph.num_vertices
+    # Some gnp draws are disconnected: unreachable landmarks stay keyed.
+    assert unreachable > 0
+
+
+def test_direct_tables_equal_reference():
+    """Repair and the paper's single-pair runs give identical tables.
+
+    This is the test that checks the direct strategy: every solve path
+    that reads a direct table now reads subtree repair's output.
+    """
+    assert_direct_tables_equal_on_generators((1, 2))
+
+
+@pytest.mark.slow
+def test_direct_tables_equal_reference_extended():
+    """More seeds, plus sampled landmarks on two benchmark-sized graphs."""
+    assert_direct_tables_equal_on_generators(range(3, 13))
+    instance = build_instance(WORKLOADS["far-clusters"], 1)
+    clusters = generators.path_with_clusters(300, 6, 18, seed=1)
+    cases = [
+        (instance.graph, list(instance.sources), instance.params),
+        # Paper constants, the w.h.p. regime: |L| = 227 of n = 408.
+        (clusters, generators.random_sources(clusters, 3, seed=1),
+         AlgorithmParams(seed=1)),
+    ]
+    for graph, sources, params in cases:
+        scale = ProblemScale(graph.num_vertices, len(sources), params)
+        landmarks = LandmarkHierarchy.sample(
+            scale, sources, random.Random(params.seed)
+        ).union
+        entries, _empty = assert_direct_tables_equal(graph, sources, landmarks)
+        assert entries > 0
 
 
 # -- lazy tree structural queries vs parent-walk references -----------------

@@ -92,6 +92,35 @@ class TestMSRPDirect:
         params = AlgorithmParams(seed=3, verify=True)
         multiple_source_replacement_paths(g, [0, 5], params=params)
 
+    def test_verify_counts_over_and_underestimates(self, monkeypatch):
+        import repro.rp.bruteforce as bruteforce
+
+        g = generators.grid_graph(3, 4)
+        sources = [0, 5]
+        truth = brute_force_multi_source(g, sources)
+        finite = [
+            (s, t, e)
+            for s, per_source in truth.items()
+            for t, per_target in per_source.items()
+            for e, value in per_target.items()
+            if value is not math.inf
+        ]
+        (s1, t1, e1), (s2, t2, e2) = finite[0], finite[-1]
+        # A lowered reference entry makes the solve look too long, a
+        # raised one makes it look too short.
+        truth[s1][t1][e1] -= 1
+        truth[s2][t2][e2] += 1
+        monkeypatch.setattr(
+            bruteforce, "brute_force_multi_source", lambda *args, **kwargs: truth
+        )
+        with pytest.raises(InternalInvariantError) as caught:
+            multiple_source_replacement_paths(
+                g, sources, params=AlgorithmParams(seed=3, verify=True)
+            )
+        message = str(caught.value)
+        assert "disagrees with brute force on 2 entries" in message
+        assert "1 overestimated, 1 underestimated, 0 on one side only" in message
+
     def test_injected_landmark_hierarchy_all_vertices_is_exact(self):
         # With every vertex a landmark the algorithm is deterministic.
         g = generators.random_connected_graph(25, extra_edges=30, seed=8)
