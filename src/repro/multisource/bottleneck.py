@@ -18,6 +18,9 @@ This module provides:
 * :class:`MTCEvaluator` — evaluates MTC terms with the proper fallbacks
   ("the failed edge is not on the canonical path, so the plain distance is
   realisable").
+* :func:`center_table_readers` — the ``(center, landmark)`` pairs of the
+  Section 8.2 tables that :meth:`MTCEvaluator.mtc` can read, so only
+  those are built.
 * :func:`find_bottleneck_edges` — Section 8.3.1, the per-interval argmax of
   the MTC value.
 * :func:`compute_interval_avoiding_tables` — Section 8.3.2, the per-source
@@ -27,7 +30,7 @@ This module provides:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.near_small import NearSmallTables
 from repro.graph.graph import Edge, normalize_edge
@@ -141,6 +144,34 @@ class MTCEvaluator:
         term = self.source_to_center(c2, edge) + suffix
         best = min(best, term)
         return best
+
+
+def center_table_readers(
+    decompositions: Iterable[Mapping[int, Sequence[PathInterval]]],
+) -> Dict[int, Tuple[int, ...]]:
+    """The Section 8.2 ``(center, landmark)`` pairs that MTC reads.
+
+    ``decompositions`` holds, per source, ``landmark -> intervals`` of the
+    canonical ``s``-``landmark`` path (Definition 15).  :meth:`MTCEvaluator.mtc`
+    reads ``center_to_landmark(c1, r, e)`` only with ``c1`` the start
+    vertex of an interval of that ``s``-``r`` decomposition, and every
+    caller (:func:`find_bottleneck_edges`, both ``mtc`` calls of
+    :func:`compute_interval_avoiding_tables`, the pipeline's assembly)
+    passes such an interval.  Every interval start is a center: it is the
+    source or a milestone of higher priority than the one before it.
+
+    Returns ``center -> sorted landmarks``, centers in id order.  A center
+    absent here is never queried, so building its tables, or a pair's
+    tables for any other landmark, cannot change a value.
+    """
+    readers: Dict[int, Set[int]] = {}
+    for per_landmark in decompositions:
+        for landmark, intervals in per_landmark.items():
+            for interval in intervals:
+                readers.setdefault(interval.start_vertex, set()).add(landmark)
+    return {
+        center: tuple(sorted(readers[center])) for center in sorted(readers)
+    }
 
 
 def find_bottleneck_edges(

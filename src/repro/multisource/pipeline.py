@@ -6,7 +6,13 @@ direct strategy, but through the paper's Bernstein–Karger adaptation:
 
 1. sample centers with priorities and run BFS from every center,
 2. Section 8.2 — exact per-center tables ``d(center, landmark, e)`` by
-   subtree repair (``compute_center_to_landmark_tables``),
+   subtree repair (``compute_center_to_landmark_tables``), only for the
+   ``(center, landmark)`` pairs that MTC reads: each source's canonical
+   landmark paths are decomposed into intervals first, and a center gets
+   the landmarks whose decomposition starts an interval at it
+   (``center_table_readers``).  That is about 5% of all pairs on the
+   ``sparse-aux`` benchmark instances, and the tables are unchanged on
+   every pair that is read,
 3. Section 8.1 — exact per-source tables ``d(source, center, e)`` by
    subtree repair of the source's tree
    (``compute_source_to_center_tables``; it does not read the Section 7.1
@@ -77,6 +83,7 @@ from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.tree import ShortestPathTree
 from repro.multisource.bottleneck import (
     MTCEvaluator,
+    center_table_readers,
     compute_interval_avoiding_tables,
     find_bottleneck_edges,
 )
@@ -110,13 +117,20 @@ def compute_auxiliary_tables(
     ``near_small`` holds the Section 7.1 tables of every source (the
     solver's own, built once per source).
 
+    Each source's canonical landmark paths and their interval
+    decompositions are computed once, here, and handed to the per-source
+    assembly.  They also decide which ``(center, landmark)`` pairs
+    Section 8.2 builds
+    (:func:`~repro.multisource.bottleneck.center_table_readers`).
+
     When ``phase_seconds`` is given, wall-clock sub-phase durations are
-    accumulated into it under ``aux_tables`` (the 8.1/8.2/8.3 table
-    builds) and ``aux_assembly`` (the per-edge path-cover minimisation),
-    the split the solver's ``phase_seconds`` reports.  On a process pool
-    the per-worker sub-phase times are *summed* into the same keys, so the
-    split reports aggregate compute seconds (wall time is what the caller
-    measures around this function).
+    accumulated into it under ``aux_tables`` (the decompositions and the
+    reader pass, then the 8.1/8.2/8.3 table builds) and ``aux_assembly``
+    (the per-edge path-cover minimisation), the split the solver's
+    ``phase_seconds`` reports.  On a process pool the per-worker sub-phase
+    times are *summed* into the same keys, so the split reports aggregate
+    compute seconds (wall time is what the caller measures around this
+    function).
 
     Every per-root/per-center/per-source phase runs on ``pool``, an open
     :class:`~repro.parallel.Executor` (the solver passes the one spanning
@@ -152,17 +166,31 @@ def compute_auxiliary_tables(
 
     from repro.parallel.tasks import assemble_task, center_tables_task
 
-    # Section 8.2 — exact per-center tables d(c, r, e), one subtree-repair
-    # sweep of the center's tree each.
+    # Canonical s-r paths and their Definition 15 intervals, once per
+    # source.  MTC reads a center's Section 8.2 table only for the
+    # landmarks whose decomposition starts an interval at that center, so
+    # Section 8.2 builds exactly those (center, landmark) pairs.
     start = time.perf_counter()
+    landmark_paths: Dict[int, Dict[int, List[int]]] = {}
+    landmark_intervals: Dict[int, Dict[int, List[PathInterval]]] = {}
+    for source in sources:
+        paths, intervals = _decompose_landmark_paths(
+            source, source_trees[source], landmarks.union, centers
+        )
+        landmark_paths[source] = paths
+        landmark_intervals[source] = intervals
+    readers = center_table_readers(landmark_intervals.values())
+
+    # Section 8.2 — exact per-center tables d(c, r, e) for the landmarks
+    # that read them, one subtree-repair sweep of the center's tree each.
     center_to_landmark: Dict[int, PairEdgeTable] = run_sharded(
         center_tables_task,
-        sorted(centers.all),
+        sorted(readers),
         {
             "graph": graph,
             "center_trees": center_trees,
             "hierarchy": centers,
-            "landmarks": landmarks.union,
+            "readers": readers,
             "scale": scale,
         },
         pool=pool,
@@ -186,6 +214,8 @@ def compute_auxiliary_tables(
             "center_to_landmark": center_to_landmark,
             "near_small": near_small,
             "source_trees": source_trees,
+            "landmark_paths": landmark_paths,
+            "landmark_intervals": landmark_intervals,
         },
         pool=pool,
     )
@@ -196,6 +226,28 @@ def compute_auxiliary_tables(
         for key, seconds in source_timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
     return SourceLandmarkTables(tables, source_trees, landmarks.union)
+
+
+def _decompose_landmark_paths(
+    source: int,
+    source_tree: ShortestPathTree,
+    landmarks: Iterable[int],
+    centers: CenterHierarchy,
+) -> Tuple[Dict[int, List[int]], Dict[int, List[PathInterval]]]:
+    """Canonical ``source``-``r`` paths and their intervals (Definition 15).
+
+    Keyed by every landmark ``r`` other than the source that the source
+    reaches, in id order.
+    """
+    paths: Dict[int, List[int]] = {}
+    intervals: Dict[int, List[PathInterval]] = {}
+    for landmark in sorted(landmarks):
+        if landmark == source or not source_tree.is_reachable(landmark):
+            continue
+        path = source_tree.path_to(landmark)
+        paths[landmark] = path
+        intervals[landmark] = decompose_path(path, centers.priority_of)
+    return paths, intervals
 
 
 def _assemble_for_source(
@@ -209,9 +261,15 @@ def _assemble_for_source(
     center_trees: Mapping[int, ShortestPathTree],
     center_to_landmark: Mapping[int, PairEdgeTable],
     near_small: NearSmallTables,
+    landmark_paths: Mapping[int, List[int]],
+    landmark_intervals: Mapping[int, List[PathInterval]],
     timings: Optional[Dict[str, float]] = None,
 ) -> PerSourceLandmarkTable:
-    """Run Sections 8.1 and 8.3 for one source and assemble its tables."""
+    """Run Sections 8.1 and 8.3 for one source and assemble its tables.
+
+    ``landmark_paths`` and ``landmark_intervals`` are the source's
+    :func:`_decompose_landmark_paths`.
+    """
     timings = timings if timings is not None else {}
     start = time.perf_counter()
     source_to_center = compute_source_to_center_tables(
@@ -229,21 +287,13 @@ def _assemble_for_source(
         center_trees=center_trees,
     )
 
-    # Canonical paths, interval decompositions, bottleneck edges.
-    landmark_paths: Dict[int, List[int]] = {}
-    landmark_intervals: Dict[int, List[PathInterval]] = {}
-    bottlenecks: Dict[int, Dict[int, Tuple[Edge, int]]] = {}
-    for landmark in sorted(landmarks.union):
-        if landmark == source or not source_tree.is_reachable(landmark):
-            continue
-        path = source_tree.path_to(landmark)
-        intervals = decompose_path(path, centers.priority_of)
-        landmark_paths[landmark] = path
-        landmark_intervals[landmark] = intervals
-        # No bottleneck for the final interval: see the module docstring.
-        bottlenecks[landmark] = find_bottleneck_edges(
-            path, intervals[:-1], landmark, evaluator
+    # No bottleneck for the final interval: see the module docstring.
+    bottlenecks: Dict[int, Dict[int, Tuple[Edge, int]]] = {
+        landmark: find_bottleneck_edges(
+            path, landmark_intervals[landmark][:-1], landmark, evaluator
         )
+        for landmark, path in landmark_paths.items()
+    }
 
     interval_avoiding = compute_interval_avoiding_tables(
         source=source,

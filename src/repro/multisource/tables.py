@@ -10,11 +10,18 @@ centers* term (Definition 17) of the path cover lemma:
   tree edge above a center (:mod:`repro.graph.repair`), for
   ``O(sum_v deg(v) * depth_s(v))`` per source.
 * :func:`compute_center_to_landmark_tables` — for one center ``c``, the
-  exact ``d(c, r, e)`` for every landmark ``r`` and every edge ``e`` among
-  the first ``O~(2^k sqrt(n/sigma))`` edges of the canonical ``c``-``r``
-  path.  It repairs the center's BFS tree once per budgeted tree edge
-  (:mod:`repro.graph.repair`), for ``O(sum_v deg(v) * min(depth_c(v),
-  budget))`` per center.
+  exact ``d(c, r, e)`` for every given landmark ``r`` and every edge ``e``
+  among the first ``O~(2^k sqrt(n/sigma))`` edges of the canonical
+  ``c``-``r`` path.  The pipeline gives a center only the landmarks that
+  MTC reads it for
+  (:func:`repro.multisource.bottleneck.center_table_readers`): the ``r``
+  whose canonical path from some source starts a Definition 15 interval
+  at ``c``.  Centers that start no interval get no table.  On the
+  ``sparse-aux`` benchmark instances that is 586-733 of 14,030-16,492
+  ``(c, r)`` pairs, 50-68 of 115-133 centers and ~1.7k of ~45k entries.
+  It repairs the center's BFS tree once per budgeted tree edge above a
+  given landmark (:mod:`repro.graph.repair`), for at most ``O(sum_v
+  deg(v) * min(depth_c(v), budget))`` per center.
 * :func:`compute_source_to_center_tables_reference` — the paper's own
   Section 8.1 construction (an auxiliary graph of ``[c]`` and ``[c, e]``
   nodes seeded by the Section 7.1 small replacement paths).  Its values
@@ -239,14 +246,18 @@ def compute_center_to_landmark_tables(
     """Exact Section 8.2 tables ``d(c, r, e)`` for one center.
 
     Returns ``(landmark, edge) -> length`` for every reachable landmark
-    ``r != center`` and every edge among the first
+    ``r != center`` of ``landmarks`` and every edge among the first
     ``interval_edge_budget(priority)`` edges of the canonical
     ``center``-``landmark`` path: the restriction of
     :func:`repro.graph.repair.subtree_repair_distances` to the landmarks
-    and the budget, as floats.  The lengths are exact, so Lemma 22 (the
-    table is no longer than the suffix of any replacement path through the
-    center) holds deterministically.  Cost ``O(sum_v deg(v) *
-    min(depth_c(v), budget))``.
+    and the budget, as floats.  A landmark's keys and values do not depend
+    on which other landmarks are given.  The pipeline passes the landmarks
+    whose ``(center, r)`` pair MTC reads
+    (:func:`repro.multisource.bottleneck.center_table_readers`), not the
+    whole landmark set.  The lengths are exact, so Lemma 22 (the table is
+    no longer than the suffix of any replacement path through the center)
+    holds deterministically.  Only the subtrees holding a given landmark
+    are repaired, at most ``O(sum_v deg(v) * min(depth_c(v), budget))``.
     """
     budget = scale.interval_edge_budget(priority)
     repaired = subtree_repair_distances(graph, center_tree, landmarks, budget)

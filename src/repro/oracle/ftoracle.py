@@ -102,9 +102,9 @@ class FaultTolerantDistanceOracle:
 
         Returns the maximum of ``query(source, target, e) / distance`` over
         the edges of the canonical path — a simple resilience metric used by
-        the example applications.  Returns ``math.inf`` when some failure
-        disconnects the pair and ``1.0`` when ``target`` is adjacent to the
-        path-free case (no failure can hurt).
+        the example applications.  Returns ``math.inf`` when ``target`` is
+        unreachable or some failure disconnects the pair, and ``1.0`` when
+        ``target`` is the source (no failure can hurt).
         """
         base = self.distance(source, target)
         if base is math.inf or base == 0:

@@ -107,14 +107,17 @@ def near_small_task(sources: Sequence[int]) -> Dict[int, Any]:
 def center_tables_task(centers: Sequence[int]) -> Dict[int, Any]:
     """Exact Section 8.2 table ``d(c, r, e)`` per center.
 
-    Context: ``{"graph", "center_trees", "hierarchy", "landmarks",
-    "scale"}``.
+    Context: ``{"graph", "center_trees", "hierarchy", "readers",
+    "scale"}``.  ``readers[c]`` is the sorted tuple of landmarks ``r``
+    whose ``(c, r)`` pair MTC reads
+    (:func:`repro.multisource.bottleneck.center_table_readers`); a center's
+    table holds those landmarks only.
     """
     ctx = worker_context()
     graph = ctx["graph"]
     center_trees = ctx["center_trees"]
     hierarchy = ctx["hierarchy"]
-    landmarks = ctx["landmarks"]
+    readers = ctx["readers"]
     scale = ctx["scale"]
     return {
         center: compute_center_to_landmark_tables(
@@ -122,7 +125,7 @@ def center_tables_task(centers: Sequence[int]) -> Dict[int, Any]:
             center=center,
             center_tree=center_trees[center],
             priority=hierarchy.priority_of(center),
-            landmarks=landmarks,
+            landmarks=readers[center],
             scale=scale,
         )
         for center in centers
@@ -135,10 +138,12 @@ def assemble_task(
     """Sections 8.1 + 8.3 + per-edge assembly for one source each.
 
     Context: ``{"graph", "scale", "landmarks", "landmark_trees", "centers",
-    "center_trees", "center_to_landmark", "near_small", "source_trees"}``.
-    Returns ``{source: (PerSourceLandmarkTable, timings)}`` where
-    ``timings`` is the worker-local ``aux_tables``/``aux_assembly`` split
-    for that source (the parent sums them into its phase accounting).
+    "center_trees", "center_to_landmark", "near_small", "source_trees",
+    "landmark_paths", "landmark_intervals"}``; the last two hold each
+    source's canonical landmark paths and their intervals.  Returns
+    ``{source: (PerSourceLandmarkTable, timings)}`` where ``timings`` is
+    the worker-local ``aux_tables``/``aux_assembly`` split for that source
+    (the parent sums them into its phase accounting).
     """
     from repro.multisource.pipeline import _assemble_for_source
 
@@ -157,6 +162,8 @@ def assemble_task(
             center_trees=ctx["center_trees"],
             center_to_landmark=ctx["center_to_landmark"],
             near_small=ctx["near_small"][source],
+            landmark_paths=ctx["landmark_paths"][source],
+            landmark_intervals=ctx["landmark_intervals"][source],
             timings=timings,
         )
         results[source] = (table, timings)

@@ -2,27 +2,34 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+import repro.parallel.tasks as tasks
 from repro.core.landmarks import LandmarkHierarchy
+from repro.core.msrp import MSRPSolver
 from repro.core.near_small import compute_near_small_tables
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
+from repro.graph.csr import bfs_tree_csr
+from repro.multisource.bottleneck import MTCEvaluator
 from repro.multisource.centers import CenterHierarchy
 from repro.multisource.intervals import (
     decompose_path,
     interval_for_edge,
     milestone_indices,
 )
-from repro.multisource.pipeline import compute_auxiliary_tables
+from repro.multisource.pipeline import _assemble_for_source, compute_auxiliary_tables
 from repro.multisource.tables import (
     compute_center_to_landmark_tables,
     compute_small_paths_through_centers,
     compute_source_to_center_tables,
 )
+from tests.test_checkpoint_resume import _make_solver
+from tests.test_paper_lemmas import SETUPS
 
 
 class TestCenterHierarchy:
@@ -179,3 +186,120 @@ class TestAuxiliaryPipeline:
                     continue
                 for edge in tree.path_edges_to(r):
                     assert auxiliary.query(s, r, edge) == direct.query(s, r, edge)
+
+
+def _reader_instance(name):
+    if name == "checkpoint-48":
+        solver = _make_solver()
+        return solver.graph, solver.sources, solver.params
+    return SETUPS[name]()
+
+
+def _typed(items):
+    """``(key, value, type, is inf)`` per item: equal lists are identical."""
+    return [(key, value, type(value), value is math.inf) for key, value in items]
+
+
+def _landmark_entries(table, landmark):
+    """One landmark's ``(edge, value, ...)`` in a Section 8.2 table, by edge."""
+    return sorted(_typed((e, v) for (r, e), v in table.items() if r == landmark))
+
+
+class TestCenterTableReaders:
+    """Section 8.2 builds exactly the ``(center, landmark)`` pairs MTC reads.
+
+    MTC's fallback for a missing pair is realisable, so a missing table
+    would only overestimate and the one-sided checks would not see it.
+    This pins the read pairs against the full tables instead.
+    """
+
+    @pytest.mark.parametrize("name", ["sparse-aux-1", "ring-6", "checkpoint-48"])
+    def test_every_read_pair_holds_the_full_table(self, name, monkeypatch):
+        graph, sources, params = _reader_instance(name)
+        solver = MSRPSolver(
+            graph, sources, params=params, landmark_strategy="direct"
+        ).preprocess()
+        scale, landmarks = solver.scale, solver.landmarks
+        centers = CenterHierarchy.sample(
+            scale, solver.sources, random.Random(params.seed)
+        )
+
+        read = set()
+        lookup = MTCEvaluator.center_to_landmark
+
+        def recording_lookup(self, center, landmark, edge):
+            read.add((center, landmark))
+            return lookup(self, center, landmark, edge)
+
+        built = {}
+        build = tasks.compute_center_to_landmark_tables
+
+        def recording_build(**kwargs):
+            table = build(**kwargs)
+            built[kwargs["center"]] = (tuple(kwargs["landmarks"]), table)
+            return table
+
+        monkeypatch.setattr(MTCEvaluator, "center_to_landmark", recording_lookup)
+        monkeypatch.setattr(tasks, "compute_center_to_landmark_tables", recording_build)
+        tables = compute_auxiliary_tables(
+            graph=graph,
+            scale=scale,
+            sources=solver.sources,
+            source_trees=solver.source_trees,
+            landmarks=landmarks,
+            landmark_trees=solver.landmark_trees,
+            near_small=solver.near_small_tables,
+            centers=centers,
+        )
+        monkeypatch.undo()
+
+        trees = {**solver.landmark_trees, **solver.source_trees}
+        center_trees = {
+            c: trees[c] if c in trees else bfs_tree_csr(graph, c)
+            for c in sorted(centers.all)
+        }
+        full = {
+            c: compute_center_to_landmark_tables(
+                graph, c, tree, centers.priority_of(c), landmarks.union, scale
+            )
+            for c, tree in center_trees.items()
+        }
+
+        assert read
+        # Built for exactly the pairs read: none missing, none wasted.
+        assert {(c, r) for c, (given, _) in built.items() for r in given} == read
+        for center, landmark in sorted(read):
+            table = built[center][1]
+            assert _landmark_entries(table, landmark) == _landmark_entries(
+                full[center], landmark
+            ), (center, landmark)
+
+        # The assembly over the full tables gives the same landmark tables.
+        for source in solver.sources:
+            tree = solver.source_trees[source]
+            paths = {
+                r: tree.path_to(r)
+                for r in sorted(landmarks.union)
+                if r != source and tree.is_reachable(r)
+            }
+            local = _assemble_for_source(
+                graph=graph,
+                scale=scale,
+                source=source,
+                source_tree=tree,
+                landmarks=landmarks,
+                landmark_trees=solver.landmark_trees,
+                centers=centers,
+                center_trees=center_trees,
+                center_to_landmark=full,
+                near_small=solver.near_small_tables[source],
+                landmark_paths=paths,
+                landmark_intervals={
+                    r: decompose_path(path, centers.priority_of)
+                    for r, path in paths.items()
+                },
+            )
+            got = tables.table_for(source)
+            assert [(r, _typed(per_edge.items())) for r, per_edge in got.items()] == [
+                (r, _typed(per_edge.items())) for r, per_edge in local.items()
+            ], source

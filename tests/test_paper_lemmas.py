@@ -11,6 +11,11 @@ The generators skip every landmark or center ``x`` whose
 compares each bounded scan with a plain scan kept here as its reference
 (every landmark, in id order), and ``TestBoundPrecondition`` pins the fact
 that makes the skip exact: no table value is below the plain distance.
+
+``TestSection8CandidatesAreRealisable`` checks MTC, the Section 8.3 value
+and the near-landmark scan each on its own against brute force, and the
+slow ``TestSizeSweep`` checks whole solves from n = 60 to 480 on four
+graph families: overestimates are allowed, underestimates are not.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.core.params import AlgorithmParams, ProblemScale
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.csr import bfs_distances_csr
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, normalize_edge
 from repro.graph.repair import subtree_repair_distances
 from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
 
@@ -380,15 +385,17 @@ SETUPS = {
 def _preprocessed(name, strategy):
     """A preprocessed solver plus what its Section 8 assembly saw.
 
-    Returns ``(solver, near_landmark_calls, source_to_center)``: the
-    arguments of every ``_near_landmark_candidate`` call and every
-    ``(source tree, Section 8.1 table)`` pair (both empty under
-    ``direct``).
+    Returns ``(solver, near_landmark_calls, source_to_center,
+    interval_avoiding)``: the arguments of every
+    ``_near_landmark_candidate`` call, every ``(source tree, Section 8.1
+    table)`` pair and every ``(kwargs, result)`` of
+    ``compute_interval_avoiding_tables`` (all empty under ``direct``).
     """
     graph, sources, params = SETUPS[name]()
-    calls, source_to_center = [], []
+    calls, source_to_center, interval_avoiding = [], [], []
     scan = pipeline._near_landmark_candidate
     build = pipeline.compute_source_to_center_tables
+    avoid = pipeline.compute_interval_avoiding_tables
 
     def recording_scan(*args):
         calls.append(args)
@@ -399,8 +406,14 @@ def _preprocessed(name, strategy):
         source_to_center.append((kwargs["source_tree"], table))
         return table
 
+    def recording_avoid(**kwargs):
+        result = avoid(**kwargs)
+        interval_avoiding.append((kwargs, result))
+        return result
+
     pipeline._near_landmark_candidate = recording_scan
     pipeline.compute_source_to_center_tables = recording_build
+    pipeline.compute_interval_avoiding_tables = recording_avoid
     try:
         solver = MSRPSolver(
             graph, sources, params=params, landmark_strategy=strategy
@@ -408,7 +421,8 @@ def _preprocessed(name, strategy):
     finally:
         pipeline._near_landmark_candidate = scan
         pipeline.compute_source_to_center_tables = build
-    return solver, calls, source_to_center
+        pipeline.compute_interval_avoiding_tables = avoid
+    return solver, calls, source_to_center, interval_avoiding
 
 
 @functools.lru_cache(maxsize=None)
@@ -484,7 +498,7 @@ class TestBoundedScans:
         "name", ["grid-5x6", "cycle-12", "sparse-aux-2", "far-clusters-1"]
     )
     def test_near_landmark_candidate(self, name):
-        _solver, calls, _tables = _preprocessed(name, "auxiliary")
+        _solver, calls, _tables, _avoiding = _preprocessed(name, "auxiliary")
         assert calls
         for evaluator, source_dist, centers, landmark, edge, bound in calls:
             _check_bounded(
@@ -538,9 +552,108 @@ class TestBoundPrecondition:
         "name", ["cycle-12", "sparse-aux-1", "sparse-aux-2", "far-clusters-1"]
     )
     def test_source_to_center_values(self, name):
-        _solver, _calls, built = _preprocessed(name, "auxiliary")
+        _solver, _calls, built, _avoiding = _preprocessed(name, "auxiliary")
         assert built
         for source_tree, table in built:
             assert table
             for (center, _edge), value in table.items():
                 assert value >= source_tree.dist[center]
+
+
+class TestSection8CandidatesAreRealisable:
+    """Each Section 8 generator on its own never undershoots brute force.
+
+    MTC, the Section 8.3 interval-avoiding value and the unbounded
+    near-landmark scan are each the length of a walk avoiding the failed
+    edge, so none may be below the exact ``d(s, r, e)``, whether or not it
+    decides the entry.  The final interval of an ``s``-``r`` path has no
+    interval-avoiding value (see :mod:`repro.multisource.pipeline`).  A
+    missing Section 8.2 table only raises MTC, so it cannot fail here:
+    ``tests/test_multisource.py::TestCenterTableReaders`` pins the tables.
+    """
+
+    @pytest.mark.parametrize("name", ["sparse-aux-1", "sparse-aux-2", "ring-6"])
+    def test_mtc_interval_avoiding_and_scan(self, name):
+        _solver, calls, _tables, avoiding = _preprocessed(name, "auxiliary")
+        truth = _truth(name)
+        checked = {"MTC": 0, "8.3": 0, "scan": 0}
+        for kwargs, result in avoiding:
+            evaluator = kwargs["evaluator"]
+            exact = truth[evaluator.source]
+            for landmark, path in kwargs["landmark_paths"].items():
+                path_length = len(path) - 1
+                intervals = kwargs["landmark_intervals"][landmark]
+                for interval in intervals:
+                    final = interval is intervals[-1]
+                    for index in range(interval.start_index, interval.end_index):
+                        edge = normalize_edge(path[index], path[index + 1])
+                        where = (evaluator.source, landmark, edge)
+                        value = evaluator.mtc(landmark, path_length, interval, edge)
+                        assert value >= exact[landmark][edge], ("MTC", *where)
+                        checked["MTC"] += 1
+                        if final:
+                            continue
+                        value = result[(landmark, interval.ordinal)]
+                        assert value >= exact[landmark][edge], ("8.3", *where)
+                        checked["8.3"] += 1
+        for evaluator, _dist, centers, landmark, edge, _bound in calls:
+            value = plain_near_landmark(evaluator, centers, landmark, edge)
+            assert value >= truth[evaluator.source][landmark][edge], (
+                "scan", evaluator.source, landmark, edge,
+            )
+            checked["scan"] += 1
+        assert all(checked.values()), checked
+
+
+def _sweep_graph(family, n, seed):
+    root = math.isqrt(n)
+    if family == "sparse":
+        return generators.random_connected_graph(n, extra_edges=2 * n, seed=seed)
+    if family == "grid":
+        return generators.grid_graph(root, n // root)
+    if family == "clusters":
+        return generators.path_with_clusters(5 * n // 8, 6, n // 16, seed=seed)
+    return _ring(seed, n, n // 20)[0]
+
+
+@pytest.mark.slow
+class TestSizeSweep:
+    """Whole solves never underestimate, from n = 60 to 480.
+
+    Four families (sparse random, grid, ``path_with_clusters``, a ring with
+    n/20 chords), instance seeds 1 and 2 with three sources drawn by
+    ``random.Random(seed)``, both strategies and ``threshold_constant``
+    0.1 and 1.0, each compared entry for entry with brute force.  At 0.1
+    the far windows shrink but the sampling rate does not, so Lemma 9 no
+    longer holds w.h.p. and an overestimate is the allowed one-sided miss.
+    Overestimates are counted in the message; an underestimate or an entry
+    present on one side only fails.
+    """
+
+    @pytest.mark.parametrize("n", [60, 120, 240, 480])
+    @pytest.mark.parametrize("family", ["sparse", "grid", "clusters", "ring"])
+    def test_no_underestimate(self, family, n):
+        tallies = []
+        for seed in (1, 2):
+            graph = _sweep_graph(family, n, seed)
+            sources = sorted(random.Random(seed).sample(range(graph.num_vertices), 3))
+            truth = brute_force_multi_source(graph, sources)
+            for strategy in ("direct", "auxiliary"):
+                for constant in (0.1, 1.0):
+                    params = AlgorithmParams(seed=seed, threshold_constant=constant)
+                    result = MSRPSolver(
+                        graph, sources, params=params, landmark_strategy=strategy
+                    ).solve()
+                    over = under = one_sided = 0
+                    for *_key, ours, theirs in result.differences_from(truth):
+                        if math.isnan(ours) or math.isnan(theirs):
+                            one_sided += 1
+                        elif ours > theirs:
+                            over += 1
+                        else:
+                            under += 1
+                    tallies.append((seed, strategy, constant, over, under, one_sided))
+        assert all(t[4] == t[5] == 0 for t in tallies), (
+            "(seed, strategy, threshold_constant, over, under, one-sided): "
+            f"{tallies}"
+        )
