@@ -21,6 +21,7 @@ from repro.core.near_large import NearLargeSolver
 from repro.core.near_small import (
     NearSmallTables,
     compute_near_small_tables,
+    compute_near_small_tables_reference,
     near_edges_from_target,
 )
 from repro.core.params import AlgorithmParams, ProblemScale
@@ -42,6 +43,7 @@ __all__ = [
     "NearLargeSolver",
     "NearSmallTables",
     "compute_near_small_tables",
+    "compute_near_small_tables_reference",
     "near_edges_from_target",
     "SourceLandmarkTables",
     "compute_direct_tables",

@@ -37,6 +37,7 @@ from repro.core.landmark_rp import SourceLandmarkTables
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import ProblemScale
 from repro.exceptions import InvalidParameterError
+from repro.graph.graph import normalize_edge
 from repro.graph.tree import ShortestPathTree
 
 
@@ -105,8 +106,9 @@ class FarEdgeSolver:
             # Levels beyond the sampled range are empty.
             return math.inf
         radius = self._scale.landmark_radius(level)
-        tables = self._tables
-        source_dist = tables.tree_for(source).dist
+        edge = normalize_edge(int(edge[0]), int(edge[1]))
+        table = self._tables.table_for(source)
+        source_dist = self._tables.tree_for(source).dist
         best = math.inf
         for landmark, tree in self._levels[level]:
             distance_to_target = tree.dist[target]
@@ -116,7 +118,14 @@ class FarEdgeSolver:
             # that cannot beat the best so far.
             if source_dist[landmark] + distance_to_target >= best:
                 continue
-            candidate = tables.query(source, landmark, edge) + distance_to_target
+            # Inlined SourceLandmarkTables.query: edges off the canonical
+            # source-landmark path fall back to the plain distance.
+            per_edge = table.get(landmark)
+            if per_edge is not None and edge in per_edge:
+                d_sle = per_edge[edge]
+            else:
+                d_sle = source_dist[landmark]
+            candidate = d_sle + distance_to_target
             if candidate < best:
                 best = candidate
         return best

@@ -16,11 +16,16 @@
      (centers, path-cover lemma, bottleneck edges), giving the
      ``O~(m sqrt(n sigma) + sigma n^2)`` bound of Theorem 26.
 
-2. **Near-edge, small replacement paths** (Section 7.1): per-source
-   auxiliary graph + Dijkstra.
+2. **Near-edge, small replacement paths** (Section 7.1): the paper builds
+   a per-source auxiliary graph and runs Dijkstra on it (kept as
+   ``compute_near_small_tables_reference``); the solver gets the same
+   values from one subtree repair of each source tree, confined to each
+   edge's near zone (:mod:`repro.core.near_small`).
 3. **Assembly**: for every source, target and failed edge take the minimum
    of the responsible candidate generators — Algorithm 3 for far edges,
-   the Section 7.1 value and Algorithm 4 for near edges.
+   the Section 7.1 value and Algorithm 4 for near edges.  Algorithm 4
+   runs only where the Section 7.1 value is not certified exact
+   (:func:`solve_single_source`).
 
 The solver records wall-clock statistics per phase (used by the benchmark
 harness) and can optionally self-verify against the brute-force oracle.
@@ -367,6 +372,14 @@ def solve_single_source(
     classification is two array reads (the stack entry and the
     precomputed far-level-by-distance table).
 
+    A near entry takes the Section 7.1 value ``w[t, e]`` and, only when
+    ``w[t, e] >= dist(ch) + near_threshold`` for ``e = (p, ch)``, the
+    Algorithm 4 candidate below it.  A smaller ``w[t, e]`` is certified
+    exact (:mod:`repro.core.near_small`), and every Algorithm 4 candidate
+    is the length of a walk avoiding ``e``, so it could not replace the
+    value: skipping the scan changes no entry.  Stack index ``i`` holds
+    the edge whose child is at depth ``dist(ch) = i + 1``.
+
     A module-level function (not a solver method) so the process-sharded
     assembly phase can dispatch it per source through
     :mod:`repro.parallel.tasks`.
@@ -402,10 +415,12 @@ def solve_single_source(
             level = far_level_of[length - i - 1]
             if level < 0:
                 value = small_value(target, edge)
-                # Bounded by the Section 7.1 value: math.inf unless smaller.
-                alternative = large_candidate(source, target, edge, value)
-                if alternative < value:
-                    value = alternative
+                if value >= i + 1 + near_threshold:
+                    # Not certified: Algorithm 4, bounded by the Section
+                    # 7.1 value (math.inf unless smaller).
+                    alternative = large_candidate(source, target, edge, value)
+                    if alternative < value:
+                        value = alternative
             else:
                 value = far_candidate(source, target, edge, level)
             per_target[edge] = value

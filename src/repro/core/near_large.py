@@ -10,8 +10,12 @@ keeps the landmarks whose canonical ``r``-``t`` path avoids ``e`` and takes
 the best ``d(s, r, e) + d(r, t)``.
 
 Every candidate the solver emits is realisable (both summands correspond to
-paths avoiding ``e``), so using it for *small* replacement paths as well is
-harmless — the Section 7.1 value then wins the minimum.
+paths avoiding ``e``), so it can never beat an exact value.  The assembly
+sweep (:func:`repro.core.msrp.solve_single_source`) therefore evaluates
+Algorithm 4 only on the near entries whose Section 7.1 value is not
+certified exact, ``w[t, e] >= dist(ch) + near_threshold`` for
+``e = (p, ch)`` (the certificate is proved in
+:mod:`repro.core.near_small`).
 
 The scan is bounded: the candidate through ``r`` is at least
 ``d(s, r) + d(r, t)``, because every ``d(s, r, e)`` table value is the

@@ -1,6 +1,6 @@
 """Small replacement paths avoiding near edges (paper Section 7.1).
 
-For every source ``s`` the algorithm builds an *auxiliary graph* ``G_s``
+For every source ``s`` the paper builds an *auxiliary graph* ``G_s``
 that encodes, for every target ``t`` and every near edge ``e`` on the
 canonical ``s``-``t`` path, the shortest replacement paths whose length is
 at most ``|se| + 2 sqrt(n/sigma) log n`` ("small" replacement paths).  The
@@ -25,12 +25,38 @@ equals ``|st <> e|`` whenever the replacement path is small.  Every
 the same length that avoids ``e`` (the ``(v, t) != e`` guards make this
 sound), so the value is always a valid upper bound.
 
-The optional predecessor tracking reconstructs the corresponding walk in the
-original graph.  The solver never asks for it: only the Section 8.2.1 split
-(:func:`repro.multisource.tables.compute_small_paths_through_centers`), which
-seeds the paper-construction reference of the Section 8.2 tables, needs those
-explicit walks to decide whether a small replacement path passes through a
-given center.
+**The zone and the repair.**  Write ``e = (p, ch)`` and ``N`` for the
+near threshold.  The ``[t, e]`` nodes of one edge are the vertices of its
+*zone* ``Z_e = {v in subtree(ch) : dist(v) < dist(ch) + N}``, and the
+``[v]`` nodes that feed them are the vertices outside ``subtree(ch)``
+(exactly those whose canonical path avoids ``e``).  So ``w[t, e]`` is
+the shortest walk that starts at some ``v`` outside the subtree, at cost
+``dist(v)``, steps into ``Z_e`` over an arc other than ``e`` and then
+stays in ``Z_e``.  That is the subtree repair of ``e`` confined to its
+zone: :func:`compute_near_small_tables` is one
+:func:`repro.graph.repair.subtree_repair_distances` call with
+``window=N``, ``O(sum_v deg(v) * min(depth(v), N))`` per source and no
+auxiliary graph.  The paper's construction is kept as
+:func:`compute_near_small_tables_reference`; the two agree on every key,
+value and type (``tests/test_property_battery.py``).
+
+**The certificate.**  Let ``L = |st <> e|``.  Every vertex ``v`` of a
+shortest ``s``-``t`` path in ``G - e`` has ``dist(v) <= L``.  If
+``L < dist(ch) + N``, the part of that path after its last vertex
+outside ``subtree(ch)`` lies in ``Z_e``, so ``w[t, e] <= L``; and
+``w[t, e] >= L`` always.  Hence ``w[t, e] < dist(ch) + N`` implies
+``w[t, e] = L``: the value certifies itself.  This is Lemma 10's
+small/large split, checked per entry against the zone actually used, and
+:func:`repro.core.msrp.solve_single_source` evaluates Algorithm 4 only
+on the entries the certificate does not cover.
+
+The reference's optional predecessor tracking reconstructs the
+corresponding walk in the original graph.  The solver never asks for
+it: only the Section 8.2.1 split
+(:func:`repro.multisource.tables.compute_small_paths_through_centers`),
+which seeds the paper-construction reference of the Section 8.2 tables,
+needs those explicit walks to decide whether a small replacement path
+passes through a given center.
 
 Walk reconstruction runs on flat integer *id-paths*: the Dijkstra
 predecessors are kept as the dense-id array the interned substrate already
@@ -52,6 +78,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.params import ProblemScale
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.repair import subtree_repair_distances
 from repro.graph.tree import ShortestPathTree
 from repro.rp.dijkstra import (
     InternedAuxiliaryGraph,
@@ -101,10 +128,11 @@ class NearSmallTables:
     """Output of the Section 7.1 construction for one source.
 
     ``value(t, e)`` returns ``w[t, e]`` (``inf`` when the auxiliary graph has
-    no ``[s] -> [t, e]`` path).  When built with ``with_paths=True`` the
-    corresponding walk in the original graph can be reconstructed, which the
-    Section 8.2.1 enumeration behind the reference Section 8.2 construction
-    requires.
+    no ``[s] -> [t, e]`` path).  When built by
+    :func:`compute_near_small_tables_reference` with ``with_paths=True``
+    the corresponding walk in the original graph can be reconstructed,
+    which the Section 8.2.1 enumeration behind the reference Section 8.2
+    construction requires.
 
     Path state (``with_paths=True`` only) is flat: ``predecessors`` is the
     interned Dijkstra's mapping view (its raw dense-id ``pred`` array and
@@ -163,7 +191,8 @@ class NearSmallTables:
     def walk(self, target: int, edge: Sequence[int]) -> List[int]:
         """Reconstruct the walk in ``G`` realising ``w[t, e]``.
 
-        Only available when the tables were built with ``with_paths=True``.
+        Only available when the tables were built by
+        :func:`compute_near_small_tables_reference` with ``with_paths=True``.
         Returns an empty list when ``[t, e]`` is unreachable in ``G_s``.
 
         The reconstruction is the flat id-path climb described in the
@@ -239,9 +268,35 @@ def compute_near_small_tables(
     source: int,
     tree: ShortestPathTree,
     scale: ProblemScale,
+) -> NearSmallTables:
+    """The Section 7.1 values ``w[t, e]`` by windowed subtree repair.
+
+    One :func:`subtree_repair_distances` call over every target with the
+    near threshold as its window (module docstring).  The key set is
+    every ``(t, e)`` with ``e`` near ``t``, as in
+    :func:`compute_near_small_tables_reference`, and every value is a
+    ``float``, ``math.inf`` itself when ``[t, e]`` is unreachable.  No
+    walk can be reconstructed from these tables.
+    """
+    if tree.root != source:
+        raise InvalidParameterError("tree must be rooted at the source")
+    repaired = subtree_repair_distances(
+        graph, tree, tree.order, math.inf, window=scale.near_threshold
+    )
+    # float() returns math.inf itself, so unreachable entries keep the
+    # singleton the reference gives them.
+    values = {key: float(length) for key, length in repaired.items()}
+    return NearSmallTables(source, values)
+
+
+def compute_near_small_tables_reference(
+    graph: Graph,
+    source: int,
+    tree: ShortestPathTree,
+    scale: ProblemScale,
     with_paths: bool = False,
 ) -> NearSmallTables:
-    """Build ``G_s`` and run Dijkstra on it (Section 7.1).
+    """Build ``G_s`` and run Dijkstra on it (the paper's Section 7.1).
 
     Parameters
     ----------

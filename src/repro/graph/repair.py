@@ -16,6 +16,17 @@ reads each repaired subtree's adjacency twice, ``O(sum_v deg(v) *
 min(depth(v), max_depth))`` in total.  The equivalence reference is one
 full forbidden-edge BFS per edge,
 ``bfs_distances_csr(graph, root, forbidden_edge=e)``, at ``O(m)`` each.
+
+A finite ``window`` confines the repair of ``(p, ch)`` to its *zone*
+``{v in subtree(ch) : dist[v] < dist[ch] + window}``: only zone vertices
+are seeded, visited and reported.  A windowed value is then the shortest
+walk that leaves the untouched part of the tree once and stays in the
+zone, which is the Section 7.1 auxiliary graph's ``w[t, e]``
+(:mod:`repro.core.near_small`).  It is never below the unwindowed value
+and equals it whenever it is below ``dist[ch] + window``.  The zone is
+walked in preorder, skipping the subtree of every vertex past the
+window, so a vertex is read only by the ``< window`` edges above it:
+``O(sum_v deg(v) * min(depth(v), window))``.
 """
 
 from __future__ import annotations
@@ -34,19 +45,30 @@ def _repair_subtree(
     pos: Sequence[int],
     dist: Sequence[float],
     preorder: Sequence[int],
+    end: Sequence[int],
     lo: int,
-    hi: int,
     parent: int,
+    limit: float,
 ) -> Dict[int, int]:
-    """New root distances of ``preorder[lo:hi]`` once its top edge is cut.
+    """New root distances in the zone of ``preorder[lo]``'s cut top edge.
 
-    ``preorder[lo]`` is the subtree's top vertex ``ch`` and ``parent`` its
-    tree parent.  Returns ``vertex -> distance`` for the subtree vertices
-    still reachable; an absent vertex is cut off.
+    ``preorder[lo]`` is the subtree's top vertex ``ch``, ``parent`` its
+    tree parent and ``end[i]`` one past the last preorder position of
+    ``preorder[i]``'s subtree.  The zone is the subtree's vertices with
+    ``dist < limit``.  Returns ``vertex -> distance`` for the zone
+    vertices still reachable inside the zone; an absent vertex is cut off.
     """
     inf = math.inf
+    hi = end[lo]
     seeds: List[Tuple[int, int]] = []
-    for y in preorder[lo:hi]:
+    i = lo
+    while i < hi:
+        y = preorder[i]
+        if dist[y] >= limit:
+            # Depth grows down the tree: y's whole subtree is past the window.
+            i = end[i]
+            continue
+        i += 1
         best = inf
         for x in rows[y]:
             # Every other subtree vertex lies at least two levels below
@@ -79,7 +101,7 @@ def _repair_subtree(
         nxt: List[int] = []
         for y in frontier:
             for z in rows[y]:
-                if lo <= pos[z] < hi and z not in new:
+                if lo <= pos[z] < hi and z not in new and dist[z] < limit:
                     new[z] = level
                     nxt.append(z)
         frontier = nxt
@@ -90,17 +112,20 @@ def subtree_repair_distances(
     graph: GraphLike,
     tree: ShortestPathTree,
     targets: Iterable[int],
-    max_depth: int,
+    max_depth: float,
+    window: float = math.inf,
 ) -> Dict[Tuple[int, Edge], float]:
     """``d(root, t, e)`` for every target ``t`` and near-root path edge ``e``.
 
     The keys are ``(t, e)`` for every target ``t != root`` reachable in
     ``tree`` and every edge ``e = (p, ch)`` of its canonical root-``t``
-    path with ``dist[ch] <= max_depth``; the value is the exact hop
-    distance from the root to ``t`` in ``graph`` minus ``e``, as an
-    ``int``, or ``math.inf`` when ``e`` separates them.  Edges are
-    normalised and ``tree`` must be a BFS tree of ``graph``.  Only the
-    subtrees holding a target are repaired.
+    path with ``dist[ch] <= max_depth`` and ``dist[t] < dist[ch] +
+    window``.  With the default window the value is the exact hop
+    distance from the root to ``t`` in ``graph`` minus ``e``; a finite
+    window confines the repair to the zone of ``e`` (module docstring).
+    Values are ``int``, or ``math.inf`` when no walk reaches ``t``.
+    Edges are normalised and ``tree`` must be a BFS tree of ``graph``.
+    Only the subtrees holding a target are repaired.
     """
     rows = ensure_csr(graph).rows
     dist = tree.dist
@@ -110,6 +135,9 @@ def subtree_repair_distances(
     for index, v in enumerate(preorder):
         pos[v] = index
     tin, tout = tree.euler_intervals()
+    # ShortestPathTree.subtree_size, inlined: the Euler interval holds one
+    # entry and one exit per subtree vertex.
+    end = [i + (tout[v] - tin[v] + 1) // 2 for i, v in enumerate(preorder)]
     # Position 0 is the root and -1 marks an unreachable target.
     target_pos = sorted({pos[t] for t in targets if pos[t] > 0})
 
@@ -119,17 +147,22 @@ def subtree_repair_distances(
         child = preorder[lo]
         if dist[child] > max_depth:
             continue
-        # ShortestPathTree.subtree_size, inlined: the Euler interval holds
-        # one entry and one exit per subtree vertex.
-        hi = lo + (tout[child] - tin[child] + 1) // 2
         first = bisect_left(target_pos, lo)
-        last = bisect_left(target_pos, hi, first)
+        last = bisect_left(target_pos, end[lo], first)
         if first == last:
             continue
         p = parent[child]
-        new = _repair_subtree(rows, pos, dist, preorder, lo, hi, p)
+        limit = dist[child] + window
+        new = _repair_subtree(rows, pos, dist, preorder, end, lo, p, limit)
         edge = (p, child) if p <= child else (child, p)
-        for k in range(first, last):
-            t = preorder[target_pos[k]]
-            result[(t, edge)] = new.get(t, inf)
+        k = first
+        while k < last:
+            at = target_pos[k]
+            t = preorder[at]
+            if dist[t] < limit:
+                result[(t, edge)] = new.get(t, inf)
+                k += 1
+            else:
+                # Skip the targets below t: they are past the window too.
+                k = bisect_left(target_pos, end[at], k, last)
     return result

@@ -204,7 +204,10 @@ def compute_small_paths_through_centers(
     occurrence of) ``c`` to ``r`` is recorded.  The result maps each center
     to ``(landmark, edge) -> suffix length`` and seeds the ``[c] -> [r, e]``
     edges of the paper's Section 8.2 auxiliary graphs
-    (:func:`compute_center_to_landmark_tables_reference`).
+    (:func:`compute_center_to_landmark_tables_reference`).  The walks need
+    tables built by
+    :func:`repro.core.near_small.compute_near_small_tables_reference` with
+    ``with_paths=True``.
     """
     landmark_set = set(int(r) for r in landmarks)
     through: Dict[int, Dict[Tuple[int, Edge], float]] = {}

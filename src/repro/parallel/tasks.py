@@ -90,7 +90,7 @@ def bruteforce_edges_task(
 
 
 def near_small_task(sources: Sequence[int]) -> Dict[int, Any]:
-    """Section 7.1 auxiliary build per source.
+    """Section 7.1 table per source (windowed subtree repair).
 
     Context: ``{"graph", "trees", "scale"}``.
     """

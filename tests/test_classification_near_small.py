@@ -14,7 +14,11 @@ from repro.core.classification import (
     iter_near_edges,
     near_edges_of_path,
 )
-from repro.core.near_small import compute_near_small_tables, near_edges_from_target
+from repro.core.near_small import (
+    compute_near_small_tables,
+    compute_near_small_tables_reference,
+    near_edges_from_target,
+)
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
@@ -124,7 +128,7 @@ class TestNearSmallTables:
         g = generators.grid_graph(3, 4)
         tree = bfs_tree(g, 0)
         scale = ProblemScale(12, 1, AlgorithmParams())
-        tables = compute_near_small_tables(g, 0, tree, scale, with_paths=True)
+        tables = compute_near_small_tables_reference(g, 0, tree, scale, with_paths=True)
         checked = 0
         for (target, edge) in tables.known_pairs():
             walk = tables.walk(target, edge)

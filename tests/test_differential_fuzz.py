@@ -30,7 +30,10 @@ import pytest
 
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import multiple_source_replacement_paths
-from repro.core.near_small import compute_near_small_tables
+from repro.core.near_small import (
+    compute_near_small_tables,
+    compute_near_small_tables_reference,
+)
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.graph import generators
 from repro.graph.csr import bfs_distances_csr, bfs_many
@@ -106,7 +109,7 @@ def _table_instance(seed: int, n: int = 24):
     landmark_trees = {r: trees[r] for r in landmarks.union}
     center_trees = {c: trees[c] for c in centers.all}
     near_small = {
-        s: compute_near_small_tables(graph, s, trees[s], scale, with_paths=True)
+        s: compute_near_small_tables_reference(graph, s, trees[s], scale, with_paths=True)
         for s in sources
     }
     small_through = compute_small_paths_through_centers(

@@ -10,7 +10,10 @@ import pytest
 import repro.parallel.tasks as tasks
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import MSRPSolver
-from repro.core.near_small import compute_near_small_tables
+from repro.core.near_small import (
+    compute_near_small_tables,
+    compute_near_small_tables_reference,
+)
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
@@ -145,7 +148,9 @@ class TestSmallPathsThroughCenters:
         (graph, sources, _, scale, landmarks, centers, source_trees,
          _, _) = _setup_medium_instance(seed=11)
         near_small = {
-            s: compute_near_small_tables(graph, s, source_trees[s], scale, with_paths=True)
+            s: compute_near_small_tables_reference(
+                graph, s, source_trees[s], scale, with_paths=True
+            )
             for s in sources
         }
         through = compute_small_paths_through_centers(

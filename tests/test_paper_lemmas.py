@@ -12,6 +12,10 @@ compares each bounded scan with a plain scan kept here as its reference
 (every landmark, in id order), and ``TestBoundPrecondition`` pins the fact
 that makes the skip exact: no table value is below the plain distance.
 
+``TestNearEntryCertificate`` pins the assembly's gate: a Section 7.1 value
+below ``dist(ch) + near_threshold`` is exact, and Algorithm 4 runs on
+exactly the near entries whose value is not.
+
 ``TestSection8CandidatesAreRealisable`` checks MTC, the Section 8.3 value
 and the near-landmark scan each on its own against brute force, and the
 slow ``TestSizeSweep`` checks whole solves from n = 60 to 480 on four
@@ -32,7 +36,7 @@ from repro.core.classification import classify_path_edges
 from repro.core.far_edges import FarEdgeSolver
 from repro.core.landmark_rp import SourceLandmarkTables, compute_direct_tables
 from repro.core.landmarks import LandmarkHierarchy
-from repro.core.msrp import MSRPSolver
+from repro.core.msrp import MSRPSolver, solve_single_source
 from repro.core.near_large import NearLargeSolver
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.graph import generators
@@ -572,7 +576,9 @@ class TestSection8CandidatesAreRealisable:
     ``tests/test_multisource.py::TestCenterTableReaders`` pins the tables.
     """
 
-    @pytest.mark.parametrize("name", ["sparse-aux-1", "sparse-aux-2", "ring-6"])
+    @pytest.mark.parametrize(
+        "name", ["sparse-aux-1", "sparse-aux-2", "far-clusters-1", "ring-6"]
+    )
     def test_mtc_interval_avoiding_and_scan(self, name):
         _solver, calls, _tables, avoiding = _preprocessed(name, "auxiliary")
         truth = _truth(name)
@@ -603,6 +609,134 @@ class TestSection8CandidatesAreRealisable:
             )
             checked["scan"] += 1
         assert all(checked.values()), checked
+
+
+def _certified(solver, source, target, edge):
+    """The Section 7.1 value and whether it certifies itself exact."""
+    tree = solver.source_trees[source]
+    value = solver.near_small_tables[source].value(target, edge)
+    zone_end = tree.dist[tree.edge_child(edge)] + solver.scale.near_threshold
+    return value, value < zone_end
+
+
+def _solvers(solver):
+    far = FarEdgeSolver(
+        solver.scale, solver.landmarks, solver.landmark_trees,
+        solver.landmark_tables,
+    )
+    large = NearLargeSolver(
+        solver.landmarks, solver.landmark_trees, solver.landmark_tables
+    )
+    return far, large
+
+
+def _assemble(solver, far, large):
+    """``solve_single_source`` for every source of a preprocessed solver."""
+    return {
+        source: solve_single_source(
+            source, tree, solver.near_small_tables[source], solver.scale,
+            far, large,
+        )
+        for source, tree in solver.source_trees.items()
+    }
+
+
+def ungated_single_source(solver, source, far, large):
+    """The assembly without the certificate: Algorithm 4 on every near entry."""
+    tree = solver.source_trees[source]
+    small = solver.near_small_tables[source]
+    table = {}
+    for target in tree.reachable_vertices():
+        if target == source:
+            continue
+        per_edge = table[target] = {}
+        for item in classify_path_edges(tree.path_to(target), solver.scale):
+            edge = item.edge
+            if item.far_level < 0:
+                value = small.value(target, edge)
+                alternative = large.candidate(source, target, edge, value)
+                if alternative < value:
+                    value = alternative
+            else:
+                value = far.candidate_edge(source, target, edge, item.far_level)
+            per_edge[edge] = value
+    return table
+
+
+CERTIFICATE_CASES = [
+    ("grid-2x150", "direct"), ("grid-2x150", "auxiliary"),
+    ("far-clusters-1", "direct"), ("far-clusters-1", "auxiliary"),
+    ("ring-6", "direct"), ("ring-6", "auxiliary"),
+    ("sparse-aux-1", "auxiliary"),
+]
+
+
+class TestNearEntryCertificate:
+    """Algorithm 4 runs only where the Section 7.1 value is not certified.
+
+    For ``e = (p, ch)`` a value ``w[t, e] < dist(ch) + near_threshold`` is
+    exact (proof in :mod:`repro.core.near_small`), and no Algorithm 4
+    candidate is below the exact value, so the gated assembly equals the
+    ungated one.  Certified / not certified near entries: far-clusters-1
+    3,548 / 661, ring-6 1,679 / 2,824, grid-2x150 16,259 / 157 and
+    sparse-aux-1 1,592 / 6, under either strategy.
+    """
+
+    @pytest.mark.parametrize("name,strategy", CERTIFICATE_CASES)
+    def test_certified_entries_are_exact(self, name, strategy):
+        solver = _preprocessed(name, strategy)[0]
+        truth = _truth(name)
+        counts = {True: 0, False: 0}
+        for source, target, edge, level in _path_entries(solver):
+            if level >= 0:
+                continue
+            value, certified = _certified(solver, source, target, edge)
+            if certified:
+                assert value == truth[source][target][edge], (source, target, edge)
+            counts[certified] += 1
+        assert counts[True] > 0, counts
+        if name in ("far-clusters-1", "ring-6"):
+            assert counts[False] > 0, counts
+
+    @pytest.mark.parametrize("name,strategy", CERTIFICATE_CASES)
+    def test_gated_assembly_equals_ungated(self, name, strategy):
+        solver = _preprocessed(name, strategy)[0]
+        far, large = _solvers(solver)
+        gated = _assemble(solver, far, large)
+        for source, table in gated.items():
+            expected = ungated_single_source(solver, source, far, large)
+            assert table.keys() == expected.keys(), source
+            for target, per_edge in expected.items():
+                got = table[target]
+                assert got.keys() == per_edge.keys(), (source, target)
+                for edge, value in per_edge.items():
+                    mine = got[edge]
+                    assert mine == value and type(mine) is type(value), (
+                        source, target, edge, mine, value,
+                    )
+                    assert (mine is math.inf) == (value is math.inf)
+
+    @pytest.mark.parametrize("name,strategy", CERTIFICATE_CASES)
+    def test_algorithm_4_runs_only_where_not_certified(
+        self, name, strategy, monkeypatch
+    ):
+        solver = _preprocessed(name, strategy)[0]
+        far, large = _solvers(solver)
+        calls = []
+        candidate = NearLargeSolver.candidate
+
+        def recording(self, source, target, edge, bound=math.inf):
+            calls.append((source, target, edge))
+            return candidate(self, source, target, edge, bound)
+
+        monkeypatch.setattr(NearLargeSolver, "candidate", recording)
+        _assemble(solver, far, large)
+        expected = [
+            (source, target, edge)
+            for source, target, edge, level in _path_entries(solver)
+            if level < 0 and not _certified(solver, source, target, edge)[1]
+        ]
+        assert sorted(calls) == sorted(expected)
 
 
 def _sweep_graph(family, n, seed):

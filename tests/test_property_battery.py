@@ -30,6 +30,11 @@ contracts against each other:
   ``compute_direct_tables_reference`` (the paper's classical single-pair
   run per source-landmark pair) key for key, value for value and type for
   type, on ``bfs_many`` and dict-BFS trees alike.
+* **Repair Section 7.1 tables == auxiliary-graph Dijkstra** —
+  ``compute_near_small_tables`` (windowed subtree repair) equals
+  ``compute_near_small_tables_reference`` (the paper's ``G_s`` and one
+  Dijkstra) on every key, value, ``float`` type and ``math.inf``, with
+  the near window both below and above the eccentricity.
 * **Id-path walk == tuple-node walk** — ``NearSmallTables.walk`` (flat
   integer predecessor climb, intern-table decode at reconstruction only)
   returns exactly what the historical tuple-node reconstruction
@@ -56,7 +61,11 @@ from repro.core.landmark_rp import (
 )
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import multiple_source_replacement_paths
-from repro.core.near_small import compute_near_small_tables, near_edges_from_target
+from repro.core.near_small import (
+    compute_near_small_tables,
+    compute_near_small_tables_reference,
+    near_edges_from_target,
+)
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.core.ssrp import single_source_replacement_paths
 from repro.exceptions import InvalidParameterError
@@ -253,6 +262,94 @@ def test_direct_tables_equal_reference_extended():
             scale, sources, random.Random(params.seed)
         ).union
         entries, _empty = assert_direct_tables_equal(graph, sources, landmarks)
+        assert entries > 0
+
+
+# -- repair Section 7.1 tables vs the auxiliary-graph reference -------------
+
+
+def _entries(tables):
+    """The ``(t, e) -> w[t, e]`` dict of a :class:`NearSmallTables`."""
+    return tables._values
+
+
+def assert_near_small_tables_equal(graph, sources, scale):
+    """Both Section 7.1 builders agree on every source.
+
+    Compared as dicts: nothing reads the key order.  Returns the number
+    of ``(t, e)`` entries compared, how many of them are ``math.inf``, and
+    the number of ``(t, e)`` pairs with ``e`` anywhere on the path.
+    """
+    entries = infinite = path_edges = 0
+    for source, tree in bfs_many(graph, sources).items():
+        ours = _entries(compute_near_small_tables(graph, source, tree, scale))
+        theirs = _entries(
+            compute_near_small_tables_reference(graph, source, tree, scale)
+        )
+        assert ours.keys() == theirs.keys(), source
+        for key, value in theirs.items():
+            got = ours[key]
+            assert got == value and type(got) is float, (source, key, got, value)
+            assert (got is math.inf) == (value is math.inf), (source, key)
+            infinite += value is math.inf
+        entries += len(theirs)
+        path_edges += sum(tree.dist[t] for t in tree.order)
+    return entries, infinite, path_edges
+
+
+@pytest.mark.parametrize("constant", [0.1, 1.0])
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_near_small_tables_equal_reference(name, constant):
+    """Windowed repair gives the auxiliary-graph Dijkstra's tables.
+
+    At 0.1 the near window is 1.3-2.7 hops, below the eccentricity of the
+    deeper graphs here; at 1.0 it is 13-27 hops, above every one, so every
+    path edge is near.  The gnp draw of seed 2 is disconnected.
+    """
+    entries = infinite = path_edges = 0
+    for seed in (1, 2):
+        graph = GENERATORS[name](seed)
+        n = graph.num_vertices
+        scale = ProblemScale(
+            n, 1, AlgorithmParams(seed=seed, threshold_constant=constant)
+        )
+        got = assert_near_small_tables_equal(graph, list(range(n)), scale)
+        entries += got[0]
+        infinite += got[1]
+        path_edges += got[2]
+    assert entries > 0
+    if constant == 1.0:
+        assert entries == path_edges
+    elif name in ("clusters", "cycle", "grid", "path"):
+        assert entries < path_edges, "the window must drop far path edges"
+    if name in ("barbell", "path", "star"):
+        assert infinite > 0, "a bridge cut must leave [t, e] unreachable"
+
+
+@pytest.mark.slow
+def test_near_small_tables_equal_reference_extended():
+    """Every vertex as the source on benchmark-sized graphs.
+
+    The benchmark seeds 1-5 of both workloads (sparse-aux: window above
+    the eccentricity; far-clusters: window 10.7 below it) and the ring of
+    ``tests/test_paper_lemmas.py`` at threshold constant 0.1.
+    """
+    from tests.test_paper_lemmas import SETUPS
+
+    cases = [
+        (instance.graph, instance.sources, instance.params)
+        for workload in ("sparse-aux", "far-clusters")
+        for instance in (
+            build_instance(WORKLOADS[workload], seed) for seed in range(1, 6)
+        )
+    ]
+    cases.append(SETUPS["ring-6"]())
+    for graph, sources, params in cases:
+        n = graph.num_vertices
+        scale = ProblemScale(n, len(sources), params)
+        entries, _infinite, _path_edges = assert_near_small_tables_equal(
+            graph, list(range(n)), scale
+        )
         assert entries > 0
 
 
@@ -455,7 +552,9 @@ def test_near_small_walk_id_paths_match_tuple_reference(name):
     scale = ProblemScale(n, 1, AlgorithmParams(seed=seed))
     for source in {0, n - 1}:
         tree = bfs_tree_csr(graph, source)
-        tables = compute_near_small_tables(graph, source, tree, scale, with_paths=True)
+        tables = compute_near_small_tables_reference(
+            graph, source, tree, scale, with_paths=True
+        )
         checked = reachable = 0
         for target in range(n):
             if target == source:

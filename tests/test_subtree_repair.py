@@ -5,6 +5,8 @@ edge ``(p, ch)`` within the depth budget, the exact root distance of every
 target in ``subtree(ch)`` once the edge is deleted.  Its reference twin is
 the plain per-edge :func:`repro.graph.csr.bfs_distances_csr` with
 ``forbidden_edge``; every check compares the whole table, keys and values.
+A finite ``window`` is checked against the unwindowed table: it keeps
+exactly the zone's keys, and its values never undercut the exact ones.
 """
 
 from __future__ import annotations
@@ -108,3 +110,42 @@ def test_root_among_targets_gets_no_keys():
     targets = [0, 5, 11, 17, 29]
     repaired = _check(graph, 0, targets=targets)
     assert {t for t, _ in repaired} == set(targets) - {0}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_window_keeps_the_zone_and_never_undercuts(name):
+    """A window keeps the keys with ``dist[t] < dist[ch] + window``.
+
+    Each windowed value is at least the exact one and equal to it below
+    ``dist[ch] + window`` (the Section 7.1 certificate).  Windows below
+    and above the eccentricity, fractional ones included, with every
+    vertex and every other vertex as the targets.
+    """
+    strict = 0
+    for seed in (1, 2, 3):
+        graph = GENERATORS[name](seed)
+        n = graph.num_vertices
+        for root in range(n):
+            tree = bfs_tree_csr(graph, root)
+            for targets in (range(n), range(0, n, 2)):
+                full = _check(graph, root, targets=list(targets))
+                assert subtree_repair_distances(
+                    graph, tree, targets, n, window=math.inf
+                ) == full
+                for window in (0.5, 1, 2, 2.5, n):
+                    windowed = subtree_repair_distances(
+                        graph, tree, targets, n, window=window
+                    )
+                    zone = {}  # (t, e) -> dist[ch] + window, inside the zone
+                    for t, edge in full:
+                        limit = tree.dist[tree.edge_child(edge)] + window
+                        if tree.dist[t] < limit:
+                            zone[(t, edge)] = limit
+                    assert windowed.keys() == zone.keys(), (root, window)
+                    for key, value in windowed.items():
+                        assert value >= full[key], (root, window, key)
+                        if value < zone[key]:
+                            assert value == full[key], (root, window, key)
+                        strict += value > full[key]
+    if name in ("clusters", "cycle", "grid"):
+        assert strict > 0, "some window must cut off a shorter detour"
