@@ -144,15 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "before connections are closed (default 10)"
         ),
     )
-    serve.add_argument(
-        "--mmap", choices=("auto", "on", "off"), default="auto",
-        help=(
-            "how to load segments.bin: 'auto' memory-maps it when numpy "
-            "is available (zero-copy start), 'on' requires numpy and "
-            "fails loudly without it, 'off' forces the classic "
-            "read-then-decode path (default auto)"
-        ),
-    )
 
     client_common = argparse.ArgumentParser(add_help=False)
     client_common.add_argument("--host", default="127.0.0.1")
@@ -281,7 +272,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         if args.max_connections is not None
         else DEFAULT_MAX_CONNECTIONS
     )
-    mmap_mode = {"auto": None, "on": True, "off": False}[args.mmap]
     return serve_store(
         args.store,
         host=args.host,
@@ -289,7 +279,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         lru_slices=lru,
         max_connections=max_connections,
         drain_timeout=args.drain_timeout,
-        mmap=mmap_mode,
     )
 
 

@@ -65,8 +65,7 @@ class CSRGraph:
         ``neighbors[offsets[u]:offsets[u + 1]]``.  Materialised lazily —
         the pure-Python kernels iterate ``rows`` and never touch it, so the
         flat pair costs nothing until a consumer actually asks for it.
-        An ``array('i')`` whatever ``REPRO_NUMPY`` says: numpy does not
-        back the graph kernels.
+        An ``array('i')``.
     neighbors:
         Length ``2m``, all adjacency rows back-to-back, each row sorted
         ascending (inherited from :class:`Graph`'s sorted adjacency, which

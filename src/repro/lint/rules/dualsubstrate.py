@@ -11,12 +11,11 @@ of three ways:
 * define an in-module ``*_reference`` twin
   (``compute_..._tables_reference`` style);
 * follow the inline-twin naming convention — a ``foo_np`` function or
-  method whose twin ``foo`` lives in the same scope
-  (``_compile_np``/``_compile`` style);
+  method whose twin ``foo`` lives in the same scope;
 * declare a module-level registration::
 
       __reference_twin__ = {
-          "_SegmentReader._read_view": "repro.store.format._SegmentReader.read",
+          "walk_np": "repro.fast.walk",
       }
 
   mapping each fast symbol defined here to the dotted path of its pure
@@ -28,7 +27,8 @@ of three ways:
 A registration in a module that no longer branches on the tier is a
 finding too: the module lost its fast path, so the registration is left
 over and must be deleted.  ``repro.npsupport`` itself (the gate) is
-exempt.
+exempt.  No module under ``src/repro`` calls the gate today; the rule
+guards any numpy fast path that comes back.
 """
 
 from __future__ import annotations

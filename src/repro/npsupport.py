@@ -1,30 +1,21 @@
-"""Optional numpy gating for the vectorized kernel tier.
+"""Optional numpy gating, which no kernel consults any more.
 
-numpy is an *optional* accelerator for this repository, and it backs two
-kernels only: the CSR compile of the interned auxiliary graph
-(``InternedAuxiliaryGraph._compile_np`` in :mod:`repro.rp.dijkstra`) and
-the memory-mapped store load (:mod:`repro.store.format`).  Each keeps a
-pure-Python twin (the established dual-substrate pattern), and the whole
-pipeline must produce byte-identical output with and without numpy.  The
-graph kernels (CSR BFS, subtree repair) and the Section 8 table builders
-are pure Python on every tier, because vectorized twins of them did not
-beat the pure code.  This module centralises the import guard and the
-runtime switch so call sites never touch ``import numpy`` directly:
+Every kernel is pure Python: no product module imports numpy or this
+module, and the whole pipeline gives the same output whether numpy is
+installed or not.
+
+The module stays for two readers outside the product: the benchmark
+(``perfbench/bench.py`` imports :func:`numpy_enabled`) and the tier tests
+(``tests/test_numpy_tier.py`` imports :data:`NUMPY_ENV_VAR` and
+:func:`numpy_available`).  Deleting it is therefore a benchmark change.
+``repro-lint`` REPRO006 still treats a call to :func:`numpy_enabled` or
+:func:`require_numpy` as a numpy fast path that needs a registered
+pure-Python twin, should one ever come back.
 
 * ``np`` is the imported module, or ``None`` when numpy is not installed.
-* :func:`numpy_enabled` is the per-call gate the kernels consult.  It is a
-  function, not a constant, so tests (and operators) can flip the tier at
-  runtime through the ``REPRO_NUMPY`` environment variable: ``0``/``off``/
-  ``false`` forces the pure-Python tier even when numpy is importable.
-  Because it reads the environment on every call, worker processes spawned
-  by :mod:`repro.parallel` inherit the parent's choice automatically (the
-  environment ships with the process), keeping sharded runs on one tier.
-
-Vectorized kernels must never let numpy scalar types escape: distances,
-table values and fingerprinted payloads re-enter identity-sensitive code
-(``value is math.inf`` checks, pickled forms), so every kernel converts
-results back to Python objects via ``.tolist()`` and re-canonicalises
-infinities against the ``math.inf`` singleton before returning.
+* :func:`numpy_enabled` is the per-call gate.  It reads the ``REPRO_NUMPY``
+  environment variable on every call: ``0``/``off``/``false`` disables the
+  tier even when numpy is importable.
 """
 
 from __future__ import annotations
@@ -64,8 +55,8 @@ def numpy_enabled() -> bool:
 def require_numpy(feature: str):
     """Return ``np`` or raise a loud error naming the missing ``feature``.
 
-    For opt-in features (``--mmap on``) where silently falling back would
-    contradict an explicit request.
+    For opt-in features where silently falling back would contradict an
+    explicit request.
     """
     if np is None:
         from repro.exceptions import InvalidParameterError

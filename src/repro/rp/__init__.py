@@ -3,9 +3,8 @@ and the Dijkstra substrates used by the auxiliary-graph constructions.
 
 Two Dijkstra substrates are exported: the dict-based reference pair
 (:class:`AuxiliaryGraphBuilder` + :func:`dijkstra`) that defines the
-semantics, and the typed-array :class:`InternedAuxiliaryGraph` the hot paths
-run on (dense integer node ids, ``array('i')``/``array('d')`` CSR arcs,
-``(float, int)`` heap entries).
+semantics, and the :class:`InternedAuxiliaryGraph` the hot paths run on
+(dense integer node ids, per-node arc rows, ``(float, int)`` heap entries).
 """
 
 from repro.rp.bruteforce import (

@@ -10,27 +10,22 @@ Dijkstra from a designated source node.  Two substrates implement this:
   deliberately simple, and remains the equivalence oracle for tests.
 * the **interned** :class:`InternedAuxiliaryGraph` is the hot-path form:
   every tuple node is assigned a dense integer id the moment it first
-  appears (``intern`` / ``add_edge``), arcs are stored in typed parallel
-  arrays — ``array('i')`` heads/tails, ``array('d')`` weights — compiled to
-  a typed-array CSR layout (``offsets`` / ``targets`` / ``weights``) on the
-  first Dijkstra run, and the heap loop works exclusively on
-  ``(float, int)`` pairs with array-indexed ``dist`` / ``settled`` state —
-  no tuple hashing anywhere inside the loop.  Builders that already hold
-  the integer ids call ``add_arc`` and skip the interning dictionary
-  entirely.  The typed arrays keep the arc storage at C struct density
-  (4/4/8 bytes per arc instead of three PyObject pointers) and hand a
-  native backend a zero-conversion view via ``compiled_csr()``.
+  appears (``intern`` / ``add_edge``), each node keeps its outgoing arcs
+  as two parallel rows (heads and weights, in insertion order), and the
+  heap loop works exclusively on ``(float, int)`` pairs with list-indexed
+  ``dist`` / ``settled`` state — no tuple hashing anywhere inside the
+  loop.  Builders that already hold the integer ids call ``add_arc`` and
+  skip the interning dictionary entirely.  There is no compile step: the
+  rows are the adjacency the loop reads.
 
-Laziness / validation contract
-------------------------------
+Validation contract
+-------------------
 Edge weights must be non-negative; the auxiliary graphs only use BFS
 distances and unit weights so this always holds.  Both substrates keep a
 defensive check — a negative weight would silently corrupt every downstream
-replacement distance — but validate **once per auxiliary graph** (a single
-flat scan before the first relaxation), not per visited arc inside the heap
-loop.  The interned graph compiles its CSR arrays lazily on the first
-:meth:`InternedAuxiliaryGraph.dijkstra` call and caches them; adding arcs
-afterwards invalidates the cache.
+replacement distance — but validate with one flat scan before the first
+relaxation of each run (once per auxiliary graph, which is solved once),
+not per visited arc inside the heap loop.
 
 The optional predecessor tracking (the Section 7.1 walk reconstruction uses
 it to enumerate the actual small replacement paths for the Section 8.2.1
@@ -44,8 +39,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from array import array
-from collections import Counter
 from typing import (
     Dict,
     Hashable,
@@ -58,7 +51,6 @@ from typing import (
 )
 
 from repro.exceptions import InvalidParameterError
-from repro.npsupport import np, numpy_enabled
 
 Node = Hashable
 AdjacencyMap = Mapping[Node, Sequence[Tuple[Node, float]]]
@@ -300,48 +292,27 @@ class InternedPredecessors:
 
 
 class InternedAuxiliaryGraph:
-    """Auxiliary graph with dense integer node ids and typed-array CSR arcs.
+    """Auxiliary graph with dense integer node ids and per-node arc rows.
 
     Drop-in replacement for :class:`AuxiliaryGraphBuilder` +
     :func:`dijkstra`: the same ``add_node`` / ``add_edge`` surface accepts
     the tuple nodes of the paper's constructions and interns them to dense
     integers on first sight, while ``intern`` + ``add_arc`` let builders
     that resolve their node ids up front bypass tuple hashing entirely.
-    ``dijkstra`` then runs with array-indexed state and returns views that
+    ``dijkstra`` then runs with list-indexed state and returns views that
     translate back to the original nodes, so downstream table extraction is
     unchanged.
     """
 
-    __slots__ = (
-        "_ids",
-        "_nodes",
-        "_arc_src",
-        "_arc_dst",
-        "_arc_w",
-        "_csr_offsets",
-        "_csr_dst",
-        "_csr_w",
-        "_heap_offsets",
-        "_heap_dst",
-        "_heap_w",
-    )
+    __slots__ = ("_ids", "_nodes", "_targets", "_weights")
 
     def __init__(self) -> None:
         self._ids: Dict[Node, int] = {}
         self._nodes: List[Node] = []
-        self._arc_src: array = array("i")
-        self._arc_dst: array = array("i")
-        self._arc_w: array = array("d")
-        self._csr_offsets = None
-        self._csr_dst = None
-        self._csr_w = None
-        # Python-native mirrors of the compiled CSR triple for the heap
-        # loop: lists in the numpy tier (indexing an ndarray would hand
-        # the loop numpy scalars, which must never reach the dist values),
-        # the typed arrays themselves in the fallback tier.
-        self._heap_offsets = None
-        self._heap_dst = None
-        self._heap_w = None
+        # Row ``u`` holds the heads and weights of u's outgoing arcs, in
+        # insertion order.
+        self._targets: List[List[int]] = []
+        self._weights: List[List[float]] = []
 
     # -- construction --------------------------------------------------------
 
@@ -353,6 +324,8 @@ class InternedAuxiliaryGraph:
             i = len(self._nodes)
             ids[node] = i
             self._nodes.append(node)
+            self._targets.append([])
+            self._weights.append([])
         return i
 
     def add_node(self, node: Node) -> int:
@@ -361,10 +334,8 @@ class InternedAuxiliaryGraph:
 
     def add_arc(self, u_id: int, v_id: int, weight: float) -> None:
         """Add ``u -> v`` by dense ids — the no-hashing hot path."""
-        self._arc_src.append(u_id)
-        self._arc_dst.append(v_id)
-        self._arc_w.append(weight)
-        self._csr_offsets = None
+        self._targets[u_id].append(v_id)
+        self._weights[u_id].append(weight)
 
     def add_edge(self, u: Node, v: Node, weight: float) -> None:
         """Add the directed edge ``u -> v``, interning both endpoints."""
@@ -378,43 +349,11 @@ class InternedAuxiliaryGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._arc_src)
+        return sum(map(len, self._targets))
 
     def node_of(self, node_id: int) -> Node:
         """The original tuple node behind a dense id."""
         return self._nodes[node_id]
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self):
-        """Ship the intern table and the typed arc arrays, nothing derived.
-
-        The ``node -> id`` dict is the inverse of the intern table (ids are
-        assigned densely in append order), so it is rebuilt on restore
-        rather than serialised; the compiled CSR triple is a cache and
-        recompiles lazily on the first post-restore Dijkstra run.  The arc
-        arrays pickle as raw typed buffers (4/4/8 bytes per arc), which is
-        what keeps shipping an auxiliary graph to a pool worker cheap.
-        """
-        return (self._nodes, self._arc_src, self._arc_dst, self._arc_w)
-
-    def __setstate__(self, state) -> None:
-        nodes, arc_src, arc_dst, arc_w = state
-        self._nodes = nodes
-        self._ids = {node: i for i, node in enumerate(nodes)}
-        self._arc_src = arc_src
-        self._arc_dst = arc_dst
-        # repro-lint: disable=REPRO002 -- _arc_w is an array('d') typed
-        # buffer, not boxed floats: every access boxes a fresh float, so
-        # `is math.inf` identity never applies to its elements and there
-        # is nothing to re-canonicalise at the pickle boundary.
-        self._arc_w = arc_w
-        self._csr_offsets = None
-        self._csr_dst = None
-        self._csr_w = None
-        self._heap_offsets = None
-        self._heap_dst = None
-        self._heap_w = None
 
     def id_of(self, node: Node) -> Optional[int]:
         """The dense id of ``node`` (``None`` when never interned)."""
@@ -422,112 +361,15 @@ class InternedAuxiliaryGraph:
 
     # -- the interned Dijkstra ----------------------------------------------
 
-    def _compile(self) -> Tuple[array, array, array]:
-        """Bucket the arc arrays into typed-array CSR rows; validate weights once.
-
-        Runs once per (graph, mutation) — the auxiliary graphs are built
-        fully and then solved, so in practice once per graph.  In the
-        numpy tier the triple is bucketed vectorized (zero-copy
-        ``frombuffer`` views over the arc arrays, one stable argsort) into
-        ndarrays; the fallback keeps typed arrays (``'i'``/``'i'``/``'d'``).
-        Either way a native backend can adopt the buffers as-is, and the
-        heap loop gets Python-native mirrors (see ``__init__``).
-        """
-        if numpy_enabled():
-            return self._compile_np()
-        n = len(self._nodes)
-        arc_src, arc_dst, arc_w = self._arc_src, self._arc_dst, self._arc_w
-        m = len(arc_src)
-        # One C-level min() validates every weight without a per-arc branch
-        # in the bucketing loop below (the once-per-graph hoisted check).
-        if arc_w and min(arc_w) < 0:
-            k = min(range(m), key=arc_w.__getitem__)
-            raise InvalidParameterError(
-                f"negative weight {arc_w[k]} on auxiliary edge "
-                f"{self._nodes[arc_src[k]]} -> {self._nodes[arc_dst[k]]}"
-            )
-        # tolist() boxes each typed-array element once, in a single C pass;
-        # the Python-level loops below then iterate plain lists (increfs)
-        # instead of re-boxing ints/doubles per access.
-        src_list = arc_src.tolist()
-        # Counter counts at C speed; the prefix sum only touches n+1 slots.
-        counts = Counter(src_list)
-        offsets = array("i", [0]) * (n + 1)
-        total = 0
-        counts_get = counts.get
-        for i in range(n):
-            total += counts_get(i, 0)
-            offsets[i + 1] = total
-        cursor = list(offsets)
-        targets = array("i", [0]) * m
-        weights = array("d", [0.0]) * m
-        for u, v, w in zip(src_list, arc_dst.tolist(), arc_w.tolist()):
-            slot = cursor[u]
-            targets[slot] = v
-            weights[slot] = w
-            cursor[u] = slot + 1
-        self._csr_offsets = offsets
-        self._csr_dst = targets
-        self._csr_w = weights
-        self._heap_offsets = offsets
-        self._heap_dst = targets
-        self._heap_w = weights
-        return offsets, targets, weights
-
-    def _compile_np(self):
-        """Vectorized CSR bucketing (numpy tier).
-
-        A stable argsort on the arc sources is exactly the cursor-based
-        bucketing of the fallback path — arcs land in their row in input
-        order — so the compiled triple is element-identical across tiers.
-        """
-        n = len(self._nodes)
-        arc_src, arc_dst, arc_w = self._arc_src, self._arc_dst, self._arc_w
-        m = len(arc_src)
-        if m:
-            src = np.frombuffer(arc_src, dtype=np.intc)
-            dst = np.frombuffer(arc_dst, dtype=np.intc)
-            w = np.frombuffer(arc_w, dtype=np.float64)
-            if float(w.min()) < 0:
-                k = int(w.argmin())
+    def _check_weights(self) -> None:
+        """Reject negative weights with one C-level ``min`` per row."""
+        for u, row in enumerate(self._weights):
+            if row and min(row) < 0:
+                k = row.index(min(row))
                 raise InvalidParameterError(
-                    f"negative weight {arc_w[k]} on auxiliary edge "
-                    f"{self._nodes[arc_src[k]]} -> {self._nodes[arc_dst[k]]}"
+                    f"negative weight {row[k]} on auxiliary edge "
+                    f"{self._nodes[u]} -> {self._nodes[self._targets[u][k]]}"
                 )
-            counts = np.bincount(src, minlength=n)
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            perm = np.argsort(src, kind="stable")
-            targets = dst[perm]
-            weights = w[perm]
-        else:
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            targets = np.zeros(0, dtype=np.intc)
-            weights = np.zeros(0, dtype=np.float64)
-        self._csr_offsets = offsets
-        self._csr_dst = targets
-        self._csr_w = weights
-        # tolist() boxes to plain Python ints/floats in one C pass; the
-        # heap loop never touches the ndarrays directly.
-        self._heap_offsets = offsets.tolist()
-        self._heap_dst = targets.tolist()
-        self._heap_w = weights.tolist()
-        return offsets, targets, weights
-
-    def compiled_csr(self) -> Tuple[array, array, array]:
-        """The compiled typed-array CSR ``(offsets, targets, weights)``.
-
-        Compiles (or recompiles after mutation) on demand and returns the
-        cached arrays without copying — the same buffers the heap loop
-        consumes, suitable for handing to a native kernel via the buffer
-        protocol.  ``add_arc`` drops the cache; nodes interned after
-        compilation make it stale too (``offsets`` must always span
-        ``num_nodes + 1`` rows, even for arc-less nodes).
-        """
-        offsets = self._csr_offsets
-        if offsets is None or len(offsets) != len(self._nodes) + 1:
-            return self._compile()
-        return offsets, self._csr_dst, self._csr_w  # type: ignore[return-value]
 
     def dijkstra(
         self, source: Node, with_predecessors: bool = False
@@ -535,17 +377,13 @@ class InternedAuxiliaryGraph:
         """Run Dijkstra from ``source`` (a node; interned if new).
 
         The heap holds ``(distance, id)`` pairs — float/int comparisons
-        only — and ``dist`` / ``settled`` / ``pred`` are flat arrays indexed
+        only — and ``dist`` / ``settled`` / ``pred`` are flat lists indexed
         by the dense ids.  Ties are broken by id, which preserves the
         distances exactly (any tie-break yields the same distance array).
         """
-        # compiled_csr() recompiles when missing or stale (arcs added or
-        # nodes interned after the last compile).  The loop itself consumes
-        # the Python-native mirrors _compile installs so every distance
-        # stays a plain float regardless of tier.
-        self.compiled_csr()
-        offsets, dst, weights = self._heap_offsets, self._heap_dst, self._heap_w
+        self._check_weights()
         source_id = self.intern(source)
+        targets, weights = self._targets, self._weights
         n = len(self._nodes)
         inf = _INF
         dist: List[float] = [inf] * n
@@ -554,18 +392,12 @@ class InternedAuxiliaryGraph:
         dist[source_id] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, source_id)]
         pop, push = heapq.heappop, heapq.heappush
-        if source_id >= len(offsets) - 1:
-            # ``source`` was new: it has no outgoing arcs, nothing to relax.
-            heap = []
         while heap:
             d, u = pop(heap)
             if settled[u]:
                 continue
             settled[u] = 1
-            lo, hi = offsets[u], offsets[u + 1]
-            # Slice + zip keeps the per-arc iteration in C; the slices are
-            # transient row views, far cheaper than two indexings per arc.
-            for v, w in zip(dst[lo:hi], weights[lo:hi]):
+            for v, w in zip(targets[u], weights[u]):
                 candidate = d + w
                 if candidate < dist[v]:
                     dist[v] = candidate

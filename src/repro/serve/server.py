@@ -720,18 +720,16 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 8351,
     lru_slices: int = DEFAULT_LRU_SLICES,
-    mmap: Optional[bool] = None,
     **server_kwargs,
 ) -> QueryServer:
     """Load ``store_dir`` and wrap it in an unstarted :class:`QueryServer`.
 
-    ``mmap`` selects how ``segments.bin`` is loaded (see
-    :func:`repro.store.load_store`): the default auto-maps when numpy is
-    available, so the server starts without copying the payload.  Extra
-    keyword arguments (``max_connections``, ``read_timeout``, ...) pass
-    through to :class:`QueryServer`.
+    The store is loaded through a read-only map of ``segments.bin`` (see
+    :func:`repro.store.load_store`).  Extra keyword arguments
+    (``max_connections``, ``read_timeout``, ...) pass through to
+    :class:`QueryServer`.
     """
-    result, header = load_store(store_dir, mmap=mmap)
+    result, header = load_store(store_dir)
     service = OracleService(result, header, lru_slices=lru_slices)
     return QueryServer(service, host=host, port=port, **server_kwargs)
 
@@ -742,7 +740,6 @@ def serve_store(
     port: int = 8351,
     lru_slices: int = DEFAULT_LRU_SLICES,
     drain_timeout: float = 10.0,
-    mmap: Optional[bool] = None,
     **server_kwargs,
 ) -> int:
     """Blocking entry point used by ``repro-msrp serve``.
@@ -759,7 +756,6 @@ def serve_store(
         host=host,
         port=port,
         lru_slices=lru_slices,
-        mmap=mmap,
         **server_kwargs,
     )
     header = server.service.header
@@ -825,17 +821,10 @@ class ServerThread:
         cls,
         store_dir: str,
         lru_slices: int = DEFAULT_LRU_SLICES,
-        mmap: Optional[bool] = None,
         **server_kwargs,
     ) -> "ServerThread":
         return cls(
-            make_server(
-                store_dir,
-                port=0,
-                lru_slices=lru_slices,
-                mmap=mmap,
-                **server_kwargs,
-            )
+            make_server(store_dir, port=0, lru_slices=lru_slices, **server_kwargs)
         )
 
     @classmethod

@@ -82,6 +82,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap as mmap_module
 import os
 import shutil
 import sys
@@ -100,14 +101,6 @@ from repro.store.atomic import (
 )
 from repro.graph.graph import Graph
 from repro.graph.tree import ShortestPathTree
-from repro.npsupport import np, numpy_enabled, require_numpy
-
-#: Dual-substrate registry (checked by ``repro-lint`` REPRO006): the
-#: zero-copy mmap view reader is pinned byte-identical to the classic
-#: typed-array read path by the store round-trip batteries.
-__reference_twin__ = {
-    "_SegmentReader._read_view": "repro.store.format._SegmentReader.read",
-}
 
 #: First bytes of every manifest; anything else is not a store.
 MAGIC = "repro-msrp-store"
@@ -120,11 +113,14 @@ SEGMENTS_NAME = "segments.bin"
 #: Sentinel for "no parent" in the ``'i'`` parent segments.
 _NO_PARENT = -1
 
-#: Segments start on multiples of this, so ``'d'`` (float64) segments can
-#: be adopted as aligned zero-copy views straight off a memory map.
+#: The ``array`` typecodes segments are written with.
+_TYPECODES = frozenset("id")
+
+#: Segments start on multiples of this (the ``'d'`` segments' item size).
 #: Readers locate segments by their explicit manifest offsets, so the
 #: padding is invisible to them — stores written before padding existed
-#: load unchanged (numpy tolerates unaligned views; they are just slower).
+#: load unchanged.  It stays part of format version 1: dropping it would
+#: change the payload bytes and their ``segments_sha256``.
 _SEGMENT_ALIGN = 8
 
 
@@ -226,79 +222,52 @@ class _SegmentWriter:
 class _SegmentReader:
     """Decodes segments out of a verified ``segments.bin`` payload.
 
-    With ``zero_copy=True`` (the memory-mapped load path) segments come
-    back as ``np.frombuffer`` views over the payload buffer — no bytes are
-    duplicated; a cross-endian store is the one exception (the byteswap
-    materialises a native-order copy).  Otherwise segments decode into
-    fresh ``array`` objects as before.  Either return type supports
-    ``.tolist()``, which is how :func:`load_store` consumes them.
+    The payload is either ``bytes`` (the classic read) or a read-only
+    ``mmap``; slicing either returns ``bytes``, so one decoder serves both:
+    ``array.frombytes``, plus a ``byteswap`` for a store written on the
+    other byte order.  The manifest is not covered by the payload
+    checksum, so every descriptor is checked against the payload before
+    its bytes are decoded.
     """
 
-    def __init__(
-        self,
-        payload,
-        manifest: Mapping[str, object],
-        zero_copy: bool = False,
-    ):
+    def __init__(self, payload, manifest: Mapping[str, object]):
         self._payload = payload
-        self._byteorder = manifest.get("byteorder", sys.byteorder)
-        self._zero_copy = zero_copy
+        self._swap = manifest.get("byteorder", sys.byteorder) != sys.byteorder
         self._by_name: Dict[str, Dict[str, object]] = {}
         for descriptor in manifest.get("segments", []):
             self._by_name[descriptor["name"]] = descriptor
 
-    def names(self) -> List[str]:
-        return list(self._by_name)
-
-    def read(self, name: str):
+    def read(self, name: str) -> array:
         descriptor = self._by_name.get(name)
         if descriptor is None:
             raise InvalidParameterError(
                 f"store is missing required segment {name!r}; the manifest "
                 f"lists {sorted(self._by_name)}"
             )
-        offset = descriptor["offset"]
-        nbytes = descriptor["nbytes"]
-        if self._zero_copy:
-            return self._read_view(name, descriptor)
-        raw = self._payload[offset : offset + nbytes]
-        if len(raw) != nbytes:
-            raise InvalidParameterError(
-                f"segment {name!r} is truncated: manifest promises {nbytes} "
-                f"bytes at offset {offset}, payload has {len(raw)}"
-            )
-        data = array(descriptor["typecode"])
-        data.frombytes(raw)
-        if len(data) != descriptor["count"]:
-            raise InvalidParameterError(
-                f"segment {name!r} decoded to {len(data)} items, manifest "
-                f"promises {descriptor['count']}"
-            )
-        if self._byteorder != sys.byteorder:
-            data.byteswap()
-        return data
-
-    def _read_view(self, name: str, descriptor: Mapping[str, object]):
-        dtype = np.dtype({"i": np.intc, "d": np.float64}[descriptor["typecode"]])
+        typecode = descriptor["typecode"]
         offset = descriptor["offset"]
         nbytes = descriptor["nbytes"]
         count = descriptor["count"]
-        if nbytes != count * dtype.itemsize:
+        if typecode not in _TYPECODES:
+            raise InvalidParameterError(
+                f"segment {name!r} has typecode {typecode!r}; stores hold "
+                f"only {sorted(_TYPECODES)}"
+            )
+        data = array(typecode)
+        if count < 0 or nbytes != count * data.itemsize:
             raise InvalidParameterError(
                 f"segment {name!r} descriptor is inconsistent: {count} items "
-                f"of {dtype.itemsize} bytes cannot span {nbytes} bytes"
+                f"of {data.itemsize} bytes cannot span {nbytes} bytes"
             )
-        if offset + nbytes > len(self._payload):
+        if offset < 0 or offset + nbytes > len(self._payload):
             raise InvalidParameterError(
-                f"segment {name!r} is truncated: manifest promises {nbytes} "
-                f"bytes at offset {offset}, payload has "
-                f"{max(0, len(self._payload) - offset)}"
+                f"segment {name!r} lies outside the payload: manifest promises "
+                f"{nbytes} bytes at offset {offset}, payload has "
+                f"{len(self._payload)} bytes"
             )
-        data = np.frombuffer(self._payload, dtype=dtype, count=count, offset=offset)
-        if self._byteorder != sys.byteorder:
-            # The only copying case: foreign-endian bytes reinterpreted as
-            # native, then byte-swapped into correct native values.
-            data = data.byteswap()
+        data.frombytes(self._payload[offset : offset + nbytes])
+        if self._swap:
+            data.byteswap()
         return data
 
 
@@ -480,24 +449,8 @@ def load_header(directory: str) -> StoreHeader:
     return StoreHeader.from_manifest(_read_manifest(directory))
 
 
-def _resolve_mmap(mmap_mode: Optional[bool]) -> bool:
-    """Decide whether to memory-map ``segments.bin``.
-
-    ``None`` auto-selects: map when the numpy tier is enabled (the
-    zero-copy views need it), else fall back to the classic read.  An
-    explicit ``True`` without numpy raises loudly rather than silently
-    degrading an operator's request.
-    """
-    if mmap_mode is None:
-        return numpy_enabled()
-    if mmap_mode:
-        require_numpy("memory-mapped store load (mmap=True)")
-        return True
-    return False
-
-
 def load_store(
-    directory: str, mmap: Optional[bool] = None
+    directory: str, mmap: bool = True
 ) -> Tuple[ReplacementPathResult, StoreHeader]:
     """Load a store back into a queryable result.
 
@@ -509,27 +462,21 @@ def load_store(
     the ``math.inf`` singleton on the way in.
 
     ``mmap`` selects how ``segments.bin`` is brought in.  The default
-    (``None``) memory-maps it when the numpy tier is enabled: the payload
-    is checksummed *in place* over the map — before anything is decoded —
-    and segments are adopted as zero-copy ``np.frombuffer`` views, so the
-    store bytes are never duplicated in memory (``serve`` starts without
-    copying ``segments.bin``).  ``False`` forces the classic
-    read-then-decode path; ``True`` requires numpy and fails loudly
-    without it.  Both paths produce identical results — the decoded
-    Python structures carry plain ints/floats either way — and the map is
-    released before returning.
+    (``True``) maps it read-only: the payload is checksummed *in place*
+    over the map, before anything is decoded, and each segment is then
+    decoded from its own slice, so the whole payload is never copied at
+    once.  ``False`` reads the file into memory first.  Both paths run the
+    same decoder and produce identical results, and the map is released
+    before returning.
     """
     manifest = _read_manifest(directory)
     header = StoreHeader.from_manifest(manifest)
 
     segments_path = os.path.join(directory, SEGMENTS_NAME)
-    use_mmap = _resolve_mmap(mmap)
     mapped = None
     try:
         with open(segments_path, "rb") as handle:
-            if use_mmap and os.fstat(handle.fileno()).st_size:
-                import mmap as mmap_module
-
+            if mmap and os.fstat(handle.fileno()).st_size:
                 mapped = mmap_module.mmap(
                     handle.fileno(), 0, access=mmap_module.ACCESS_READ
                 )
@@ -553,12 +500,7 @@ def load_store(
                 f"{header.segments_sha256}, {SEGMENTS_NAME} hashes to {actual_sha}"
             )
 
-        reader = _SegmentReader(payload, manifest, zero_copy=mapped is not None)
-        # Decoded segments (typed arrays or ndarray views) are consumed
-        # uniformly through .tolist(): the result structures must hold
-        # plain Python ints/floats — a numpy scalar leaking into a dist
-        # list or table value would break the `is math.inf` identity
-        # callers downstream.
+        reader = _SegmentReader(payload, manifest)
         edge_u = reader.read("graph/edge_u").tolist()
         edge_v = reader.read("graph/edge_v").tolist()
         graph = Graph(header.num_vertices, zip(edge_u, edge_v))
@@ -610,10 +552,6 @@ def load_store(
         return result, header
     finally:
         if mapped is not None:
-            # Every view has been converted via tolist(), so the map can
-            # be released now; a lingering view would raise BufferError,
-            # in which case the map closes with the last reference.
-            try:
-                mapped.close()
-            except BufferError:  # pragma: no cover - defensive
-                pass
+            # Segments were decoded from copied slices, so nothing still
+            # points into the map.
+            mapped.close()

@@ -1,26 +1,29 @@
-"""Mixed-substrate equality battery for the numpy kernel tier.
+"""``REPRO_NUMPY`` must change nothing: the battery that pins it.
 
-numpy backs two kernels only: the compiled CSR of the interned auxiliary
-Dijkstra (``InternedAuxiliaryGraph._compile_np``) and the memory-mapped
-store load.  This module runs the SAME seeded instances through both
-tiers in one interpreter — toggling ``REPRO_NUMPY`` between calls — and
-asserts the outputs are *identical*, not merely equal-ish:
+No product code path reads the ``REPRO_NUMPY`` switch or imports numpy
+any more: the interned auxiliary Dijkstra runs on per-node arc rows, and
+the store decodes every segment with ``array`` whether it maps the
+payload or reads it.  Each test here runs the SAME seeded instances with
+the switch on and off in one interpreter and asserts the outputs are
+*identical*, not merely equal-ish, so a numpy path that creeps back in
+and changes an answer is caught:
 
-* BFS distances/trees: the CSR kernels have no numpy branch, so toggling
-  the tier must leave their output untouched — same dist lists as the
-  dict BFS twin (``is math.inf`` identity on the unreachable entries),
-  same parents, same FIFO discovery order, plain Python value types.
-* Full MSRP pipeline: byte-identical fingerprints across tiers, at worker
-  counts 0 and 2 (workers inherit the tier through the environment, so a
-  sharded numpy run must reproduce a serial pure-Python run bit for bit).
-* ``math.inf`` identity and plain Python value types survive the numpy
-  tier and a pickle round trip of a sharded result.
-* Store round-trip: the mmap zero-copy load and the classic load of the
-  same directory answer every entry identically.
-* Pickle forms: a CSR graph compiled under one tier ships through
-  ``__getstate__`` and rebuilds correctly under the other — the flat
-  caches are derived state and must never leak into worker transfer.
+* BFS distances/trees: same dist lists as the dict BFS twin
+  (``is math.inf`` identity on the unreachable entries), same parents,
+  same FIFO discovery order, plain Python value types.
+* Full MSRP pipeline: byte-identical fingerprints with the switch on and
+  off, at worker counts 0 and 2 (workers inherit the environment).
+* ``math.inf`` identity and plain Python value types survive a pickle
+  round trip of a sharded result.
+* Store round-trip: the mapped load with the switch on and the read load
+  with it off answer every entry identically.
+* Pickle forms: a CSR graph compiled with the switch on ships through
+  ``__getstate__`` and rebuilds correctly with it off — the flat caches
+  are derived state and must never leak into worker transfer.
 
+The module skips itself where numpy is not installed, because the switch
+is only meaningful next to an importable numpy.
+``tests/test_product_imports.py`` pins that the product imports no numpy;
 ``tests/test_csr.py`` and the property battery pin the graph kernels
 (CSR BFS, subtree repair) to the dict BFS in more depth.
 """

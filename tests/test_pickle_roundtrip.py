@@ -233,18 +233,6 @@ class TestInternedAuxiliaryGraphPickle:
             ref_pred, ("s",), target
         )
 
-    def test_compiled_csr_dropped_and_recompiled(self):
-        aux, _ = self._build()
-        before = aux.dijkstra(("s",))[0].to_dict()
-        offsets, targets, weights = aux.compiled_csr()
-        copy = roundtrip(aux)
-        assert copy._csr_offsets is None  # cache dropped on the wire
-        c_offsets, c_targets, c_weights = copy.compiled_csr()
-        assert list(c_offsets) == list(offsets)
-        assert list(c_targets) == list(targets)
-        assert list(c_weights) == list(weights)
-        assert copy.dijkstra(("s",))[0].to_dict() == before
-
     def test_intern_table_rebuilt(self):
         aux, _ = self._build()
         copy = roundtrip(aux)

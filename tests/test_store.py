@@ -12,9 +12,12 @@ served.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import sys
+from array import array
 
 import pytest
 
@@ -227,22 +230,81 @@ class TestRejection:
         with pytest.raises(InvalidParameterError, match="fingerprint mismatch"):
             load_store(store_dir)
 
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("nbytes", lambda value: value - 3),
+            ("count", lambda value: value + 1),
+            ("offset", lambda value: -8),
+            ("typecode", lambda value: "q"),
+        ],
+        ids=["odd-nbytes", "count-plus-one", "negative-offset", "typecode"],
+    )
+    def test_malformed_segment_descriptor(self, store_dir, mmap, field, edit):
+        # The manifest is outside the payload checksum, so a descriptor
+        # that does not fit the payload must be refused by name on both
+        # load paths, before its bytes are decoded.
+        name = f"table/{load_header(store_dir).sources[0]}/values"
+
+        def mutate(manifest):
+            for descriptor in manifest["segments"]:
+                if descriptor["name"] == name:
+                    assert descriptor["count"] > 0
+                    descriptor[field] = edit(descriptor[field])
+
+        self._edit_manifest(store_dir, mutate)
+        with pytest.raises(InvalidParameterError, match=name):
+            load_store(store_dir, mmap=mmap)
+
     def test_magic_and_version_constants(self):
         # The spec in docs/ quotes these; changing them is a format bump.
         assert MAGIC == "repro-msrp-store"
         assert FORMAT_VERSION == 1
 
 
-def _numpy_available() -> bool:
-    from repro.npsupport import numpy_available
+@pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+def test_foreign_byte_order_store_loads_identically(tmp_path, mmap):
+    """A store written on the other byte order decodes to the same result."""
+    graph = generators.gnp_random_graph(14, 0.15, seed=1)
+    _, result = solve(graph, 1)
+    assert any(value == math.inf for *_, value in result.iter_entries())
+    directory = str(tmp_path / "store")
+    write_store(directory, result)
 
-    return numpy_available()
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
+    segments_path = os.path.join(directory, SEGMENTS_NAME)
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    with open(segments_path, "rb") as handle:
+        payload = bytearray(handle.read())
+    for descriptor in manifest["segments"]:
+        lo = descriptor["offset"]
+        hi = lo + descriptor["nbytes"]
+        segment = array(descriptor["typecode"])
+        segment.frombytes(payload[lo:hi])
+        segment.byteswap()
+        payload[lo:hi] = segment.tobytes()
+    manifest["byteorder"] = "big" if sys.byteorder == "little" else "little"
+    manifest["segments_sha256"] = hashlib.sha256(payload).hexdigest()
+    with open(segments_path, "wb") as handle:
+        handle.write(payload)
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+
+    loaded, _ = load_store(directory, mmap=mmap)
+    assert_results_identical(loaded, result)
+    for s in result.sources:
+        for ours, theirs in zip(
+            loaded.source_tree(s).dist, result.source_tree(s).dist
+        ):
+            if theirs == math.inf:
+                assert ours is math.inf
 
 
-@pytest.mark.skipif(not _numpy_available(), reason="mmap load needs numpy")
 class TestMmapLoad:
-    """The zero-copy mmap load path must be indistinguishable from the
-    classic read: same answers, same singletons, same rejections."""
+    """The mapped load path must be indistinguishable from the classic
+    read: same answers, same singletons, same rejections."""
 
     def test_mmap_load_matches_classic(self, tmp_path):
         graph = generators.random_connected_graph(13, extra_edges=9, seed=9)
@@ -256,8 +318,8 @@ class TestMmapLoad:
         assert header_m.fingerprint == header_c.fingerprint
 
     def test_segment_offsets_are_aligned(self, tmp_path):
-        """The writer pads every segment to an 8-byte boundary so float64
-        views over the map are aligned (see docs/store_format.md)."""
+        """The writer pads every segment to an 8-byte boundary, which is
+        part of format version 1 (see docs/store_format.md)."""
         graph = generators.random_connected_graph(10, extra_edges=6, seed=3)
         _, result = solve(graph, 3)
         write_store(str(tmp_path), result)
@@ -292,5 +354,6 @@ class TestMmapLoad:
         _, result = solve(graph, 5)
         write_store(str(tmp_path), result)
         monkeypatch.setenv(NUMPY_ENV_VAR, "0")
-        loaded, _ = load_store(str(tmp_path))  # auto resolves to classic
+        # The default maps the payload; no load path reads REPRO_NUMPY.
+        loaded, _ = load_store(str(tmp_path))
         assert_results_identical(loaded, result)
