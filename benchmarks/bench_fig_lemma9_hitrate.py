@@ -44,8 +44,9 @@ def _hit_rate(sampling: float, threshold: float, seed: int) -> float:
     landmarks = LandmarkHierarchy.sample(scale, [source], random.Random(seed))
     tree = bfs_tree(graph, source)
     landmark_trees = {r: bfs_tree(graph, r) for r in landmarks.union}
-    tables = compute_direct_tables(graph, {source: tree}, landmarks.union)
-    solver = FarEdgeSolver(scale, landmarks, landmark_trees, tables)
+    source_trees = {source: tree}
+    tables = compute_direct_tables(graph, source_trees, landmarks.union)
+    solver = FarEdgeSolver(scale, landmarks, landmark_trees, tables, source_trees)
     reference = brute_force_single_source(graph, source, source_tree=tree)
 
     hits = total = 0

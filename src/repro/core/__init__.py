@@ -10,7 +10,7 @@ from repro.core.classification import (
     near_edges_of_path,
 )
 from repro.core.far_edges import FarEdgeSolver
-from repro.core.landmark_rp import SourceLandmarkTables, compute_direct_tables
+from repro.core.landmark_rp import compute_direct_tables
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import (
     LANDMARK_STRATEGIES,
@@ -45,7 +45,6 @@ __all__ = [
     "compute_near_small_tables",
     "compute_near_small_tables_reference",
     "near_edges_from_target",
-    "SourceLandmarkTables",
     "compute_direct_tables",
     "MSRPSolver",
     "LANDMARK_STRATEGIES",

@@ -33,11 +33,11 @@ import math
 from typing import Mapping
 
 from repro.core.classification import ClassifiedEdge
-from repro.core.landmark_rp import SourceLandmarkTables
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import ProblemScale
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import normalize_edge
+from repro.graph.repair import PairEdgeTable
 from repro.graph.tree import ShortestPathTree
 
 
@@ -54,20 +54,26 @@ class FarEdgeSolver:
         BFS tree for every landmark in ``landmarks.union`` (provides
         ``d(r, t)`` lookups).
     landmark_tables:
-        The ``d(s, r, e)`` tables computed in the preprocessing phase.
+        Per source, the ``(r, e) -> d(s, r, e)`` table computed in the
+        preprocessing phase.
+    source_trees:
+        BFS tree of every source; ``d(s, r)`` is the value of an edge off
+        the canonical ``s``-``r`` path, which has no table key.
     """
 
-    __slots__ = ("_scale", "_levels", "_tables")
+    __slots__ = ("_scale", "_levels", "_tables", "_source_trees")
 
     def __init__(
         self,
         scale: ProblemScale,
         landmarks: LandmarkHierarchy,
         landmark_trees: Mapping[int, ShortestPathTree],
-        landmark_tables: SourceLandmarkTables,
+        landmark_tables: Mapping[int, PairEdgeTable],
+        source_trees: Mapping[int, ShortestPathTree],
     ):
         self._scale = scale
         self._tables = landmark_tables
+        self._source_trees = source_trees
         # ``(landmark, tree)`` pairs of every level in landmark-id order,
         # resolved once instead of per candidate.
         self._levels = tuple(
@@ -107,8 +113,8 @@ class FarEdgeSolver:
             return math.inf
         radius = self._scale.landmark_radius(level)
         edge = normalize_edge(int(edge[0]), int(edge[1]))
-        table = self._tables.table_for(source)
-        source_dist = self._tables.tree_for(source).dist
+        table = self._tables[source]
+        source_dist = self._source_trees[source].dist
         best = math.inf
         for landmark, tree in self._levels[level]:
             distance_to_target = tree.dist[target]
@@ -118,14 +124,10 @@ class FarEdgeSolver:
             # that cannot beat the best so far.
             if source_dist[landmark] + distance_to_target >= best:
                 continue
-            # Inlined SourceLandmarkTables.query: edges off the canonical
-            # source-landmark path fall back to the plain distance.
-            per_edge = table.get(landmark)
-            if per_edge is not None and edge in per_edge:
-                d_sle = per_edge[edge]
-            else:
-                d_sle = source_dist[landmark]
-            candidate = d_sle + distance_to_target
+            candidate = (
+                table.get((landmark, edge), source_dist[landmark])
+                + distance_to_target
+            )
             if candidate < best:
                 best = candidate
         return best

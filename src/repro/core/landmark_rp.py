@@ -18,99 +18,30 @@ offers two ways to obtain these tables:
   construction implemented in :mod:`repro.multisource`, costing
   ``O~(m sqrt(n sigma) + sigma n^2)``.
 
-Both strategies produce a :class:`SourceLandmarkTables`, so the downstream
-phases are agnostic to how the tables were obtained.
+Both strategies return ``source -> PairEdgeTable``: per source, the
+paper's hash table ``(r, e) -> d(s, r, e)`` with a key for every landmark
+``r != s`` that ``s`` reaches and every edge ``e`` of the canonical
+``s``-``r`` path.  A reader looks an entry up with
+``table.get((r, e), d(s, r))``: an edge off the canonical path cannot
+lengthen it, and ``d(s, r)`` is ``inf`` when ``s`` does not reach ``r``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping
 
-from repro.exceptions import InvalidParameterError
-from repro.graph.graph import Edge, Graph, normalize_edge
-from repro.graph.repair import subtree_repair_distances
+from repro.graph.graph import Graph
+from repro.graph.repair import PairEdgeTable, subtree_repair_distances
 from repro.graph.tree import ShortestPathTree
 from repro.rp.single_pair import replacement_paths
-
-#: landmark -> (edge on the canonical source-landmark path -> length)
-PerSourceLandmarkTable = Dict[int, Dict[Edge, float]]
-
-
-class SourceLandmarkTables:
-    """Replacement lengths from every source to every landmark.
-
-    The table behaves like the hash tables of the paper's preprocessing
-    phase: ``query(s, r, e)`` returns ``d(s, r, e)`` in ``O(1)``, falling
-    back to the shortest ``s``-``r`` distance when ``e`` is not on the
-    canonical ``s``-``r`` path (removing such an edge cannot hurt the
-    canonical path) and to ``inf`` when ``r`` is unreachable from ``s``.
-    """
-
-    __slots__ = ("_tables", "_trees", "landmarks")
-
-    def __init__(
-        self,
-        tables: Mapping[int, PerSourceLandmarkTable],
-        source_trees: Mapping[int, ShortestPathTree],
-        landmarks: Iterable[int],
-    ):
-        self._tables: Dict[int, PerSourceLandmarkTable] = {
-            int(s): {int(r): dict(per_edge) for r, per_edge in per_source.items()}
-            for s, per_source in tables.items()
-        }
-        self._trees = dict(source_trees)
-        self.landmarks = frozenset(int(r) for r in landmarks)
-        for s in self._tables:
-            if s not in self._trees:
-                raise InvalidParameterError(f"missing source tree for source {s}")
-
-    def distance(self, source: int, landmark: int) -> float:
-        """Shortest ``source``-``landmark`` distance (``inf`` when unreachable)."""
-        return self._trees[source].distance(landmark)
-
-    def query(self, source: int, landmark: int, edge: Sequence[int]) -> float:
-        """Return ``d(source, landmark, edge)``."""
-        per_source = self._tables.get(source)
-        if per_source is None:
-            raise InvalidParameterError(f"no landmark table for source {source}")
-        e = normalize_edge(int(edge[0]), int(edge[1]))
-        per_edge = per_source.get(landmark)
-        if per_edge is not None and e in per_edge:
-            return per_edge[e]
-        # Edge not on the canonical source-landmark path: the canonical path
-        # survives the deletion, so the plain distance is the answer.
-        return self._trees[source].distance(landmark)
-
-    def table_for(self, source: int) -> PerSourceLandmarkTable:
-        """Raw table for one source (landmark -> edge -> length)."""
-        return self._tables[source]
-
-    def tree_for(self, source: int) -> ShortestPathTree:
-        """The BFS tree whose distances back the ``query`` fallback."""
-        return self._trees[source]
-
-    @property
-    def num_entries(self) -> int:
-        """Total number of stored ``(s, r, e)`` triples."""
-        return sum(
-            len(per_edge)
-            for per_source in self._tables.values()
-            for per_edge in per_source.values()
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"SourceLandmarkTables(sources={len(self._tables)}, "
-            f"landmarks={len(self.landmarks)}, entries={self.num_entries})"
-        )
 
 
 def compute_direct_tables(
     graph: Graph,
     source_trees: Mapping[int, ShortestPathTree],
     landmarks: Iterable[int],
-) -> SourceLandmarkTables:
+) -> Dict[int, PairEdgeTable]:
     """Compute the exact ``d(s, r, e)`` by one subtree repair per source.
 
     Deleting an edge of the source tree changes distances only inside the
@@ -122,27 +53,21 @@ def compute_direct_tables(
     (:func:`compute_direct_tables_reference`); only when
     ``ecc(s) >> |L|`` is it above the paper's bound.
 
-    Every landmark has a key: ``{}`` for the source itself and for a
-    landmark the source cannot reach.  Lengths are ``int``, or
-    ``math.inf`` when the edge separates the pair, exactly as the
-    reference returns them.
+    Lengths are ``int``, or ``math.inf`` when the edge separates the pair,
+    exactly as the reference returns them.
     """
-    landmark_set = sorted(set(int(r) for r in landmarks))
-    tables: Dict[int, PerSourceLandmarkTable] = {}
-    for source, tree in source_trees.items():
-        per_source: PerSourceLandmarkTable = {r: {} for r in landmark_set}
-        repaired = subtree_repair_distances(graph, tree, landmark_set, math.inf)
-        for (landmark, edge), length in repaired.items():
-            per_source[landmark][edge] = length
-        tables[source] = per_source
-    return SourceLandmarkTables(tables, source_trees, landmark_set)
+    landmark_set = {int(r) for r in landmarks}
+    return {
+        source: subtree_repair_distances(graph, tree, landmark_set, math.inf)
+        for source, tree in source_trees.items()
+    }
 
 
 def compute_direct_tables_reference(
     graph: Graph,
     source_trees: Mapping[int, ShortestPathTree],
     landmarks: Iterable[int],
-) -> SourceLandmarkTables:
+) -> Dict[int, PairEdgeTable]:
     """The paper's direct construction: one single-pair run per pair.
 
     Runs the classical single-pair algorithm
@@ -153,14 +78,14 @@ def compute_direct_tables_reference(
     to this one, value types included.
     """
     landmark_set = sorted(set(int(r) for r in landmarks))
-    tables: Dict[int, PerSourceLandmarkTable] = {}
+    tables: Dict[int, PairEdgeTable] = {}
     for source, tree in source_trees.items():
-        per_source: PerSourceLandmarkTable = {}
+        table: PairEdgeTable = {}
         for landmark in landmark_set:
             if landmark == source or not tree.is_reachable(landmark):
-                per_source[landmark] = {}
                 continue
             result = replacement_paths(graph, source, landmark, source_tree=tree)
-            per_source[landmark] = dict(result.lengths)
-        tables[source] = per_source
-    return SourceLandmarkTables(tables, source_trees, landmark_set)
+            for edge, length in result.lengths.items():
+                table[(landmark, edge)] = length
+        tables[source] = table
+    return tables

@@ -27,6 +27,11 @@
    runs only where the Section 7.1 value is not certified exact
    (:func:`solve_single_source`).
 
+Both table families are kept per source in one shape, the repair
+kernel's :data:`~repro.graph.repair.PairEdgeTable`: ``(r, e) -> d(s, r, e)``
+and ``(t, e) -> w[t, e]``, the paper's hash tables.  Every reader looks
+an entry up with one ``table.get(key, fallback)``.
+
 The solver records wall-clock statistics per phase (used by the benchmark
 harness) and can optionally self-verify against the brute-force oracle.
 """
@@ -40,15 +45,15 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.far_edges import FarEdgeSolver
-from repro.core.landmark_rp import SourceLandmarkTables, compute_direct_tables
+from repro.core.landmark_rp import compute_direct_tables
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.near_large import NearLargeSolver
-from repro.core.near_small import NearSmallTables
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.core.result import PerSourceTable, ReplacementPathResult
 from repro.exceptions import InternalInvariantError, InvalidParameterError
 from repro.graph.csr import bfs_many
 from repro.graph.graph import Graph
+from repro.graph.repair import PairEdgeTable
 from repro.graph.tree import ShortestPathTree
 from repro.parallel import (
     CheckpointJournal,
@@ -108,8 +113,10 @@ class MSRPSolver:
         self.landmarks: Optional[LandmarkHierarchy] = None
         self.source_trees: Dict[int, ShortestPathTree] = {}
         self.landmark_trees: Dict[int, ShortestPathTree] = {}
-        self.landmark_tables: Optional[SourceLandmarkTables] = None
-        self.near_small_tables: Dict[int, NearSmallTables] = {}
+        #: per source, ``(landmark, edge) -> d(s, r, e)`` (Section 5 or 8)
+        self.landmark_tables: Optional[Dict[int, PairEdgeTable]] = None
+        #: per source, ``(target, near edge) -> w[t, e]`` (Section 7.1)
+        self.near_small_tables: Dict[int, PairEdgeTable] = {}
         #: wall-clock seconds per phase, filled in as the solver runs
         self.phase_seconds: Dict[str, float] = {}
         #: the Executor spanning the current solve, while one is open
@@ -243,7 +250,9 @@ class MSRPSolver:
         self.landmark_tables = self._compute_landmark_tables(rng)
         self.phase_seconds["landmark_replacement_paths"] = time.perf_counter() - start
 
-    def _compute_landmark_tables(self, rng: random.Random) -> SourceLandmarkTables:
+    def _compute_landmark_tables(
+        self, rng: random.Random
+    ) -> Dict[int, PairEdgeTable]:
         if self.landmark_strategy == "direct":
             return compute_direct_tables(
                 self.graph, self.source_trees, self.landmarks.union
@@ -280,10 +289,17 @@ class MSRPSolver:
 
             start = time.perf_counter()
             far_solver = FarEdgeSolver(
-                self.scale, self.landmarks, self.landmark_trees, self.landmark_tables
+                self.scale,
+                self.landmarks,
+                self.landmark_trees,
+                self.landmark_tables,
+                self.source_trees,
             )
             large_solver = NearLargeSolver(
-                self.landmarks, self.landmark_trees, self.landmark_tables
+                self.landmarks,
+                self.landmark_trees,
+                self.landmark_tables,
+                self.source_trees,
             )
 
             from repro.parallel.tasks import solve_sources_task
@@ -355,7 +371,7 @@ class MSRPSolver:
 def solve_single_source(
     source: int,
     tree: ShortestPathTree,
-    small_tables: NearSmallTables,
+    small_tables: PairEdgeTable,
     scale: ProblemScale,
     far_solver: FarEdgeSolver,
     large_solver: NearLargeSolver,
@@ -372,12 +388,12 @@ def solve_single_source(
     classification is two array reads (the stack entry and the
     precomputed far-level-by-distance table).
 
-    A near entry takes the Section 7.1 value ``w[t, e]`` and, only when
-    ``w[t, e] >= dist(ch) + near_threshold`` for ``e = (p, ch)``, the
-    Algorithm 4 candidate below it.  A smaller ``w[t, e]`` is certified
-    exact (:mod:`repro.core.near_small`), and every Algorithm 4 candidate
-    is the length of a walk avoiding ``e``, so it could not replace the
-    value: skipping the scan changes no entry.  Stack index ``i`` holds
+    A near entry takes the Section 7.1 value ``w[t, e]`` (``small_tables``)
+    and, only when ``w[t, e] >= dist(ch) + near_threshold`` for
+    ``e = (p, ch)``, the Algorithm 4 candidate below it.  A smaller
+    ``w[t, e]`` is certified exact (:mod:`repro.core.near_small`), and
+    every Algorithm 4 candidate is the length of a walk avoiding ``e``, so
+    it could not replace the value: skipping the scan changes no entry.  Stack index ``i`` holds
     the edge whose child is at depth ``dist(ch) = i + 1``.
 
     A module-level function (not a solver method) so the process-sharded
@@ -397,7 +413,8 @@ def solve_single_source(
         for d in range(max_depth + 1)
     ]
 
-    small_value = small_tables.value_normalized
+    small_value = small_tables.get
+    inf = math.inf
     large_candidate = large_solver.candidate
     far_candidate = far_solver.candidate_edge
 
@@ -414,7 +431,7 @@ def solve_single_source(
             edge = edge_stack[i]
             level = far_level_of[length - i - 1]
             if level < 0:
-                value = small_value(target, edge)
+                value = small_value((target, edge), inf)
                 if value >= i + 1 + near_threshold:
                     # Not certified: Algorithm 4, bounded by the Section
                     # 7.1 value (math.inf unless smaller).

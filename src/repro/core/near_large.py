@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.core.landmark_rp import SourceLandmarkTables
 from repro.core.landmarks import LandmarkHierarchy
 from repro.graph.graph import Edge
+from repro.graph.repair import PairEdgeTable
 from repro.graph.tree import ShortestPathTree
 
 
@@ -51,18 +51,24 @@ class NearLargeSolver:
         BFS trees of the landmarks (for the ``d(r, t)`` value and the
         "does the canonical ``r``-``t`` path avoid ``e``" predicate).
     landmark_tables:
-        The ``d(s, r, e)`` tables from the preprocessing phase.
+        Per source, the ``(r, e) -> d(s, r, e)`` table from the
+        preprocessing phase.
+    source_trees:
+        BFS tree of every source; ``d(s, r)`` is the value of an edge off
+        the canonical ``s``-``r`` path, which has no table key.
     """
 
-    __slots__ = ("_tables", "_pairs")
+    __slots__ = ("_tables", "_source_trees", "_pairs")
 
     def __init__(
         self,
         landmarks: LandmarkHierarchy,
         landmark_trees: Mapping[int, ShortestPathTree],
-        landmark_tables: SourceLandmarkTables,
+        landmark_tables: Mapping[int, PairEdgeTable],
+        source_trees: Mapping[int, ShortestPathTree],
     ):
         self._tables = landmark_tables
+        self._source_trees = source_trees
         # The scan below runs once per (target, near edge) pair, so resolve
         # the landmark -> tree mapping once instead of per candidate.
         self._pairs = tuple(
@@ -85,8 +91,8 @@ class NearLargeSolver:
         inf = math.inf
         best = inf
         limit = bound
-        table = self._tables.table_for(source)
-        source_dist = self._tables.tree_for(source).dist
+        table = self._tables[source]
+        source_dist = self._source_trees[source].dist
         for landmark, tree in self._pairs:
             # d(s, r, e) + d(r, t) >= d(s, r) + d(r, t): skip landmarks
             # that cannot beat the value in hand.
@@ -95,14 +101,10 @@ class NearLargeSolver:
             distance_to_target = tree.distance_avoiding(edge, target)
             if distance_to_target is inf:
                 continue
-            # Inlined SourceLandmarkTables.query: edges off the canonical
-            # source-landmark path fall back to the plain distance.
-            per_edge = table.get(landmark)
-            if per_edge is not None and edge in per_edge:
-                d_sle = per_edge[edge]
-            else:
-                d_sle = source_dist[landmark]
-            candidate = d_sle + distance_to_target
+            candidate = (
+                table.get((landmark, edge), source_dist[landmark])
+                + distance_to_target
+            )
             if candidate < limit:
                 best = limit = candidate
         return best

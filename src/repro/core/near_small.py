@@ -50,24 +50,15 @@ small/large split, checked per entry against the zone actually used, and
 :func:`repro.core.msrp.solve_single_source` evaluates Algorithm 4 only
 on the entries the certificate does not cover.
 
-The reference's optional predecessor tracking reconstructs the
-corresponding walk in the original graph.  The solver never asks for
-it: only the Section 8.2.1 split
+The product tables are the kernel's ``PairEdgeTable`` itself, read with
+``table.get((t, e), math.inf)``.  The reference returns a
+:class:`NearSmallTables`, whose optional predecessor tracking
+reconstructs the corresponding walk in the original graph.  The solver
+never asks for it: only the Section 8.2.1 split
 (:func:`repro.multisource.tables.compute_small_paths_through_centers`),
 which seeds the paper-construction reference of the Section 8.2 tables,
 needs those explicit walks to decide whether a small replacement path
 passes through a given center.
-
-Walk reconstruction runs on flat integer *id-paths*: the Dijkstra
-predecessors are kept as the dense-id array the interned substrate already
-produced (``pred[i]`` is the id of the predecessor of auxiliary node ``i``,
-``-1`` when none), so climbing from a ``[t, e]`` node to the source is pure
-integer reads — no tuple node is materialised per hop.  Only at the end of
-the climb is each id on the path decoded once through the intern table
-(``id -> original tuple node``) to emit the corresponding vertices of ``G``:
-a ``[v]`` node expands to the canonical ``s``-``v`` tree path, a ``[t, e]``
-node contributes its target vertex.  :meth:`NearSmallTables.walk_reference`
-keeps the historical tuple-node reconstruction as the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -78,7 +69,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.params import ProblemScale
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Edge, Graph, normalize_edge
-from repro.graph.repair import subtree_repair_distances
+from repro.graph.repair import PairEdgeTable, subtree_repair_distances
 from repro.graph.tree import ShortestPathTree
 from repro.rp.dijkstra import (
     InternedAuxiliaryGraph,
@@ -125,58 +116,27 @@ def near_edges_from_target(
 
 
 class NearSmallTables:
-    """Output of the Section 7.1 construction for one source.
+    """Output of the paper's Section 7.1 construction for one source.
 
-    ``value(t, e)`` returns ``w[t, e]`` (``inf`` when the auxiliary graph has
-    no ``[s] -> [t, e]`` path).  When built by
+    ``values`` is the ``(t, e) -> w[t, e]`` table, the shape
+    :func:`compute_near_small_tables` returns.  When built by
     :func:`compute_near_small_tables_reference` with ``with_paths=True``
-    the corresponding walk in the original graph can be reconstructed,
-    which the Section 8.2.1 enumeration behind the reference Section 8.2
-    construction requires.
-
-    Path state (``with_paths=True`` only) is flat: ``predecessors`` is the
-    interned Dijkstra's mapping view (its raw dense-id ``pred`` array and
-    intern table back the id-path climb), ``ve_ids`` maps ``(t, e)`` to the
-    dense id of the ``[t, e]`` node, and ``src_id`` is the id of ``[s]``.
+    the walk behind each value can be reconstructed, which the Section
+    8.2.1 enumeration behind the reference Section 8.2 construction
+    requires.
     """
 
-    __slots__ = (
-        "source",
-        "_values",
-        "_predecessors",
-        "_tree",
-        "_ve_ids",
-        "_src_id",
-    )
+    __slots__ = ("values", "_predecessors", "_tree")
 
     def __init__(
         self,
-        source: int,
-        values: Dict[Tuple[int, Edge], float],
+        values: PairEdgeTable,
         predecessors: Optional[InternedPredecessors] = None,
         tree: Optional[ShortestPathTree] = None,
-        ve_ids: Optional[Dict[Tuple[int, Edge], int]] = None,
-        src_id: int = 0,
     ):
-        self.source = source
-        self._values = values
+        self.values = values
         self._predecessors = predecessors
         self._tree = tree
-        self._ve_ids = ve_ids
-        self._src_id = src_id
-
-    def value(self, target: int, edge: Sequence[int]) -> float:
-        """Return ``w[t, e]`` (``math.inf`` when not reachable in ``G_s``)."""
-        e = normalize_edge(int(edge[0]), int(edge[1]))
-        return self._values.get((target, e), math.inf)
-
-    def value_normalized(self, target: int, edge: Edge) -> float:
-        """:meth:`value` for callers that already hold a normalised edge.
-
-        The assembly sweep calls this once per (target, near edge) pair, so
-        it skips the re-normalisation and goes straight to the table.
-        """
-        return self._values.get((target, edge), math.inf)
 
     def known_pairs(self) -> List[Tuple[int, Edge]]:
         """All ``(target, edge)`` pairs with a finite value.
@@ -186,61 +146,16 @@ class NearSmallTables:
         ``math.inf + 1`` or ``float("inf")``) is a *different* float object,
         and an identity test would silently treat it as finite.
         """
-        return [key for key, val in self._values.items() if not math.isinf(val)]
+        return [key for key, val in self.values.items() if not math.isinf(val)]
 
     def walk(self, target: int, edge: Sequence[int]) -> List[int]:
         """Reconstruct the walk in ``G`` realising ``w[t, e]``.
 
-        Only available when the tables were built by
-        :func:`compute_near_small_tables_reference` with ``with_paths=True``.
-        Returns an empty list when ``[t, e]`` is unreachable in ``G_s``.
-
-        The reconstruction is the flat id-path climb described in the
-        module docstring: predecessor ids are followed root-wards as plain
-        integers, and each id on the path is decoded through the intern
-        table exactly once, in walk order — no tuple node per hop.
-        """
-        predecessors = self._predecessors
-        if predecessors is None or self._tree is None:
-            raise InvalidParameterError(
-                "NearSmallTables was built without path reconstruction support"
-            )
-        e = normalize_edge(int(edge[0]), int(edge[1]))
-        node_id = self._ve_ids.get((target, e)) if self._ve_ids else None
-        if node_id is None:
-            return []
-        pred = predecessors.pred_ids()
-        src_id = self._src_id
-        # Climb the dense-id predecessor array: integers only.
-        id_path: List[int] = []
-        i = node_id
-        while i != src_id:
-            p = pred[i]
-            if p < 0:
-                return []  # [t, e] unreached by the auxiliary Dijkstra
-            id_path.append(i)
-            i = p
-        # Decode the ids through the intern table, source-to-target.
-        nodes = predecessors.nodes()
-        walk: List[int] = []
-        extend = walk.extend
-        path_to = self._tree.path_to
-        for i in reversed(id_path):
-            node = nodes[i]
-            if node[0] == "v":
-                # The [s] -> [v] hop stands for the canonical s-v tree path.
-                extend(path_to(node[1]))
-            else:  # "ve" node contributes its target vertex
-                walk.append(node[1])
-        return walk
-
-    def walk_reference(self, target: int, edge: Sequence[int]) -> List[int]:
-        """Tuple-node reference reconstruction of :meth:`walk`.
-
-        The historical implementation: rebuild the auxiliary path as tuple
-        nodes via :func:`reconstruct_path` (one tuple translation per hop)
-        and expand it.  Kept as the equivalence oracle the property battery
-        pins the id-path :meth:`walk` against.
+        Only available when the tables were built with ``with_paths=True``.
+        Returns an empty list when ``[t, e]`` is unreachable in ``G_s`` or
+        is not a node of it.  The ``[s] -> [v]`` hop of the auxiliary path
+        expands to the canonical ``s``-``v`` tree path and every ``[t, e]``
+        node contributes its target vertex.
         """
         if self._predecessors is None or self._tree is None:
             raise InvalidParameterError(
@@ -248,17 +163,11 @@ class NearSmallTables:
             )
         e = normalize_edge(int(edge[0]), int(edge[1]))
         aux_path = reconstruct_path(self._predecessors, _SRC, _ve_node(target, e))
-        if not aux_path:
-            return []
         walk: List[int] = []
-        for node in aux_path:
-            if node == _SRC:
-                continue
-            kind = node[0]
-            if kind == "v":
-                # The [s] -> [v] hop stands for the canonical s-v tree path.
+        for node in aux_path[1:]:
+            if node[0] == "v":
                 walk.extend(self._tree.path_to(node[1]))
-            else:  # "ve" node contributes its target vertex
+            else:
                 walk.append(node[1])
         return walk
 
@@ -268,15 +177,14 @@ def compute_near_small_tables(
     source: int,
     tree: ShortestPathTree,
     scale: ProblemScale,
-) -> NearSmallTables:
+) -> PairEdgeTable:
     """The Section 7.1 values ``w[t, e]`` by windowed subtree repair.
 
     One :func:`subtree_repair_distances` call over every target with the
     near threshold as its window (module docstring).  The key set is
     every ``(t, e)`` with ``e`` near ``t``, as in
     :func:`compute_near_small_tables_reference`, and every value is a
-    ``float``, ``math.inf`` itself when ``[t, e]`` is unreachable.  No
-    walk can be reconstructed from these tables.
+    ``float``, ``math.inf`` itself when ``[t, e]`` is unreachable.
     """
     if tree.root != source:
         raise InvalidParameterError("tree must be rooted at the source")
@@ -285,8 +193,7 @@ def compute_near_small_tables(
     )
     # float() returns math.inf itself, so unreachable entries keep the
     # singleton the reference gives them.
-    values = {key: float(length) for key, length in repaired.items()}
-    return NearSmallTables(source, values)
+    return {key: float(length) for key, length in repaired.items()}
 
 
 def compute_near_small_tables_reference(
@@ -297,6 +204,9 @@ def compute_near_small_tables_reference(
     with_paths: bool = False,
 ) -> NearSmallTables:
     """Build ``G_s`` and run Dijkstra on it (the paper's Section 7.1).
+
+    Returns a :class:`NearSmallTables` whose ``values`` equal the table of
+    :func:`compute_near_small_tables`.
 
     Parameters
     ----------
@@ -362,16 +272,10 @@ def compute_near_small_tables_reference(
 
     distances, predecessors = aux.dijkstra(_SRC, with_predecessors=with_paths)
 
-    values: Dict[Tuple[int, Edge], float] = {}
     by_id = distances.by_id
-    for key, node_id in ve_ids.items():
-        values[key] = by_id(node_id, math.inf)
-
+    values = {key: by_id(node_id, math.inf) for key, node_id in ve_ids.items()}
     return NearSmallTables(
-        source,
         values,
         predecessors=predecessors if with_paths else None,
         tree=tree if with_paths else None,
-        ve_ids=ve_ids if with_paths else None,
-        src_id=src_id,
     )

@@ -39,6 +39,11 @@ from repro.graph.csr import GraphLike, ensure_csr
 from repro.graph.graph import Edge
 from repro.graph.tree import ShortestPathTree
 
+#: ``(endpoint, failed edge) -> replacement length``: what the kernel
+#: returns, and the shape of every replacement table the solver keeps
+#: (the paper's hash tables ``d(s, r, e)`` and ``w[t, e]``).
+PairEdgeTable = Dict[Tuple[int, Edge], float]
+
 
 def _repair_subtree(
     rows: Sequence[Tuple[int, ...]],
@@ -114,7 +119,7 @@ def subtree_repair_distances(
     targets: Iterable[int],
     max_depth: float,
     window: float = math.inf,
-) -> Dict[Tuple[int, Edge], float]:
+) -> PairEdgeTable:
     """``d(root, t, e)`` for every target ``t`` and near-root path edge ``e``.
 
     The keys are ``(t, e)`` for every target ``t != root`` reachable in
@@ -142,7 +147,7 @@ def subtree_repair_distances(
     target_pos = sorted({pos[t] for t in targets if pos[t] > 0})
 
     inf = math.inf
-    result: Dict[Tuple[int, Edge], float] = {}
+    result: PairEdgeTable = {}
     for lo in range(1, len(preorder)):
         child = preorder[lo]
         if dist[child] > max_depth:

@@ -32,11 +32,10 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.near_small import NearSmallTables
 from repro.graph.graph import Edge, normalize_edge
+from repro.graph.repair import PairEdgeTable
 from repro.graph.tree import ShortestPathTree
 from repro.multisource.intervals import PathInterval
-from repro.multisource.tables import PairEdgeTable
 from repro.rp.dijkstra import (
     AuxiliaryGraphBuilder,
     InternedAuxiliaryGraph,
@@ -218,7 +217,7 @@ def compute_interval_avoiding_tables(
     bottlenecks: Mapping[int, Mapping[int, Tuple[Edge, int]]],
     landmark_trees: Mapping[int, ShortestPathTree],
     evaluator: MTCEvaluator,
-    near_small: NearSmallTables,
+    near_small: PairEdgeTable,
 ) -> Dict[Tuple[int, int], float]:
     """Section 8.3.2: replacement paths avoiding each interval's bottleneck.
 
@@ -231,8 +230,8 @@ def compute_interval_avoiding_tables(
         The MTC evaluator for this source (provides the ``MTC`` edge
         weights of the auxiliary graph).
     near_small:
-        Section 7.1 tables for this source (small replacement paths seed
-        direct ``[s] -> [s, r, i]`` edges).
+        Section 7.1 table ``(t, e) -> w[t, e]`` of this source (small
+        replacement paths seed direct ``[s] -> [s, r, i]`` edges).
 
     Returns
     -------
@@ -301,7 +300,7 @@ def compute_interval_avoiding_tables(
                 best.append(inf)
 
             # Small replacement path avoiding the bottleneck edge.
-            seed = near_small.value(landmark, bottleneck_edge)
+            seed = near_small.get((landmark, bottleneck_edge), inf)
 
             # MTC term for the bottleneck edge itself.
             mtc_value = evaluator.mtc(landmark, path_length, interval, bottleneck_edge)
@@ -411,7 +410,7 @@ def compute_interval_avoiding_tables_reference(
     bottlenecks: Mapping[int, Mapping[int, Tuple[Edge, int]]],
     landmark_trees: Mapping[int, ShortestPathTree],
     evaluator: MTCEvaluator,
-    near_small: NearSmallTables,
+    near_small: PairEdgeTable,
 ) -> Dict[Tuple[int, int], float]:
     """Pre-dense reference for :func:`compute_interval_avoiding_tables`.
 
@@ -452,7 +451,7 @@ def compute_interval_avoiding_tables_reference(
             node = ("ri", landmark, interval.ordinal)
             builder.add_node(node)
 
-            small_value = near_small.value(landmark, bottleneck_edge)
+            small_value = near_small.get((landmark, bottleneck_edge), math.inf)
             if small_value != math.inf:
                 builder.add_edge(src_node, node, small_value)
 

@@ -1,8 +1,10 @@
 """Orchestration of the Section 8 machinery.
 
-:func:`compute_auxiliary_tables` produces the same
-:class:`~repro.core.landmark_rp.SourceLandmarkTables` interface as the
-direct strategy, but through the paper's Bernstein–Karger adaptation:
+:func:`compute_auxiliary_tables` returns what the direct strategy
+returns — per source, the ``(landmark, edge) -> d(s, r, e)`` table keyed
+by every edge of every canonical ``s``-``r`` path
+(:mod:`repro.core.landmark_rp`) — but through the paper's
+Bernstein–Karger adaptation:
 
 1. sample centers with priorities and run BFS from every center,
 2. Section 8.2 — exact per-center tables ``d(center, landmark, e)`` by
@@ -74,12 +76,11 @@ import random
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.landmark_rp import PerSourceLandmarkTable, SourceLandmarkTables
 from repro.core.landmarks import LandmarkHierarchy
-from repro.core.near_small import NearSmallTables
 from repro.core.params import ProblemScale
 from repro.graph.csr import bfs_many
 from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.repair import PairEdgeTable
 from repro.graph.tree import ShortestPathTree
 from repro.multisource.bottleneck import (
     MTCEvaluator,
@@ -89,10 +90,7 @@ from repro.multisource.bottleneck import (
 )
 from repro.multisource.centers import CenterHierarchy
 from repro.multisource.intervals import PathInterval, decompose_path
-from repro.multisource.tables import (
-    PairEdgeTable,
-    compute_source_to_center_tables,
-)
+from repro.multisource.tables import compute_source_to_center_tables
 # Not called here: perfbench/tracing.py installs its "multisource.walks"
 # span through vars(pipeline)["compute_small_paths_through_centers"].
 from repro.multisource.tables import compute_small_paths_through_centers  # noqa: F401
@@ -106,16 +104,18 @@ def compute_auxiliary_tables(
     source_trees: Mapping[int, ShortestPathTree],
     landmarks: LandmarkHierarchy,
     landmark_trees: Mapping[int, ShortestPathTree],
-    near_small: Mapping[int, NearSmallTables],
+    near_small: Mapping[int, PairEdgeTable],
     rng: Optional[random.Random] = None,
     centers: Optional[CenterHierarchy] = None,
     phase_seconds: Optional[Dict[str, float]] = None,
     pool: Optional[Executor] = None,
-) -> SourceLandmarkTables:
+) -> Dict[int, PairEdgeTable]:
     """Compute ``d(s, r, e)`` for all sources and landmarks via Section 8.
 
     ``near_small`` holds the Section 7.1 tables of every source (the
-    solver's own, built once per source).
+    solver's own, built once per source).  Returns ``source ->
+    (landmark, edge) -> d(s, r, e)``, with the key set of
+    :func:`repro.core.landmark_rp.compute_direct_tables`.
 
     Each source's canonical landmark paths and their interval
     decompositions are computed once, here, and handed to the per-source
@@ -207,7 +207,6 @@ def compute_auxiliary_tables(
         {
             "graph": graph,
             "scale": scale,
-            "landmarks": landmarks,
             "landmark_trees": landmark_trees,
             "centers": centers,
             "center_trees": center_trees,
@@ -219,13 +218,13 @@ def compute_auxiliary_tables(
         },
         pool=pool,
     )
-    tables: Dict[int, PerSourceLandmarkTable] = {}
+    tables: Dict[int, PairEdgeTable] = {}
     for source in sources:
         table, source_timings = assembled[source]
         tables[source] = table
         for key, seconds in source_timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
-    return SourceLandmarkTables(tables, source_trees, landmarks.union)
+    return tables
 
 
 def _decompose_landmark_paths(
@@ -255,20 +254,21 @@ def _assemble_for_source(
     scale: ProblemScale,
     source: int,
     source_tree: ShortestPathTree,
-    landmarks: LandmarkHierarchy,
     landmark_trees: Mapping[int, ShortestPathTree],
     centers: CenterHierarchy,
     center_trees: Mapping[int, ShortestPathTree],
     center_to_landmark: Mapping[int, PairEdgeTable],
-    near_small: NearSmallTables,
+    near_small: PairEdgeTable,
     landmark_paths: Mapping[int, List[int]],
     landmark_intervals: Mapping[int, List[PathInterval]],
     timings: Optional[Dict[str, float]] = None,
-) -> PerSourceLandmarkTable:
-    """Run Sections 8.1 and 8.3 for one source and assemble its tables.
+) -> PairEdgeTable:
+    """Run Sections 8.1 and 8.3 for one source and assemble its table.
 
     ``landmark_paths`` and ``landmark_intervals`` are the source's
-    :func:`_decompose_landmark_paths`.
+    :func:`_decompose_landmark_paths`, and ``near_small`` is its Section
+    7.1 table.  Returns ``(landmark, edge) -> d(s, r, e)`` for every edge
+    of every path in ``landmark_paths``.
     """
     timings = timings if timings is not None else {}
     start = time.perf_counter()
@@ -315,18 +315,12 @@ def _assemble_for_source(
         (center, center_trees[center]) for center in sorted(centers.level(0))
     ]
 
-    per_source: PerSourceLandmarkTable = {}
-    for landmark in sorted(landmarks.union):
-        if landmark == source:
-            per_source[landmark] = {}
-            continue
-        if landmark not in landmark_paths:
-            per_source[landmark] = {}
-            continue
-        path = landmark_paths[landmark]
+    small_value = near_small.get
+    inf = math.inf
+    table: PairEdgeTable = {}
+    for landmark, path in landmark_paths.items():
         intervals = landmark_intervals[landmark]
         path_length = len(path) - 1
-        per_edge: Dict[Edge, float] = {}
         interval_iter = iter(intervals)
         current = next(interval_iter)
         for edge_index in range(path_length):
@@ -334,9 +328,9 @@ def _assemble_for_source(
                 current = next(interval_iter)
             edge = normalize_edge(path[edge_index], path[edge_index + 1])
             value = min(
-                near_small.value(landmark, edge),
+                small_value((landmark, edge), inf),
                 evaluator.mtc(landmark, path_length, current, edge),
-                interval_avoiding.get((landmark, current.ordinal), math.inf),
+                interval_avoiding.get((landmark, current.ordinal), inf),
             )
             distance_to_landmark = path_length - (edge_index + 1)
             if distance_to_landmark < scale.near_threshold:
@@ -346,12 +340,11 @@ def _assemble_for_source(
                         evaluator, source_dist, level0_centers, landmark, edge, value
                     ),
                 )
-            per_edge[edge] = value
-        per_source[landmark] = per_edge
+            table[(landmark, edge)] = value
     timings["aux_assembly"] = (
         timings.get("aux_assembly", 0.0) + time.perf_counter() - start
     )
-    return per_source
+    return table
 
 
 def _near_landmark_candidate(

@@ -42,13 +42,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.near_small import NearSmallTables
 from repro.core.params import ProblemScale
 from repro.graph.graph import Edge, Graph, normalize_edge
-from repro.graph.repair import subtree_repair_distances
+from repro.graph.repair import PairEdgeTable, subtree_repair_distances
 from repro.graph.tree import ShortestPathTree
 from repro.multisource.centers import CenterHierarchy
 from repro.rp.dijkstra import AuxiliaryGraphBuilder, dijkstra
-
-#: (endpoint, failed edge) -> replacement length
-PairEdgeTable = Dict[Tuple[int, Edge], float]
 
 
 def _edges_towards_root(
@@ -127,14 +124,15 @@ def compute_source_to_center_tables_reference(
     centers: CenterHierarchy,
     center_trees: Mapping[int, ShortestPathTree],
     scale: ProblemScale,
-    near_small: NearSmallTables,
+    near_small: PairEdgeTable,
 ) -> PairEdgeTable:
     """The paper's Section 8.1 construction of the source->center tables.
 
     Materialises the auxiliary graph of Section 8.1 — ``[c]`` and
-    ``[c, e]`` nodes, seeded by the Section 7.1 small replacement paths
-    ``near_small`` — on the dict-based :class:`AuxiliaryGraphBuilder` with
-    one :meth:`tree_path_uses_edge` tree-predicate call per query.  Every
+    ``[c, e]`` nodes, seeded by the small replacement paths of the
+    source's Section 7.1 table ``near_small`` — on the dict-based
+    :class:`AuxiliaryGraphBuilder` with one :meth:`tree_path_uses_edge`
+    tree-predicate call per query.  Every
     auxiliary path is a real walk avoiding the edge, so each value is at
     least the exact :func:`compute_source_to_center_tables` value, over the
     same keys; the differential fuzz battery pins that one-sided relation.
@@ -158,7 +156,7 @@ def compute_source_to_center_tables_reference(
             src_node, ("c", center), float(source_tree.dist[center])
         )
         for e in node_edges[center]:
-            small_value = near_small.value(center, e)
+            small_value = near_small.get((center, e), math.inf)
             if small_value != math.inf:
                 builder.add_edge(src_node, ("ce", center, e), small_value)
 

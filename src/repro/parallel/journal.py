@@ -58,7 +58,10 @@ from repro.store.atomic import atomic_write_file
 JOURNAL_MAGIC = "repro-msrp-journal"
 
 #: Journal layout version; bumps on incompatible change, no migration.
-JOURNAL_FORMAT_VERSION = 1
+#: Version 2: the Section 7.1 and Section 8 records hold flat
+#: ``(endpoint, edge)`` tables; a version 1 record replayed into the flat
+#: readers would miss every key and silently underestimate.
+JOURNAL_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "JOURNAL.json"
 RECORDS_DIR_NAME = "records"

@@ -137,13 +137,14 @@ def assemble_task(
 ) -> Dict[int, Tuple[Any, Dict[str, float]]]:
     """Sections 8.1 + 8.3 + per-edge assembly for one source each.
 
-    Context: ``{"graph", "scale", "landmarks", "landmark_trees", "centers",
+    Context: ``{"graph", "scale", "landmark_trees", "centers",
     "center_trees", "center_to_landmark", "near_small", "source_trees",
     "landmark_paths", "landmark_intervals"}``; the last two hold each
     source's canonical landmark paths and their intervals.  Returns
-    ``{source: (PerSourceLandmarkTable, timings)}`` where ``timings`` is
-    the worker-local ``aux_tables``/``aux_assembly`` split for that source
-    (the parent sums them into its phase accounting).
+    ``{source: (table, timings)}``: ``table`` is ``(landmark, edge) ->
+    d(s, r, e)`` and ``timings`` the worker-local
+    ``aux_tables``/``aux_assembly`` split for that source (the parent sums
+    them into its phase accounting).
     """
     from repro.multisource.pipeline import _assemble_for_source
 
@@ -156,7 +157,6 @@ def assemble_task(
             scale=ctx["scale"],
             source=source,
             source_tree=ctx["source_trees"][source],
-            landmarks=ctx["landmarks"],
             landmark_trees=ctx["landmark_trees"],
             centers=ctx["centers"],
             center_trees=ctx["center_trees"],

@@ -267,21 +267,6 @@ class InternedPredecessors:
             return default
         return self._nodes[self._pred[i]]
 
-    def pred_ids(self) -> List[int]:
-        """The raw predecessor array (``pred_ids()[i]`` is the dense id of
-        the predecessor of node ``i``, ``-1`` when none was recorded).
-
-        This is the flat substrate behind the mapping view: id-path walkers
-        (:meth:`repro.core.near_small.NearSmallTables.walk`) climb it
-        directly and translate ids through :meth:`nodes` only once, at
-        reconstruction time.
-        """
-        return self._pred
-
-    def nodes(self) -> List[Node]:
-        """The dense-id ``->`` original node intern table (no copy)."""
-        return self._nodes
-
     def to_dict(self) -> Dict[Node, Node]:
         """Materialise the reference-shaped predecessor dict (tests)."""
         return {

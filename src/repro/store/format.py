@@ -411,6 +411,59 @@ def write_store(
     return StoreHeader.from_manifest(manifest)
 
 
+#: JSON type of every descriptor field the reader uses.
+_DESCRIPTOR_FIELDS = (
+    ("name", str),
+    ("typecode", str),
+    ("count", int),
+    ("offset", int),
+    ("nbytes", int),
+)
+
+
+def _require_type(where: str, value: object, kind: type) -> None:
+    """Raise unless ``value`` has JSON type ``kind`` (``bool`` is no ``int``)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InvalidParameterError(
+            f"{where} must be a JSON {kind.__name__}, got {value!r}"
+        )
+
+
+def _check_manifest_types(path: str, manifest: Mapping[str, object]) -> None:
+    """Check the JSON types of the manifest fields the loaders read.
+
+    The manifest is outside the payload checksum, so a field of the wrong
+    type is refused here, by name, before any range check compares it.
+    """
+    graph_info = manifest.get("graph")
+    _require_type(f"{path!r}: field 'graph'", graph_info, dict)
+    for field_name, kind in (
+        ("num_vertices", int),
+        ("num_edges", int),
+        ("fingerprint", str),
+    ):
+        _require_type(
+            f"{path!r}: field 'graph.{field_name}'", graph_info.get(field_name), kind
+        )
+    _require_type(f"{path!r}: field 'meta'", manifest.get("meta", {}), dict)
+    sources = manifest.get("sources")
+    _require_type(f"{path!r}: field 'sources'", sources, list)
+    for source in sources:
+        _require_type(f"{path!r}: every entry of 'sources'", source, int)
+    segments = manifest.get("segments")
+    _require_type(f"{path!r}: field 'segments'", segments, list)
+    for index, descriptor in enumerate(segments):
+        _require_type(f"{path!r}: segment #{index}", descriptor, dict)
+        name = descriptor.get("name")
+        label = f"segment {name!r}" if isinstance(name, str) else f"segment #{index}"
+        for field_name, kind in _DESCRIPTOR_FIELDS:
+            _require_type(
+                f"{path!r}: {label} field {field_name!r}",
+                descriptor.get(field_name),
+                kind,
+            )
+
+
 def _read_manifest(directory: str) -> Dict[str, object]:
     path = os.path.join(directory, MANIFEST_NAME)
     try:
@@ -441,6 +494,7 @@ def _read_manifest(directory: str) -> Dict[str, object]:
             f"{version!r}, this build reads version {FORMAT_VERSION}; "
             "re-run `repro-msrp preprocess` to rebuild the store"
         )
+    _check_manifest_types(path, manifest)
     return manifest
 
 
@@ -454,9 +508,11 @@ def load_store(
 ) -> Tuple[ReplacementPathResult, StoreHeader]:
     """Load a store back into a queryable result.
 
-    Validates, in order: manifest magic and format version, the SHA-256 of
-    the segment payload, and the graph fingerprint (recomputed from the
-    decoded edge segments against the header's claim).  Any mismatch
+    Validates, in order: manifest magic and format version, the JSON types
+    of the manifest fields, the SHA-256 of the segment payload, each
+    segment descriptor against the payload, and the graph fingerprint
+    (recomputed from the decoded edge segments against the header's
+    claim).  Any mismatch
     raises :class:`~repro.exceptions.InvalidParameterError` naming the
     expected and actual values.  All infinities are re-canonicalised onto
     the ``math.inf`` singleton on the way in.

@@ -17,6 +17,7 @@ and ``fired_count`` proves the interruption actually happened.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -37,7 +38,11 @@ from repro.faults import (
 )
 from repro.graph import generators
 from repro.parallel import CheckpointJournal, SerialExecutor, run_sharded
-from repro.parallel.journal import MANIFEST_NAME, RECORDS_DIR_NAME
+from repro.parallel.journal import (
+    JOURNAL_FORMAT_VERSION,
+    MANIFEST_NAME,
+    RECORDS_DIR_NAME,
+)
 from repro.parallel.tasks import chaos_probe_task
 
 #: Hard wall-clock bound per test (same rationale as the chaos battery).
@@ -138,6 +143,20 @@ def test_journal_rejects_foreign_directory(tmp_path):
     (tmp_path / MANIFEST_NAME).write_text('{"magic": "something-else"}\n')
     with pytest.raises(InvalidParameterError, match="not a checkpoint journal"):
         CheckpointJournal.open(str(tmp_path))
+
+
+def test_journal_refuses_format_version_1(tmp_path):
+    # Version 1 records hold per-landmark nested tables; replayed into the
+    # flat (endpoint, edge) readers every lookup would miss and fall back
+    # to d(s, r), an underestimate.  Such a journal must not open.
+    assert JOURNAL_FORMAT_VERSION == 2
+    CheckpointJournal.open(str(tmp_path), identity={"graph": "aaaa"})
+    manifest_path = tmp_path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(InvalidParameterError, match="format_version 1"):
+        CheckpointJournal.open(str(tmp_path), identity={"graph": "aaaa"})
 
 
 def test_corrupt_record_is_loud(tmp_path):

@@ -217,7 +217,7 @@ def _check_tables_match_references(seed: int) -> None:
             centers,
             center_trees,
             scale,
-            near_small[source],
+            near_small[source].values,
         )
 
         # Section 8.3.2: dense folded builder == dict-builder reference,
@@ -250,7 +250,7 @@ def _check_tables_match_references(seed: int) -> None:
             bottlenecks=bottlenecks,
             landmark_trees=landmark_trees,
             evaluator=evaluator,
-            near_small=near_small[source],
+            near_small=near_small[source].values,
         )
         dense = compute_interval_avoiding_tables(**kwargs)
         reference = compute_interval_avoiding_tables_reference(**kwargs)

@@ -34,7 +34,7 @@ import repro.multisource.pipeline as pipeline
 from perfbench.workloads import WORKLOADS, build_instance
 from repro.core.classification import classify_path_edges
 from repro.core.far_edges import FarEdgeSolver
-from repro.core.landmark_rp import SourceLandmarkTables, compute_direct_tables
+from repro.core.landmark_rp import compute_direct_tables
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import MSRPSolver, solve_single_source
 from repro.core.near_large import NearLargeSolver
@@ -121,7 +121,7 @@ class TestFarEdgeSolver:
         scale, landmarks, source_trees, landmark_trees, tables = _solver_setup(
             g, source, seed=2, params=params
         )
-        solver = FarEdgeSolver(scale, landmarks, landmark_trees, tables)
+        solver = FarEdgeSolver(scale, landmarks, landmark_trees, tables, source_trees)
         tree = source_trees[source]
         reference = brute_force_single_source(g, source)
         checked = 0
@@ -149,10 +149,7 @@ class TestFarEdgeSolver:
         # sampling rate, so Lemma 9 no longer holds w.h.p.: Algorithm 3
         # may overestimate here, but never underestimate.
         solver = _preprocessed(name, strategy)[0]
-        far = FarEdgeSolver(
-            solver.scale, solver.landmarks, solver.landmark_trees,
-            solver.landmark_tables,
-        )
+        far = _solvers(solver)[0]
         truth = _truth(name)
         checked = 0
         for source, target, edge, level in _path_entries(solver):
@@ -176,22 +173,22 @@ class TestFarEdgeSolver:
 
         def float_table(landmark):
             return {
-                e: float(bfs_distances_csr(g, source, forbidden_edge=e)[landmark])
+                (landmark, e): float(
+                    bfs_distances_csr(g, source, forbidden_edge=e)[landmark]
+                )
                 for e in trees[source].path_edges_to(landmark)
             }
 
-        tables = SourceLandmarkTables(
-            {source: {0: float_table(0), 8: float_table(8), source: {}}},
-            {source: trees[source]},
-            trees,
-        )
+        tables = {source: {**float_table(0), **float_table(8)}}
         scale = ProblemScale(12, 1, AlgorithmParams(seed=0))
         hierarchies = [
             LandmarkHierarchy([[source], order], [source]) for order in ([8, 0], [0, 8])
         ]
         assert [list(h.level(1)) for h in hierarchies] == [[8, 0], [0, 8]]
         values = [
-            FarEdgeSolver(scale, h, trees, tables).candidate_edge(source, target, edge, 1)
+            FarEdgeSolver(scale, h, trees, tables, trees).candidate_edge(
+                source, target, edge, 1
+            )
             for h in hierarchies
         ]
         assert values[0] == values[1] == 9
@@ -225,16 +222,14 @@ class TestNearLargeSolver:
         entries.
         """
         solver = _preprocessed(name, strategy)[0]
-        large = NearLargeSolver(
-            solver.landmarks, solver.landmark_trees, solver.landmark_tables
-        )
+        large = _solvers(solver)[1]
         truth = _truth(name)
         checked = 0
         for source, target, edge, level in _path_entries(solver):
             if level >= 0:
                 continue
             exact = truth[source][target][edge]
-            small = solver.near_small_tables[source].value(target, edge)
+            small = solver.near_small_tables[source][(target, edge)]
             assert small >= exact, ("7.1", source, target, edge)
             candidate = large.candidate(source, target, edge)
             assert candidate >= exact, ("Algorithm 4", source, target, edge)
@@ -247,7 +242,7 @@ class TestNearLargeSolver:
         g = generators.cycle_graph(12)
         source = 0
         scale, landmarks, source_trees, landmark_trees, tables = _solver_setup(g, source, seed=5)
-        solver = NearLargeSolver(landmarks, landmark_trees, tables)
+        solver = NearLargeSolver(landmarks, landmark_trees, tables, source_trees)
         reference = brute_force_single_source(g, source)
         tree = source_trees[source]
         for target in range(1, 12):
@@ -273,7 +268,9 @@ class TestLemma9HitRate:
             scale, landmarks, source_trees, landmark_trees, tables = _solver_setup(
                 g, source, seed=seed, params=params
             )
-            solver = FarEdgeSolver(scale, landmarks, landmark_trees, tables)
+            solver = FarEdgeSolver(
+                scale, landmarks, landmark_trees, tables, source_trees
+            )
             reference = brute_force_single_source(g, source)
             tree = source_trees[source]
             for target in tree.reachable_vertices():
@@ -294,6 +291,14 @@ class TestLemma9HitRate:
 # ---------------------------------------------------------------------------
 
 
+def landmark_table_value(solver, source, landmark, edge):
+    """``d(s, r, e)``: the table entry, or ``d(s, r)`` for an off-path edge."""
+    tree = solver.source_trees[source]
+    if tree.is_reachable(landmark) and edge in tree.path_edges_to(landmark):
+        return solver.landmark_tables[source][(landmark, edge)]
+    return tree.distance(landmark)
+
+
 def plain_near_large(solver, source, target, edge):
     """Algorithm 4 without the bound: every level-0 landmark, in id order."""
     best = math.inf
@@ -303,7 +308,8 @@ def plain_near_large(solver, source, target, edge):
         if distance_to_target is math.inf:
             continue
         candidate = (
-            solver.landmark_tables.query(source, landmark, edge) + distance_to_target
+            landmark_table_value(solver, source, landmark, edge)
+            + distance_to_target
         )
         if candidate < best:
             best = candidate
@@ -319,7 +325,8 @@ def plain_far(solver, source, target, edge, level):
         if distance_to_target > radius:
             continue
         candidate = (
-            solver.landmark_tables.query(source, landmark, edge) + distance_to_target
+            landmark_table_value(solver, source, landmark, edge)
+            + distance_to_target
         )
         if candidate < best:
             best = candidate
@@ -461,14 +468,12 @@ class TestBoundedScans:
     )
     def test_near_large_candidate(self, name, strategy):
         solver = _preprocessed(name, strategy)[0]
-        large = NearLargeSolver(
-            solver.landmarks, solver.landmark_trees, solver.landmark_tables
-        )
+        large = _solvers(solver)[1]
         checked = 0
         for source, target, edge, level in _path_entries(solver):
             if level >= 0:
                 continue
-            small = solver.near_small_tables[source].value(target, edge)
+            small = solver.near_small_tables[source][(target, edge)]
             _check_bounded(
                 lambda b: large.candidate(source, target, edge, b),
                 plain_near_large(solver, source, target, edge),
@@ -484,10 +489,7 @@ class TestBoundedScans:
     )
     def test_far_candidate_edge(self, name, strategy):
         solver = _preprocessed(name, strategy)[0]
-        far = FarEdgeSolver(
-            solver.scale, solver.landmarks, solver.landmark_trees,
-            solver.landmark_tables,
-        )
+        far = _solvers(solver)[0]
         checked = 0
         for source, target, edge, level in _path_entries(solver):
             if level < 0:
@@ -538,18 +540,16 @@ class TestBoundPrecondition:
     )
     def test_landmark_table_values(self, name, strategy):
         solver = _preprocessed(name, strategy)[0]
-        tables = solver.landmark_tables
         checked = 0
         for source in solver.sources:
-            tree = tables.tree_for(source)
+            tree = solver.source_trees[source]
             exact = subtree_repair_distances(
                 solver.graph, tree, solver.landmarks.union, math.inf
             )
-            for landmark, per_edge in tables.table_for(source).items():
-                for edge, value in per_edge.items():
-                    assert value >= tree.dist[landmark]
-                    assert value >= exact[(landmark, edge)], (source, landmark, edge)
-                    checked += 1
+            for (landmark, edge), value in solver.landmark_tables[source].items():
+                assert value >= tree.dist[landmark]
+                assert value >= exact[(landmark, edge)], (source, landmark, edge)
+                checked += 1
         assert checked > 0
 
     @pytest.mark.parametrize(
@@ -614,18 +614,20 @@ class TestSection8CandidatesAreRealisable:
 def _certified(solver, source, target, edge):
     """The Section 7.1 value and whether it certifies itself exact."""
     tree = solver.source_trees[source]
-    value = solver.near_small_tables[source].value(target, edge)
+    value = solver.near_small_tables[source][(target, edge)]
     zone_end = tree.dist[tree.edge_child(edge)] + solver.scale.near_threshold
     return value, value < zone_end
 
 
 def _solvers(solver):
+    """Algorithms 3 and 4 over a preprocessed solver's tables."""
     far = FarEdgeSolver(
         solver.scale, solver.landmarks, solver.landmark_trees,
-        solver.landmark_tables,
+        solver.landmark_tables, solver.source_trees,
     )
     large = NearLargeSolver(
-        solver.landmarks, solver.landmark_trees, solver.landmark_tables
+        solver.landmarks, solver.landmark_trees, solver.landmark_tables,
+        solver.source_trees,
     )
     return far, large
 
@@ -653,7 +655,7 @@ def ungated_single_source(solver, source, far, large):
         for item in classify_path_edges(tree.path_to(target), solver.scale):
             edge = item.edge
             if item.far_level < 0:
-                value = small.value(target, edge)
+                value = small[(target, edge)]
                 alternative = large.candidate(source, target, edge, value)
                 if alternative < value:
                     value = alternative

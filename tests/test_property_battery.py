@@ -30,16 +30,20 @@ contracts against each other:
   ``compute_direct_tables_reference`` (the paper's classical single-pair
   run per source-landmark pair) key for key, value for value and type for
   type, on ``bfs_many`` and dict-BFS trees alike.
+* **Landmark-table key set** — under both strategies, a source's
+  ``(landmark, edge)`` table has a key for exactly every edge of every
+  canonical path to a landmark it reaches.  Algorithms 3 and 4 read a
+  missing key as ``d(s, r)``, so a dropped key would be a silent
+  underestimate.
 * **Repair Section 7.1 tables == auxiliary-graph Dijkstra** —
   ``compute_near_small_tables`` (windowed subtree repair) equals
   ``compute_near_small_tables_reference`` (the paper's ``G_s`` and one
   Dijkstra) on every key, value, ``float`` type and ``math.inf``, with
   the near window both below and above the eccentricity.
-* **Id-path walk == tuple-node walk** — ``NearSmallTables.walk`` (flat
-  integer predecessor climb, intern-table decode at reconstruction only)
-  returns exactly what the historical tuple-node reconstruction
-  (``walk_reference``) returns, including ``[]`` for unreachable pairs,
-  and still raises without ``with_paths=True``.
+* **Walks realise their values** — ``NearSmallTables.walk`` of the
+  Section 7.1 reference runs from the source to the target over
+  ``w[t, e]`` edges of the graph, none of them ``e``, and returns ``[]``
+  for unreachable and unknown pairs.
 
 The default battery is sized to stay fast; the ``slow`` marked variants
 rerun the same invariants over many more seeds (deselect in CI with
@@ -59,7 +63,7 @@ from repro.core.landmark_rp import (
     compute_direct_tables_reference,
 )
 from repro.core.landmarks import LandmarkHierarchy
-from repro.core.msrp import multiple_source_replacement_paths
+from repro.core.msrp import MSRPSolver, multiple_source_replacement_paths
 from repro.core.near_small import (
     compute_near_small_tables,
     compute_near_small_tables_reference,
@@ -67,7 +71,6 @@ from repro.core.near_small import (
 )
 from repro.core.params import AlgorithmParams, ProblemScale
 from repro.core.ssrp import single_source_replacement_paths
-from repro.exceptions import InvalidParameterError
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.csr import bfs_distances_csr, bfs_many, bfs_tree_csr
@@ -191,31 +194,32 @@ def test_csr_bfs_equals_dict_bfs(name):
 def assert_direct_tables_equal(graph, sources, landmarks):
     """Both direct builders agree on every source, from both BFS kernels.
 
-    Returns the number of ``(source, landmark, edge)`` entries compared
-    and the number of ``(source, landmark)`` pairs left empty because the
-    landmark is the source or unreachable from it.
+    Compared as dicts: nothing reads the key order.  Returns the number
+    of ``(source, landmark, edge)`` entries compared and the number of
+    ``(source, landmark)`` pairs the source does not reach.
     """
-    entries = empty = 0
+    entries = unreachable = 0
     for trees in (
         bfs_many(graph, sources),
         {s: bfs_tree(graph, s) for s in sources},
     ):
         fast = compute_direct_tables(graph, trees, landmarks)
         reference = compute_direct_tables_reference(graph, trees, landmarks)
-        for source in sources:
-            ours, theirs = fast.table_for(source), reference.table_for(source)
-            assert list(ours) == list(theirs), source
-            for landmark, per_edge in theirs.items():
-                assert list(ours[landmark]) == list(per_edge), (source, landmark)
-                empty += not per_edge
-                for edge, value in per_edge.items():
-                    got = ours[landmark][edge]
-                    assert (got, type(got)) == (value, type(value)), (
-                        source, landmark, edge, got, value,
-                    )
-                    assert (got is math.inf) == (value is math.inf)
-                    entries += 1
-    return entries, empty
+        assert fast.keys() == reference.keys()
+        for source, theirs in reference.items():
+            ours = fast[source]
+            assert ours.keys() == theirs.keys(), source
+            for key, value in theirs.items():
+                got = ours[key]
+                assert (got, type(got)) == (value, type(value)), (
+                    source, key, got, value,
+                )
+                assert (got is math.inf) == (value is math.inf)
+            entries += len(theirs)
+            unreachable += sum(
+                not trees[source].is_reachable(r) for r in landmarks
+            )
+    return entries, unreachable
 
 
 def assert_direct_tables_equal_on_generators(seeds):
@@ -224,13 +228,12 @@ def assert_direct_tables_equal_on_generators(seeds):
         for seed in seeds:
             graph = factory(seed)
             every_vertex = list(range(graph.num_vertices))
-            entries, empty = assert_direct_tables_equal(
+            entries, cut = assert_direct_tables_equal(
                 graph, every_vertex, every_vertex
             )
             assert entries > 0, f"{name}/seed={seed}"
-            # Every vertex is its own empty landmark, from both tree kinds.
-            unreachable += empty - 2 * graph.num_vertices
-    # Some gnp draws are disconnected: unreachable landmarks stay keyed.
+            unreachable += cut
+    # Some gnp draws are disconnected: neither builder keys those pairs.
     assert unreachable > 0
 
 
@@ -260,16 +263,61 @@ def test_direct_tables_equal_reference_extended():
         landmarks = LandmarkHierarchy.sample(
             scale, sources, random.Random(params.seed)
         ).union
-        entries, _empty = assert_direct_tables_equal(graph, sources, landmarks)
+        entries, _unreachable = assert_direct_tables_equal(
+            graph, sources, landmarks
+        )
         assert entries > 0
 
 
+# -- the landmark-table key set ---------------------------------------------
+
+
+def assert_landmark_key_sets(graph, sources, params):
+    """Under both strategies every table has exactly the canonical keys.
+
+    Returns the number of keys checked.
+    """
+    keys = 0
+    for strategy in STRATEGIES:
+        solver = MSRPSolver(
+            graph, sources, params=params, landmark_strategy=strategy
+        ).preprocess()
+        for source, tree in solver.source_trees.items():
+            expected = {
+                (r, e)
+                for r in solver.landmarks.union
+                if r != source and tree.is_reachable(r)
+                for e in tree.path_edges_to(r)
+            }
+            assert set(solver.landmark_tables[source]) == expected, (
+                strategy, source,
+            )
+            keys += len(expected)
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_landmark_table_key_set(name):
+    keys = 0
+    for seed in (1, 2):
+        graph = GENERATORS[name](seed)
+        keys += assert_landmark_key_sets(
+            graph, pick_sources(graph, seed), AlgorithmParams(seed=seed)
+        )
+    assert keys > 0
+
+
+@pytest.mark.parametrize("workload", ["sparse-aux", "far-clusters"])
+def test_landmark_table_key_set_on_benchmark_instances(workload):
+    # Landmark sampling below 1 on both, and far edges on far-clusters.
+    instance = build_instance(WORKLOADS[workload], 1)
+    keys = assert_landmark_key_sets(
+        instance.graph, list(instance.sources), instance.params
+    )
+    assert keys > 0
+
+
 # -- repair Section 7.1 tables vs the auxiliary-graph reference -------------
-
-
-def _entries(tables):
-    """The ``(t, e) -> w[t, e]`` dict of a :class:`NearSmallTables`."""
-    return tables._values
 
 
 def assert_near_small_tables_equal(graph, sources, scale):
@@ -281,10 +329,10 @@ def assert_near_small_tables_equal(graph, sources, scale):
     """
     entries = infinite = path_edges = 0
     for source, tree in bfs_many(graph, sources).items():
-        ours = _entries(compute_near_small_tables(graph, source, tree, scale))
-        theirs = _entries(
-            compute_near_small_tables_reference(graph, source, tree, scale)
-        )
+        ours = compute_near_small_tables(graph, source, tree, scale)
+        theirs = compute_near_small_tables_reference(
+            graph, source, tree, scale
+        ).values
         assert ours.keys() == theirs.keys(), source
         for key, value in theirs.items():
             got = ours[key]
@@ -494,11 +542,12 @@ def test_interned_dijkstra_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
-def test_near_small_walk_id_paths_match_tuple_reference(name):
-    """Flat id-path walks == tuple-node walks on every (target, near-edge).
+def test_near_small_walk_realises_its_value(name):
+    """The walk of every (target, near edge) pair realises ``w[t, e]``.
 
     Sweeping *all* near pairs (not just the finite-valued ones) also pins
-    the unreachable case: both reconstructions must return ``[]``.
+    the unreachable case: the walk is ``[]`` exactly when the value is
+    ``math.inf``.
     """
     seed = 11
     graph = GENERATORS[name](seed)
@@ -509,36 +558,25 @@ def test_near_small_walk_id_paths_match_tuple_reference(name):
         tables = compute_near_small_tables_reference(
             graph, source, tree, scale, with_paths=True
         )
-        checked = reachable = 0
+        checked = 0
         for target in range(n):
             if target == source:
                 continue
             for edge, _ in near_edges_from_target(tree, target, scale):
-                flat = tables.walk(target, edge)
-                assert flat == tables.walk_reference(target, edge), (
-                    f"{name}: walk({target}, {edge}) diverged"
-                )
+                walk = tables.walk(target, edge)
+                value = tables.values[(target, edge)]
                 checked += 1
-                if flat:
-                    reachable += 1
-                    assert flat[0] == source and flat[-1] == target
-                else:
-                    assert tables.value(target, edge) == math.inf
+                if value is math.inf:
+                    assert walk == [], (name, target, edge)
+                    continue
+                assert walk[0] == source and walk[-1] == target
+                assert len(walk) - 1 == value, (name, target, edge)
+                steps = [normalize_edge(a, b) for a, b in zip(walk, walk[1:])]
+                assert all(graph.has_edge(*step) for step in steps)
+                assert edge not in steps, (name, target, edge)
         assert checked > 0 or n <= 1
-        # Unknown (target, edge) pairs reconstruct to [] on both paths.
+        # Unknown (target, edge) pairs reconstruct to [].
         assert tables.walk(n + 5, (0, 1)) == []
-        assert tables.walk_reference(n + 5, (0, 1)) == []
-
-
-def test_walk_without_paths_raises_on_both_variants():
-    graph = generators.cycle_graph(6)
-    tree = bfs_tree_csr(graph, 0)
-    scale = ProblemScale(6, 1, AlgorithmParams())
-    tables = compute_near_small_tables(graph, 0, tree, scale)
-    with pytest.raises(InvalidParameterError):
-        tables.walk(2, (0, 1))
-    with pytest.raises(InvalidParameterError):
-        tables.walk_reference(2, (0, 1))
 
 
 def test_interned_dijkstra_rejects_negative_weights_upfront():

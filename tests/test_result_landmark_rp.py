@@ -126,6 +126,12 @@ class TestReplacementPathResult:
 
 
 class TestSourceLandmarkTables:
+    """The direct tables: per source, ``(landmark, edge) -> d(s, r, e)``.
+
+    An edge off the canonical ``s``-``r`` path has no key; Algorithms 3
+    and 4 read ``table.get((r, e), d(s, r))``.
+    """
+
     def test_direct_tables_match_per_edge_bfs(self):
         g = generators.grid_graph(3, 4)
         trees = {0: bfs_tree(g, 0), 5: bfs_tree(g, 5)}
@@ -135,27 +141,23 @@ class TestSourceLandmarkTables:
             for r in landmarks:
                 for edge in tree.path_edges_to(r):
                     truth = bfs_distances(g, s, forbidden_edge=edge)[r]
-                    assert tables.query(s, r, edge) == truth
+                    assert tables[s][(r, edge)] == truth
 
     def test_query_falls_back_off_path(self):
         g = generators.cycle_graph(6)
         trees = {0: bfs_tree(g, 0)}
         tables = compute_direct_tables(g, trees, [2])
-        assert tables.query(0, 2, (3, 4)) == 2  # edge not on the 0-2 path
+        assert (2, (3, 4)) not in tables[0]  # edge not on the 0-2 path
+        assert tables[0].get((2, (3, 4)), trees[0].dist[2]) == 2
 
     def test_query_unreachable_landmark_is_infinite(self):
         g = Graph(4, [(0, 1), (2, 3)])
         trees = {0: bfs_tree(g, 0)}
         tables = compute_direct_tables(g, trees, [3])
-        assert tables.query(0, 3, (2, 3)) is math.inf
-
-    def test_unknown_source_rejected(self):
-        g = generators.cycle_graph(4)
-        tables = compute_direct_tables(g, {0: bfs_tree(g, 0)}, [2])
-        with pytest.raises(InvalidParameterError):
-            tables.query(1, 2, (0, 1))
+        assert tables[0] == {}
+        assert tables[0].get((3, (2, 3)), trees[0].dist[3]) is math.inf
 
     def test_num_entries(self):
         g = generators.path_graph(5)
         tables = compute_direct_tables(g, {0: bfs_tree(g, 0)}, [4])
-        assert tables.num_entries == 4
+        assert len(tables[0]) == 4

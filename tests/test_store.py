@@ -257,6 +257,33 @@ class TestRejection:
         with pytest.raises(InvalidParameterError, match=name):
             load_store(store_dir, mmap=mmap)
 
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda m: m["segments"][0].update(offset="0"),
+             r"segment '[^']+' field 'offset'"),
+            (lambda m: m["segments"][0].update(count=True),
+             r"segment '[^']+' field 'count'"),
+            (lambda m: m["graph"].update(num_vertices="14"),
+             r"field 'graph\.num_vertices'"),
+            (lambda m: m.update(graph=[]), r"field 'graph'"),
+            (lambda m: m["segments"].append(5), r"segment #\d+"),
+            (lambda m: m.update(meta=5), r"field 'meta'"),
+        ],
+        ids=["string-offset", "bool-count", "string-num-vertices", "graph-list",
+             "bare-segment", "int-meta"],
+    )
+    def test_manifest_field_of_wrong_json_type(self, store_dir, mmap, mutate, named):
+        # JSON types are checked before any range check compares a value,
+        # so a wrong type is refused by name on both load paths (and by
+        # load_header) instead of escaping as a TypeError or AttributeError.
+        self._edit_manifest(store_dir, mutate)
+        with pytest.raises(InvalidParameterError, match=named):
+            load_store(store_dir, mmap=mmap)
+        with pytest.raises(InvalidParameterError, match=named):
+            load_header(store_dir)
+
     def test_magic_and_version_constants(self):
         # The spec in docs/ quotes these; changing them is a format bump.
         assert MAGIC == "repro-msrp-store"
