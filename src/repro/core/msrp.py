@@ -270,7 +270,6 @@ class MSRPSolver:
             landmark_trees=self.landmark_trees,
             near_small=self.near_small_tables,
             rng=rng,
-            phase_seconds=self.phase_seconds,
             pool=self._pool,
         )
 
@@ -394,7 +393,9 @@ def solve_single_source(
     ``w[t, e]`` is certified exact (:mod:`repro.core.near_small`), and
     every Algorithm 4 candidate is the length of a walk avoiding ``e``, so
     it could not replace the value: skipping the scan changes no entry.  Stack index ``i`` holds
-    the edge whose child is at depth ``dist(ch) = i + 1``.
+    the edge whose child is at depth ``dist(ch) = i + 1``, and entry ``i``
+    of the target's list is that edge's replacement length
+    (:data:`~repro.core.result.PerSourceTable`).
 
     A module-level function (not a solver method) so the process-sharded
     assembly phase can dispatch it per source through
@@ -426,7 +427,7 @@ def solve_single_source(
         del edge_stack[int(dist[p]):]
         edge_stack.append((p, target) if p <= target else (target, p))
         length = len(edge_stack)
-        per_target: Dict = {}
+        per_target: List = []
         for i in range(length):
             edge = edge_stack[i]
             level = far_level_of[length - i - 1]
@@ -440,7 +441,7 @@ def solve_single_source(
                         value = alternative
             else:
                 value = far_candidate(source, target, edge, level)
-            per_target[edge] = value
+            per_target.append(value)
         per_source[target] = per_target
     return per_source
 

@@ -3,24 +3,69 @@
 The output of the MSRP problem is, for every source ``s``, target ``t`` and
 edge ``e`` on the canonical ``s``-``t`` path, the length ``|st <> e|``.
 With ``sigma`` sources this is ``Theta(sigma n^2)`` numbers in the worst
-case (the paper's footnote 2), so the container stores them in nested
-dictionaries keyed by source, then target, then normalised edge, and offers
-a query interface that mirrors the fault-tolerant distance-oracle view of
-Bernstein & Karger.
+case (the paper's footnote 2).  A path edge is fixed by its depth, so each
+target's lengths are one list indexed by edge depth, and the source's BFS
+tree implies every edge; this module is the only one that reads an entry
+by its depth.  The query interface mirrors the fault-tolerant
+distance-oracle view of Bernstein & Karger.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from operator import index as _vertex_id
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import InvalidParameterError, NotOnPathError
+from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.tree import ShortestPathTree
 
-#: target -> (edge -> replacement length)
-PerSourceTable = Dict[int, Dict[Edge, float]]
+#: target -> lengths by edge depth: entry ``i`` avoids the canonical-path
+#: edge whose child is at depth ``i + 1``, so the list is ``dist[t]`` long
+PerSourceTable = Dict[int, List[float]]
+
+
+def _require_vertex(tree: ShortestPathTree, target: int) -> int:
+    """Coerce ``target`` like a source and refuse ids outside ``0..n-1``
+    (a negative id would index from the end)."""
+    target = _vertex_id(target)
+    if not 0 <= target < tree.num_vertices:
+        raise InvalidParameterError(
+            f"target {target} is outside the vertex range 0..{tree.num_vertices - 1}"
+        )
+    return target
+
+
+def _checked_table(
+    s: int, tree: ShortestPathTree, per_source: Mapping
+) -> PerSourceTable:
+    """Copy one source's table in preorder, refusing a bad shape.
+
+    A per-target mapping is the edge-keyed layout (``to_dict()`` output),
+    whose ``dist[t]`` keys would pass a length check.  The copy puts
+    infinities back on the ``math.inf`` singleton: pickled worker tables
+    hold *new* floats, and ``is math.inf`` callers (the benchmark
+    fingerprint) must not tell a sharded run from a serial one.
+    """
+    inf = math.inf
+    table: PerSourceTable = {}
+    for t in tree.preorder()[1:]:
+        values = per_source.get(t)
+        if values is None or isinstance(values, Mapping) or len(values) != tree.dist[t]:
+            raise InvalidParameterError(
+                f"source {s}, target {t} at distance {tree.dist[t]} needs that "
+                "many lengths in a list indexed by edge depth (not an "
+                f"edge-keyed mapping), got {values!r}"
+            )
+        table[t] = [inf if value == inf else value for value in values]
+    if len(table) != len(per_source):
+        foreign = [key for key in per_source if key not in table]
+        raise InvalidParameterError(
+            f"source {s}: keys {foreign} are not targets the source reaches"
+        )
+    return table
 
 
 class ReplacementPathResult:
@@ -29,11 +74,13 @@ class ReplacementPathResult:
     Parameters
     ----------
     tables:
-        ``tables[s][t][e]`` is ``|st <> e|`` for every edge ``e`` of the
-        canonical ``s``-``t`` path.
+        ``tables[s][t][i]`` is ``|st <> e|`` for the edge ``e`` of the
+        canonical ``s``-``t`` path whose child is at depth ``i + 1``, for
+        every target ``t`` that ``s`` reaches; a bad shape raises
+        :class:`~repro.exceptions.InvalidParameterError`.
     source_trees:
-        The BFS trees that define the canonical paths; used to answer
-        queries about edges *not* on the path and to reconstruct paths.
+        The BFS trees that define the canonical paths; they imply each
+        entry's edge and answer queries about edges *not* on the path.
     graph:
         Optional originating graph.  When given, edge queries validate
         the edge actually exists — asking for the replacement length of a
@@ -45,27 +92,17 @@ class ReplacementPathResult:
 
     def __init__(
         self,
-        tables: Mapping[int, PerSourceTable],
+        tables: Mapping[int, Mapping[int, Sequence[float]]],
         source_trees: Mapping[int, ShortestPathTree],
         graph: Optional[Graph] = None,
     ):
-        # The copy also re-canonicalises infinities to the ``math.inf``
-        # singleton: tables assembled in pool workers come back through
-        # pickle, which materialises *new* float objects, and downstream
-        # consumers (the benchmark fingerprint, ``is math.inf`` callers)
-        # must not be able to tell a sharded run from a serial one.
-        inf = math.inf
-        self._tables: Dict[int, PerSourceTable] = {
-            int(s): {
-                t: {
-                    e: (inf if value == inf else value)
-                    for e, value in per_target.items()
-                }
-                for t, per_target in per_source.items()
-            }
-            for s, per_source in tables.items()
-        }
         self._trees: Dict[int, ShortestPathTree] = dict(source_trees)
+        self._tables: Dict[int, PerSourceTable] = {}
+        for s, per_source in tables.items():
+            s = int(s)
+            if s not in self._trees:
+                raise InvalidParameterError(f"missing source tree for source {s}")
+            self._tables[s] = _checked_table(s, self._trees[s], per_source)
         self._graph = graph
         # Vertex bound for graph-less edge validation, resolved once.
         self._vertex_bound = (
@@ -75,9 +112,6 @@ class ReplacementPathResult:
                 (tree.num_vertices for tree in self._trees.values()), default=0
             )
         )
-        for s in self._tables:
-            if s not in self._trees:
-                raise InvalidParameterError(f"missing source tree for source {s}")
 
     # -- basic accessors ------------------------------------------------------
 
@@ -105,20 +139,20 @@ class ReplacementPathResult:
         return sorted(self._tables[self._require_source(source)])
 
     def table(self, source: int) -> PerSourceTable:
-        """The raw per-source table (target -> edge -> length)."""
+        """The raw per-source table (target -> lengths by depth), in preorder."""
         return self._tables[self._require_source(source)]
 
     # -- queries ---------------------------------------------------------------
 
     def distance(self, source: int, target: int) -> float:
         """Length of the canonical shortest ``source``-``target`` path."""
-        source = self._require_source(source)
-        return self._trees[source].distance(_vertex_id(target))
+        tree = self._trees[self._require_source(source)]
+        return tree.distance(_require_vertex(tree, target))
 
     def canonical_path(self, source: int, target: int) -> List[int]:
         """The canonical shortest ``source``-``target`` path (vertex list)."""
-        source = self._require_source(source)
-        return self._trees[source].path_to(_vertex_id(target))
+        tree = self._trees[self._require_source(source)]
+        return tree.path_to(_require_vertex(tree, target))
 
     def replacement_length(
         self, source: int, target: int, edge: Sequence[int]
@@ -137,70 +171,109 @@ class ReplacementPathResult:
         answering for a deletion that cannot happen.
         """
         source = self._require_source(source)
-        target = _vertex_id(target)
-        e = self._require_edge(edge)
-        per_target = self._tables[source].get(target, {})
-        if e in per_target:
-            return per_target[e]
         tree = self._trees[source]
-        if not tree.is_reachable(target):
-            return math.inf
-        if tree.tree_path_uses_edge(e, target):
-            raise NotOnPathError(
-                f"edge {e} is on the canonical {source}-{target} path but has no "
-                "stored replacement length; the result tables are incomplete"
-            )
-        return tree.distance(target)
+        target = _require_vertex(tree, target)
+        child = tree.edge_child_map().get(self.require_edge(edge))
+        if child is not None:
+            tin, tout = tree.euler_intervals()
+            if tin[child] <= tin[target] <= tout[child]:
+                return self._tables[source][target][int(tree.dist[child]) - 1]
+        return tree.dist[target]
+
+    def sweep(self, source: int, edge: Sequence[int]) -> List[float]:
+        """``|sv <> e|`` for every vertex ``v``, as a list indexed by vertex.
+
+        The tree distances with the failed edge's subtree overwritten: the
+        subtree is one run of the preorder, and its entries all sit at the
+        edge's depth.
+        """
+        source = self._require_source(source)
+        tree = self._trees[source]
+        child = tree.edge_child_map().get(self.require_edge(edge))
+        lengths = list(tree.dist)
+        if child is not None:
+            tin, tout = tree.euler_intervals()
+            preorder = tree.preorder()
+            lo = bisect_left(preorder, tin[child], key=tin.__getitem__)
+            hi = bisect_right(preorder, tout[child], key=tin.__getitem__)
+            depth = int(tree.dist[child]) - 1
+            per_source = self._tables[source]
+            for target in preorder[lo:hi]:
+                lengths[target] = per_source[target][depth]
+        return lengths
 
     def require_edge(self, edge: Sequence[int]) -> Edge:
-        """Validate and normalise ``edge`` exactly as the query path does.
+        """Validate ``edge`` and return it normalised to ``(min, max)``.
 
         Public so serving layers that answer queries from cached slices
         (bypassing :meth:`replacement_length`) apply the same non-edge
-        rejection; returns the normalised ``(min, max)`` tuple.
+        rejection.  Endpoints are coerced like sources, with
+        ``operator.index``, so ``(0.5, 2.2)`` is refused instead of
+        truncated to ``(0, 2)``.
         """
-        return self._require_edge(edge)
+        u, v = _vertex_id(edge[0]), _vertex_id(edge[1])
+        graph = self._graph
+        if graph is not None:
+            if not graph.has_edge(u, v):
+                raise InvalidParameterError(
+                    f"({u}, {v}) is not an edge of the graph; replacement "
+                    "lengths are only defined for deletable edges"
+                )
+        else:
+            # No graph reference: the trees still bound the vertex range.
+            n = self._vertex_bound
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise InvalidParameterError(
+                    f"({u}, {v}) is not an edge of a graph on {n} vertices"
+                )
+        return normalize_edge(u, v)
 
     def replacement_lengths(self, source: int, target: int) -> Dict[Edge, float]:
-        """All stored ``edge -> length`` entries for a ``(source, target)`` pair."""
+        """The ``edge -> length`` entries of a ``(source, target)`` pair, root first."""
         source = self._require_source(source)
-        return dict(self._tables[source].get(_vertex_id(target), {}))
+        target = _vertex_id(target)
+        values = self._tables[source].get(target)
+        if values is None:
+            return {}
+        return dict(zip(self._trees[source].path_edges_to(target), values))
 
     # -- bulk views -------------------------------------------------------------
 
     def iter_entries(self) -> Iterator[Tuple[int, int, Edge, float]]:
         """Yield ``(source, target, edge, length)`` for every stored entry."""
         for s, per_source in self._tables.items():
-            for t, per_target in per_source.items():
-                for e, value in per_target.items():
+            path_edges_to = self._trees[s].path_edges_to
+            for t, values in per_source.items():
+                for e, value in zip(path_edges_to(t), values):
                     yield s, t, e, value
 
     @property
     def output_size(self) -> int:
         """Total number of stored ``(s, t, e)`` triples (the ``sigma n^2`` term)."""
         return sum(
-            len(per_target)
+            len(values)
             for per_source in self._tables.values()
-            for per_target in per_source.values()
+            for values in per_source.values()
         )
 
-    def to_dict(self) -> Dict[int, PerSourceTable]:
-        """Deep-copy the result into plain nested dictionaries."""
+    def to_dict(self) -> Dict[int, Dict[int, Dict[Edge, float]]]:
+        """Copy the result into nested ``source -> target -> edge`` dicts."""
         return {
-            s: {t: dict(per_target) for t, per_target in per_source.items()}
+            s: {t: self.replacement_lengths(s, t) for t in per_source}
             for s, per_source in self._tables.items()
         }
 
     # -- comparisons -------------------------------------------------------------
 
     def differences_from(
-        self, reference: Mapping[int, PerSourceTable]
+        self, reference: Mapping[int, Mapping[int, Mapping[Edge, float]]]
     ) -> List[Tuple[int, int, Edge, float, float]]:
-        """Compare against a reference table (e.g. the brute-force oracle).
+        """Compare against an edge-keyed reference (e.g. the brute-force oracle).
 
         Returns a list of ``(source, target, edge, ours, theirs)`` tuples for
         every entry present in either side whose values differ.  An empty
-        list means the two answers agree exactly.
+        list means the two answers agree exactly.  The walk builds one
+        target's edge keys at a time, never a whole :meth:`to_dict` copy.
         """
         mismatches: List[Tuple[int, int, Edge, float, float]] = []
         all_sources = set(self._tables) | set(reference)
@@ -209,7 +282,7 @@ class ReplacementPathResult:
             ref_source = reference.get(s, {})
             all_targets = set(ours_source) | set(ref_source)
             for t in all_targets:
-                ours_target = ours_source.get(t, {})
+                ours_target = self.replacement_lengths(s, t) if t in ours_source else {}
                 ref_target = ref_source.get(t, {})
                 for e in set(ours_target) | set(ref_target):
                     ours = ours_target.get(e, math.nan)
@@ -218,7 +291,9 @@ class ReplacementPathResult:
                         mismatches.append((s, t, e, ours, theirs))
         return mismatches
 
-    def matches(self, reference: Mapping[int, PerSourceTable]) -> bool:
+    def matches(
+        self, reference: Mapping[int, Mapping[int, Mapping[Edge, float]]]
+    ) -> bool:
         """``True`` when the result agrees entirely with ``reference``."""
         return not self.differences_from(reference)
 
@@ -236,7 +311,7 @@ class ReplacementPathResult:
         invariant (benchmark fingerprints, ``is math.inf`` callers).
 
         The graph reference is part of the state on purpose: dropping it
-        would downgrade ``_require_edge`` to the permissive vertex-range
+        would downgrade ``require_edge`` to the permissive vertex-range
         check, re-opening the non-edge-query hole for round-tripped
         results.
         """
@@ -267,25 +342,6 @@ class ReplacementPathResult:
                 f"{source} is not one of the result's sources {self.sources}"
             )
         return source
-
-    def _require_edge(self, edge: Sequence[int]) -> Edge:
-        """Normalise ``edge`` and reject pairs that are not graph edges."""
-        u, v = int(edge[0]), int(edge[1])
-        graph = self._graph
-        if graph is not None:
-            if not graph.has_edge(u, v):
-                raise InvalidParameterError(
-                    f"({u}, {v}) is not an edge of the graph; replacement "
-                    "lengths are only defined for deletable edges"
-                )
-        else:
-            # No graph reference: the trees still bound the vertex range.
-            n = self._vertex_bound
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise InvalidParameterError(
-                    f"({u}, {v}) is not an edge of a graph on {n} vertices"
-                )
-        return normalize_edge(u, v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

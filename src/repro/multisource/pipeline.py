@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.landmarks import LandmarkHierarchy
@@ -107,7 +106,6 @@ def compute_auxiliary_tables(
     near_small: Mapping[int, PairEdgeTable],
     rng: Optional[random.Random] = None,
     centers: Optional[CenterHierarchy] = None,
-    phase_seconds: Optional[Dict[str, float]] = None,
     pool: Optional[Executor] = None,
 ) -> Dict[int, PairEdgeTable]:
     """Compute ``d(s, r, e)`` for all sources and landmarks via Section 8.
@@ -123,21 +121,11 @@ def compute_auxiliary_tables(
     Section 8.2 builds
     (:func:`~repro.multisource.bottleneck.center_table_readers`).
 
-    When ``phase_seconds`` is given, wall-clock sub-phase durations are
-    accumulated into it under ``aux_tables`` (the decompositions and the
-    reader pass, then the 8.1/8.2/8.3 table builds) and ``aux_assembly``
-    (the per-edge path-cover minimisation), the split the solver's
-    ``phase_seconds`` reports.  On a process pool the per-worker sub-phase
-    times are *summed* into the same keys, so the split reports aggregate
-    compute seconds (wall time is what the caller measures around this
-    function).
-
     Every per-root/per-center/per-source phase runs on ``pool``, an open
     :class:`~repro.parallel.Executor` (the solver passes the one spanning
     its solve); without one the phases run in-process.  The returned
     tables are byte-identical on every executor at any worker count.
     """
-    timings = phase_seconds if phase_seconds is not None else {}
     if rng is None:
         # A bare ``Random(seed)`` here would replay the exact stream the
         # landmark sampler consumed (the solver seeds it with the same
@@ -170,7 +158,6 @@ def compute_auxiliary_tables(
     # source.  MTC reads a center's Section 8.2 table only for the
     # landmarks whose decomposition starts an interval at that center, so
     # Section 8.2 builds exactly those (center, landmark) pairs.
-    start = time.perf_counter()
     landmark_paths: Dict[int, Dict[int, List[int]]] = {}
     landmark_intervals: Dict[int, Dict[int, List[PathInterval]]] = {}
     for source in sources:
@@ -195,13 +182,9 @@ def compute_auxiliary_tables(
         },
         pool=pool,
     )
-    timings["aux_tables"] = (
-        timings.get("aux_tables", 0.0) + time.perf_counter() - start
-    )
 
-    # Sections 8.1, 8.3 and assembly, per source.  Workers report their
-    # own tables/assembly split; summing preserves the serial semantics.
-    assembled = run_sharded(
+    # Sections 8.1, 8.3 and assembly, per source.
+    return run_sharded(
         assemble_task,
         sources,
         {
@@ -218,13 +201,6 @@ def compute_auxiliary_tables(
         },
         pool=pool,
     )
-    tables: Dict[int, PairEdgeTable] = {}
-    for source in sources:
-        table, source_timings = assembled[source]
-        tables[source] = table
-        for key, seconds in source_timings.items():
-            timings[key] = timings.get(key, 0.0) + seconds
-    return tables
 
 
 def _decompose_landmark_paths(
@@ -261,7 +237,6 @@ def _assemble_for_source(
     near_small: PairEdgeTable,
     landmark_paths: Mapping[int, List[int]],
     landmark_intervals: Mapping[int, List[PathInterval]],
-    timings: Optional[Dict[str, float]] = None,
 ) -> PairEdgeTable:
     """Run Sections 8.1 and 8.3 for one source and assemble its table.
 
@@ -270,8 +245,6 @@ def _assemble_for_source(
     7.1 table.  Returns ``(landmark, edge) -> d(s, r, e)`` for every edge
     of every path in ``landmark_paths``.
     """
-    timings = timings if timings is not None else {}
-    start = time.perf_counter()
     source_to_center = compute_source_to_center_tables(
         graph=graph,
         source=source,
@@ -305,10 +278,6 @@ def _assemble_for_source(
         evaluator=evaluator,
         near_small=near_small,
     )
-    timings["aux_tables"] = (
-        timings.get("aux_tables", 0.0) + time.perf_counter() - start
-    )
-    start = time.perf_counter()
 
     source_dist = source_tree.dist
     level0_centers = [
@@ -341,9 +310,6 @@ def _assemble_for_source(
                     ),
                 )
             table[(landmark, edge)] = value
-    timings["aux_assembly"] = (
-        timings.get("aux_assembly", 0.0) + time.perf_counter() - start
-    )
     return table
 
 

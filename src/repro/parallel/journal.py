@@ -61,7 +61,10 @@ JOURNAL_MAGIC = "repro-msrp-journal"
 #: Version 2: the Section 7.1 and Section 8 records hold flat
 #: ``(endpoint, edge)`` tables; a version 1 record replayed into the flat
 #: readers would miss every key and silently underestimate.
-JOURNAL_FORMAT_VERSION = 2
+#: Version 3: ``solve_sources_task`` records hold a list of lengths per
+#: target, indexed by edge depth, not an edge-keyed dict, and
+#: ``assemble_task`` records a bare table, not a ``(table, timings)`` pair.
+JOURNAL_FORMAT_VERSION = 3
 
 MANIFEST_NAME = "JOURNAL.json"
 RECORDS_DIR_NAME = "records"

@@ -132,27 +132,21 @@ def center_tables_task(centers: Sequence[int]) -> Dict[int, Any]:
     }
 
 
-def assemble_task(
-    sources: Sequence[int],
-) -> Dict[int, Tuple[Any, Dict[str, float]]]:
+def assemble_task(sources: Sequence[int]) -> Dict[int, Any]:
     """Sections 8.1 + 8.3 + per-edge assembly for one source each.
 
     Context: ``{"graph", "scale", "landmark_trees", "centers",
     "center_trees", "center_to_landmark", "near_small", "source_trees",
     "landmark_paths", "landmark_intervals"}``; the last two hold each
     source's canonical landmark paths and their intervals.  Returns
-    ``{source: (table, timings)}``: ``table`` is ``(landmark, edge) ->
-    d(s, r, e)`` and ``timings`` the worker-local
-    ``aux_tables``/``aux_assembly`` split for that source (the parent sums
-    them into its phase accounting).
+    ``{source: table}`` with ``table`` the ``(landmark, edge) -> d(s, r,
+    e)`` dict.
     """
     from repro.multisource.pipeline import _assemble_for_source
 
     ctx = worker_context()
-    results: Dict[int, Tuple[Any, Dict[str, float]]] = {}
-    for source in sources:
-        timings: Dict[str, float] = {}
-        table = _assemble_for_source(
+    return {
+        source: _assemble_for_source(
             graph=ctx["graph"],
             scale=ctx["scale"],
             source=source,
@@ -164,10 +158,9 @@ def assemble_task(
             near_small=ctx["near_small"][source],
             landmark_paths=ctx["landmark_paths"][source],
             landmark_intervals=ctx["landmark_intervals"][source],
-            timings=timings,
         )
-        results[source] = (table, timings)
-    return results
+        for source in sources
+    }
 
 
 def solve_sources_task(sources: Sequence[int]) -> Dict[int, Any]:

@@ -21,7 +21,7 @@ Endpoints
 ``POST /query``
     Batched sweep: body ``{"queries": [{"source", "target", "edge"}, ...]}``;
     each item resolves independently to an answer or an error object, so
-    one bad query does not fail the batch.
+    one bad query does not fail the batch.  Ids must be JSON integers.
 ``GET /sweep?source=S&u=U&v=V``
     The full ``(source, edge)`` slice: replacement lengths for every
     vertex, served straight from the LRU.
@@ -30,8 +30,8 @@ Caching
 -------
 Answers are grouped by ``(source, edge)`` *slice*: the per-target lengths
 for one failed edge seen from one source.  A point query materialises its
-slice once (one pass over the source's table and tree) and the LRU keeps
-the hottest slices resident, so repeated traffic against a hot
+slice once (:meth:`~repro.core.result.ReplacementPathResult.sweep`) and
+the LRU keeps the hottest slices resident, so repeated traffic against a hot
 ``(source, edge)`` pair — the access pattern of an incident analysis, where
 one failure is probed against many destinations — degenerates to a dict
 lookup per query.  ``/status`` reports the cache's hits, misses and hit
@@ -48,13 +48,13 @@ import math
 import signal
 import time
 from collections import OrderedDict
+from operator import index as _vertex_id
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.result import ReplacementPathResult
 from repro.exceptions import (
     InvalidParameterError,
-    NotOnPathError,
     ReproError,
     ServerStartupError,
 )
@@ -133,20 +133,20 @@ class RateWindow:
 
 
 class SliceCache:
-    """LRU over ``(source, edge) -> {target: length}`` slices."""
+    """LRU over ``(source, edge) -> lengths by target`` slices."""
 
     def __init__(self, capacity: int = DEFAULT_LRU_SLICES):
         if capacity < 0:
             raise InvalidParameterError("LRU capacity must be non-negative")
         self.capacity = capacity
-        self._slices: "OrderedDict[Tuple[int, Edge], Dict[int, float]]" = OrderedDict()
+        self._slices: "OrderedDict[Tuple[int, Edge], List[float]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._slices)
 
-    def get(self, key: Tuple[int, Edge]) -> Optional[Dict[int, float]]:
+    def get(self, key: Tuple[int, Edge]) -> Optional[List[float]]:
         entry = self._slices.get(key)
         if entry is None:
             self.misses += 1
@@ -155,7 +155,7 @@ class SliceCache:
         self.hits += 1
         return entry
 
-    def put(self, key: Tuple[int, Edge], value: Dict[int, float]) -> None:
+    def put(self, key: Tuple[int, Edge], value: List[float]) -> None:
         if self.capacity == 0:
             return
         self._slices[key] = value
@@ -208,33 +208,17 @@ class OracleService:
 
     # -- query surface -----------------------------------------------------
 
-    def _slice(self, source: int, edge: Edge) -> Dict[int, float]:
+    def _slice(self, source: int, edge: Edge) -> List[float]:
         """The per-target lengths of one ``(source, edge)`` pair, cached."""
         key = (source, edge)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        result = self.result
-        tree = result.source_tree(source)
-        per_source = result.table(source)
-        inf = math.inf
-        lengths: Dict[int, float] = {}
-        for target in range(tree.num_vertices):
-            per_target = per_source.get(target)
-            if per_target is not None and edge in per_target:
-                lengths[target] = per_target[edge]
-            elif not tree.is_reachable(target):
-                lengths[target] = inf
-            else:
-                # Not on the canonical path: deleting the edge cannot
-                # change the distance (same fall-through as
-                # ``replacement_length``, hoisted out of the per-query path).
-                lengths[target] = tree.distance(target)
-        self.cache.put(key, lengths)
+        lengths = self.cache.get(key)
+        if lengths is None:
+            lengths = self.result.sweep(source, edge)
+            self.cache.put(key, lengths)
         return lengths
 
     def _require_source(self, source: int) -> int:
-        s = int(source)
+        s = _vertex_id(source)
         if s not in self._sources:
             raise InvalidParameterError(
                 f"{s} is not one of the served sources {sorted(self._sources)}"
@@ -242,18 +226,18 @@ class OracleService:
         return s
 
     def _require_vertex(self, value: int, role: str) -> int:
+        v = _vertex_id(value)
         graph = self.result.graph
         if graph is None:
             # Without the graph there is no vertex range to check against;
             # say that, instead of the nonsense "range 0..-1" a zero
             # default used to produce.
             raise InvalidParameterError(
-                f"cannot validate {role} {int(value)}: the served result "
+                f"cannot validate {role} {v}: the served result "
                 "carries no graph, so vertex ids cannot be checked; "
                 "rebuild the store from a result with its graph attached"
             )
         n = graph.num_vertices
-        v = int(value)
         if not 0 <= v < n:
             raise InvalidParameterError(
                 f"{role} {v} is outside the vertex range 0..{n - 1}"
@@ -271,7 +255,7 @@ class OracleService:
         self.rate_window.note()
         return self._slice(source, e)[target]
 
-    def sweep(self, source: int, edge) -> Dict[int, float]:
+    def sweep(self, source: int, edge) -> List[float]:
         """All targets' replacement lengths for one ``(source, edge)``."""
         source = self._require_source(source)
         e = self.result.require_edge(edge)
@@ -677,9 +661,11 @@ class QueryServer:
         results: List[Dict[str, object]] = []
         for item in queries:
             try:
-                source = int(item["source"])
-                target = int(item["target"])
-                u, v = (int(x) for x in item["edge"])
+                ids = (item["source"], item["target"], *item["edge"])
+                source, target, u, v = ids
+                # true is not target 1, and 3.7 is not target 3.
+                if any(type(value) is not int for value in ids):
+                    raise InvalidParameterError("ids must be JSON integers")
             except (KeyError, TypeError, ValueError) as exc:
                 results.append(
                     {"error": f"malformed query {item!r}: {exc}",
@@ -710,7 +696,7 @@ class QueryServer:
             "edge": list(normalize_edge(u, v)),
             "lengths": [
                 [target, None if value == math.inf else value]
-                for target, value in sorted(lengths.items())
+                for target, value in enumerate(lengths)
             ],
         }
 

@@ -20,8 +20,8 @@ A store is a directory with exactly two files::
 ``magic``
     The literal string ``"repro-msrp-store"``.  Anything else is rejected.
 ``format_version``
-    Integer, currently ``1``.  Readers reject any other value loudly —
-    the format is versioned precisely so a future layout change cannot be
+    Integer, currently ``2``.  Readers reject any other value loudly —
+    the format is versioned precisely so a layout change cannot be
     misread as garbage data.
 ``byteorder``
     ``"little"`` or ``"big"`` — the byte order of the writing host.
@@ -47,12 +47,12 @@ A store is a directory with exactly two files::
 **segments.bin** concatenates plain :mod:`array` buffers.  Per source
 ``s`` the store carries the BFS tree (``tree/<s>/parent`` with ``-1`` for
 *no parent*, ``tree/<s>/dist`` as ``'d'`` with ``inf`` for unreachable,
-``tree/<s>/order``) and the flattened replacement table
-(``table/<s>/targets``, ``table/<s>/counts``, ``table/<s>/edge_u``,
-``table/<s>/edge_v``, ``table/<s>/values``), plus the graph edge list
-(``graph/edge_u``, ``graph/edge_v``).  Tables are flattened in dict
-iteration order and rebuilt in the same order, so a loaded result iterates
-— and therefore fingerprints — identically to the in-process one.
+``tree/<s>/order``) and ``table/<s>/values``: each target's lengths by
+edge depth (:data:`~repro.core.result.PerSourceTable`) concatenated over
+the tree preorder, which the loader splits into runs of ``dist[t]``; the
+tree implies every entry's target and edge.  Plus the graph edge list
+(``graph/edge_u``, ``graph/edge_v``).  A loaded result iterates — and
+therefore fingerprints — identically to the in-process one.
 
 Loading re-canonicalises every infinite value onto the ``math.inf``
 singleton (tree distances and table values), preserving the
@@ -90,6 +90,7 @@ import tempfile
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.result import PerSourceTable, ReplacementPathResult
@@ -104,8 +105,8 @@ from repro.graph.tree import ShortestPathTree
 
 #: First bytes of every manifest; anything else is not a store.
 MAGIC = "repro-msrp-store"
-#: Current (and only) on-disk layout version.
-FORMAT_VERSION = 1
+#: Current on-disk layout version (version 1 also stored each entry's edge).
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENTS_NAME = "segments.bin"
@@ -118,9 +119,7 @@ _TYPECODES = frozenset("id")
 
 #: Segments start on multiples of this (the ``'d'`` segments' item size).
 #: Readers locate segments by their explicit manifest offsets, so the
-#: padding is invisible to them — stores written before padding existed
-#: load unchanged.  It stays part of format version 1: dropping it would
-#: change the payload bytes and their ``segments_sha256``.
+#: padding is invisible to them.
 _SEGMENT_ALIGN = 8
 
 
@@ -271,23 +270,6 @@ class _SegmentReader:
         return data
 
 
-def _flatten_table(per_source: PerSourceTable) -> Tuple[List[int], List[int], List[int], List[int], List[float]]:
-    """Flatten one source's ``target -> edge -> value`` dict, order-preserving."""
-    targets: List[int] = []
-    counts: List[int] = []
-    edge_u: List[int] = []
-    edge_v: List[int] = []
-    values: List[float] = []
-    for target, per_target in per_source.items():
-        targets.append(target)
-        counts.append(len(per_target))
-        for (u, v), value in per_target.items():
-            edge_u.append(u)
-            edge_v.append(v)
-            values.append(value)
-    return targets, counts, edge_u, edge_v, values
-
-
 def _swap_into_place(staging: str, directory: str) -> None:
     """Atomically promote the fully-written ``staging`` dir to ``directory``.
 
@@ -364,12 +346,10 @@ def write_store(
         )
         writer.add(f"tree/{s}/dist", "d", tree.dist)
         writer.add(f"tree/{s}/order", "i", tree.order)
-        targets, counts, edge_u, edge_v, values = _flatten_table(result.table(s))
-        writer.add(f"table/{s}/targets", "i", targets)
-        writer.add(f"table/{s}/counts", "i", counts)
-        writer.add(f"table/{s}/edge_u", "i", edge_u)
-        writer.add(f"table/{s}/edge_v", "i", edge_v)
-        writer.add(f"table/{s}/values", "d", values)
+        # The result keeps its targets in preorder.
+        writer.add(
+            f"table/{s}/values", "d", chain.from_iterable(result.table(s).values())
+        )
 
     payload = writer.payload()
     manifest: Dict[str, object] = {
@@ -495,6 +475,19 @@ def _read_manifest(directory: str) -> Dict[str, object]:
             "re-run `repro-msrp preprocess` to rebuild the store"
         )
     _check_manifest_types(path, manifest)
+    # Values no later step names: an unknown byte order would byteswap
+    # every segment, and a negative count would pass load_header.
+    byteorder = manifest.get("byteorder", sys.byteorder)
+    if byteorder not in ("little", "big"):
+        raise InvalidParameterError(
+            f"{path!r}: field 'byteorder' must be 'little' or 'big', got {byteorder!r}"
+        )
+    for field_name in ("num_vertices", "num_edges"):
+        if manifest["graph"][field_name] < 0:
+            raise InvalidParameterError(
+                f"{path!r}: field 'graph.{field_name}' must be non-negative, "
+                f"got {manifest['graph'][field_name]}"
+            )
     return manifest
 
 
@@ -509,7 +502,8 @@ def load_store(
     """Load a store back into a queryable result.
 
     Validates, in order: manifest magic and format version, the JSON types
-    of the manifest fields, the SHA-256 of the segment payload, each
+    of the manifest fields, the byte order and the graph counts, the
+    SHA-256 of the segment payload, each
     segment descriptor against the payload, and the graph fingerprint
     (recomputed from the decoded edge segments against the header's
     claim).  Any mismatch
@@ -577,33 +571,24 @@ def load_store(
             order = reader.read(f"tree/{s}/order").tolist()
             parent = [None if p == _NO_PARENT else p for p in parent_raw]
             dist = [inf if d == inf else d for d in dist_raw]
-            trees[s] = ShortestPathTree(s, parent, dist, order)
+            tree = trees[s] = ShortestPathTree(s, parent, dist, order)
 
-            targets = reader.read(f"table/{s}/targets").tolist()
-            counts = reader.read(f"table/{s}/counts").tolist()
-            edge_u = reader.read(f"table/{s}/edge_u").tolist()
-            edge_v = reader.read(f"table/{s}/edge_v").tolist()
             values = reader.read(f"table/{s}/values").tolist()
             per_source: PerSourceTable = {}
             cursor = 0
-            for target, count in zip(targets, counts):
-                per_target: Dict[Tuple[int, int], float] = {}
-                for i in range(cursor, cursor + count):
-                    value = values[i]
-                    per_target[(edge_u[i], edge_v[i])] = (
-                        inf if value == inf else value
-                    )
-                cursor += count
-                per_source[target] = per_target
+            for target in tree.preorder()[1:]:
+                end = cursor + int(dist[target])
+                per_source[target] = values[cursor:end]
+                cursor = end
             if cursor != len(values):
                 raise InvalidParameterError(
-                    f"table segments for source {s} are inconsistent: counts "
-                    f"sum to {cursor}, values segment has {len(values)} entries"
+                    f"table/{s}/values holds {len(values)} lengths, but the "
+                    f"distances of source {s}'s targets sum to {cursor}"
                 )
             tables[s] = per_source
 
-        # The constructor re-canonicalises values a second time (harmless)
-        # and re-checks the source/tree consistency invariants.
+        # The constructor re-canonicalises infinite values and re-checks
+        # the table shape against the trees.
         result = ReplacementPathResult(tables, trees, graph=graph)
         return result, header
     finally:

@@ -17,6 +17,7 @@ from repro.analysis import (
 )
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
+from repro.store import FORMAT_VERSION
 
 
 class TestFitPowerLaw:
@@ -229,7 +230,7 @@ class TestCLILifecycle:
             port = str(handle.port)
             assert main(["status", "--port", port]) == 0
             out = capsys.readouterr().out
-            assert "hit rate" in out and "format v1" in out
+            assert "hit rate" in out and f"format v{FORMAT_VERSION}" in out
             assert (
                 main(["query", "--port", port, "--source", str(s),
                       "--target", str(t), "--edge", f"{e[0]},{e[1]}"])

@@ -145,18 +145,30 @@ def test_journal_rejects_foreign_directory(tmp_path):
         CheckpointJournal.open(str(tmp_path))
 
 
+def _assert_journal_version_refused(directory, version):
+    CheckpointJournal.open(str(directory), identity={"graph": "aaaa"})
+    manifest_path = directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    named = f"format_version {version}; this build reads {JOURNAL_FORMAT_VERSION}"
+    with pytest.raises(InvalidParameterError, match=named):
+        CheckpointJournal.open(str(directory), identity={"graph": "aaaa"})
+
+
 def test_journal_refuses_format_version_1(tmp_path):
     # Version 1 records hold per-landmark nested tables; replayed into the
     # flat (endpoint, edge) readers every lookup would miss and fall back
     # to d(s, r), an underestimate.  Such a journal must not open.
-    assert JOURNAL_FORMAT_VERSION == 2
-    CheckpointJournal.open(str(tmp_path), identity={"graph": "aaaa"})
-    manifest_path = tmp_path / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 1
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(InvalidParameterError, match="format_version 1"):
-        CheckpointJournal.open(str(tmp_path), identity={"graph": "aaaa"})
+    assert JOURNAL_FORMAT_VERSION == 3
+    _assert_journal_version_refused(tmp_path, 1)
+
+
+def test_journal_refuses_format_version_2(tmp_path):
+    # Version 2 solve_sources_task records hold edge-keyed dicts per
+    # target, and its assemble_task records (table, timings) pairs; the
+    # version check refuses them before any record is replayed.
+    _assert_journal_version_refused(tmp_path, 2)
 
 
 def test_corrupt_record_is_loud(tmp_path):

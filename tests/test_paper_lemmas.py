@@ -644,14 +644,19 @@ def _assemble(solver, far, large):
 
 
 def ungated_single_source(solver, source, far, large):
-    """The assembly without the certificate: Algorithm 4 on every near entry."""
+    """The assembly without the certificate: Algorithm 4 on every near entry.
+
+    Returns ``target -> lengths`` in path order, the shape
+    ``solve_single_source`` writes (entry ``i`` avoids the edge whose child
+    is at depth ``i + 1``).
+    """
     tree = solver.source_trees[source]
     small = solver.near_small_tables[source]
     table = {}
     for target in tree.reachable_vertices():
         if target == source:
             continue
-        per_edge = table[target] = {}
+        lengths = table[target] = []
         for item in classify_path_edges(tree.path_to(target), solver.scale):
             edge = item.edge
             if item.far_level < 0:
@@ -661,7 +666,7 @@ def ungated_single_source(solver, source, far, large):
                     value = alternative
             else:
                 value = far.candidate_edge(source, target, edge, item.far_level)
-            per_edge[edge] = value
+            lengths.append(value)
     return table
 
 
@@ -708,13 +713,12 @@ class TestNearEntryCertificate:
         for source, table in gated.items():
             expected = ungated_single_source(solver, source, far, large)
             assert table.keys() == expected.keys(), source
-            for target, per_edge in expected.items():
+            for target, lengths in expected.items():
                 got = table[target]
-                assert got.keys() == per_edge.keys(), (source, target)
-                for edge, value in per_edge.items():
-                    mine = got[edge]
+                assert len(got) == len(lengths), (source, target)
+                for depth, (mine, value) in enumerate(zip(got, lengths), 1):
                     assert mine == value and type(mine) is type(value), (
-                        source, target, edge, mine, value,
+                        source, target, depth, mine, value,
                     )
                     assert (mine is math.inf) == (value is math.inf)
 

@@ -10,7 +10,7 @@ from repro.core.landmark_rp import compute_direct_tables
 from repro.core.msrp import multiple_source_replacement_paths
 from repro.core.params import AlgorithmParams
 from repro.core.result import ReplacementPathResult
-from repro.exceptions import InvalidParameterError, NotOnPathError
+from repro.exceptions import InvalidParameterError
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.graph import Graph
@@ -55,11 +55,33 @@ class TestReplacementPathResult:
         assert not result.matches(data)
 
     def test_incomplete_table_detected(self):
+        # A table is checked against the tree at construction: every
+        # reachable target needs a list of exactly dist[t] lengths.
         g = generators.path_graph(4)
         tree = bfs_tree(g, 0)
-        incomplete = ReplacementPathResult({0: {3: {}}}, {0: tree})
-        with pytest.raises(NotOnPathError):
-            incomplete.replacement_length(0, 3, (1, 2))
+        inf = math.inf
+        with pytest.raises(InvalidParameterError, match="target 2 at distance 2 needs that many .* got None"):
+            ReplacementPathResult({0: {1: [inf], 3: [inf] * 3}}, {0: tree})
+        with pytest.raises(InvalidParameterError, match=r"target 3 at distance 3 needs .* got \[inf, inf\]"):
+            ReplacementPathResult({0: {1: [inf], 2: [inf] * 2, 3: [inf] * 2}}, {0: tree})
+        with pytest.raises(InvalidParameterError, match=r"target 3 at distance 3 needs .* got \[inf, inf, inf, inf\]"):
+            ReplacementPathResult({0: {1: [inf], 2: [inf] * 2, 3: [inf] * 4}}, {0: tree})
+
+    def test_foreign_table_shapes_refused(self, result):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        tree = bfs_tree(g, 0)
+        inf = math.inf
+        complete = {1: [inf], 2: [inf, inf]}
+        # The source itself and an unreachable vertex are no targets.
+        for key in (0, 3):
+            with pytest.raises(InvalidParameterError, match=rf"keys \[{key}\] are not targets"):
+                ReplacementPathResult({0: {**complete, key: []}}, {0: tree})
+        # The edge-keyed layout has dist[t] keys per target, so a length
+        # check alone would read its edges as values: refused by type.
+        with pytest.raises(InvalidParameterError, match=r"not an edge-keyed mapping\), got \{\("):
+            ReplacementPathResult(
+                result.to_dict(), {s: result.source_tree(s) for s in result.sources}
+            )
 
     def test_missing_tree_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -84,7 +106,11 @@ class TestReplacementPathResult:
         # whose endpoints fall outside the vertex range.
         g = generators.path_graph(4)
         tree = bfs_tree(g, 0)
-        result = ReplacementPathResult({0: {3: {}}}, {0: tree})
+        result = ReplacementPathResult(
+            {0: {t: [math.inf] * t for t in (1, 2, 3)}}, {0: tree}
+        )
+        assert result.graph is None
+        assert result.replacement_length(0, 3, (1, 2)) is math.inf
         with pytest.raises(InvalidParameterError):
             result.replacement_length(0, 3, (13, 17))
 
@@ -123,6 +149,56 @@ class TestReplacementPathResult:
             result.distance(0.7, 3)
         with pytest.raises(TypeError):
             result.distance(0, 3.5)
+
+    def test_out_of_range_target_rejected(self, result):
+        # Regression: a negative target indexed from the end, so target -1
+        # answered d(s, 6) on this 7-cycle, or raised an untyped KeyError.
+        edge = (result.canonical_path(0, 3)[0], result.canonical_path(0, 3)[1])
+        for target in (-1, 7):
+            with pytest.raises(InvalidParameterError, match="outside the vertex range"):
+                result.distance(0, target)
+            with pytest.raises(InvalidParameterError, match="outside the vertex range"):
+                result.canonical_path(0, target)
+            with pytest.raises(InvalidParameterError, match="outside the vertex range"):
+                result.replacement_length(0, target, edge)
+            with pytest.raises(InvalidParameterError, match="outside the vertex range"):
+                result.replacement_length(0, target, (3, 4))
+
+    def test_fractional_edge_endpoints_rejected(self, result):
+        # Regression: edge endpoints were coerced with int(), so (0.5, 1.2)
+        # answered for the edge (0, 1).
+        assert result.replacement_length(0, 3, (0, 1)) == 4
+        with pytest.raises(TypeError):
+            result.replacement_length(0, 3, (0.5, 1.2))
+        with pytest.raises(TypeError):
+            result.sweep(0, (0, 1.0))
+
+    def test_sweep_equals_point_queries(self, result):
+        # Every vertex, every tree edge, from every source: the sweep is
+        # the tree distances with the failed edge's subtree overwritten.
+        graph = generators.cycle_graph(7)
+        for s in result.sources:
+            for edge in graph.edges():
+                lengths = result.sweep(s, edge)
+                assert len(lengths) == graph.num_vertices
+                for t, value in enumerate(lengths):
+                    assert value == result.replacement_length(s, t, edge)
+                    assert type(value) is type(result.replacement_length(s, t, edge))
+
+    def test_bulk_views_rebuild_the_path_edges(self, result):
+        # Entry i of a target's list is the path edge at depth i + 1.
+        for s in result.sources:
+            for t in result.targets(s):
+                lengths = result.replacement_lengths(s, t)
+                assert list(lengths) == result.source_tree(s).path_edges_to(t)
+                assert list(lengths.values()) == result.table(s)[t]
+                assert result.to_dict()[s][t] == lengths
+        assert [(s, t, e) for s, t, e, _ in result.iter_entries()] == [
+            (s, t, e)
+            for s in result.sources
+            for t in result.source_tree(s).preorder()[1:]
+            for e in result.source_tree(s).path_edges_to(t)
+        ]
 
 
 class TestSourceLandmarkTables:

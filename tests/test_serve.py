@@ -22,7 +22,7 @@ from repro.core.params import AlgorithmParams
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
 from repro.serve import QueryClient, RemoteQueryError, ServerThread, SliceCache
-from repro.store import write_store
+from repro.store import FORMAT_VERSION, write_store
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +63,13 @@ class TestPointQueries:
         tree = result.source_tree(s)
         # An edge not on the canonical s-t path leaves the distance alone.
         for t in result.targets(s):
-            per_target = result.table(s)[t]
+            on_path = result.replacement_lengths(s, t)
             off_path = next(
-                (e for e in graph.edges() if e not in per_target), None
+                (e for e in graph.edges() if e not in on_path), None
             )
             if off_path is not None:
-                assert client.query(s, t, off_path) == result.replacement_length(
-                    s, t, off_path
-                )
+                assert client.query(s, t, off_path) == tree.distance(t)
+                assert result.replacement_length(s, t, off_path) == tree.distance(t)
                 break
         else:  # pragma: no cover - battery graphs always have off-path edges
             pytest.skip("no off-path edge in instance")
@@ -82,14 +81,26 @@ class TestPointQueries:
         assert answers == [result.replacement_length(*q) for q in queries]
 
     def test_sweep_covers_every_vertex(self, served):
+        # Every source x every tree edge, plus one non-tree edge: each
+        # target's served value, and its math.inf identity, equal the
+        # in-process point query.
         graph, result, _handle, client = served
-        s = result.sources[0]
-        t = result.targets(s)[0]
-        edge = next(iter(result.table(s)[t]))
-        lengths = client.sweep(s, edge)
-        assert set(lengths) == set(range(graph.num_vertices))
-        for target, value in lengths.items():
-            assert value == result.replacement_length(s, target, edge)
+        for s in result.sources:
+            tree = result.source_tree(s)
+            tree_edges = [
+                (min(p, v), max(p, v))
+                for v, p in enumerate(tree.parent)
+                if p is not None
+            ]
+            on_tree = set(tree_edges)
+            non_tree = next(e for e in graph.edges() if e not in on_tree)
+            for edge in tree_edges + [non_tree]:
+                lengths = client.sweep(s, edge)
+                assert set(lengths) == set(range(graph.num_vertices))
+                for target, value in lengths.items():
+                    expected = result.replacement_length(s, target, edge)
+                    assert value == expected, (s, edge, target)
+                    assert (value is math.inf) == (expected is math.inf)
 
 
 class TestValidation:
@@ -115,6 +126,51 @@ class TestValidation:
         graph, result, _handle, client = served
         with pytest.raises(InvalidParameterError, match="outside the vertex range"):
             client.query(result.sources[0], graph.num_vertices + 5, graph.edges()[0])
+
+    def test_batch_refuses_non_integer_ids(self, served):
+        # Regression: POST items were coerced with int(), so 14.9 was
+        # answered as source 14 and true as target 1.  Like GET's
+        # "target=3.7", a field that is not a JSON integer is refused per
+        # item, and the other items still resolve.
+        graph, result, handle, _client = served
+        s = result.sources[0]
+        u, v = graph.edges()[0]
+        good = {"source": s, "target": 1, "edge": [u, v]}
+        bad = [
+            {"source": s + 0.9, "target": 3.7, "edge": [u + 0.5, v + 0.2]},
+            {"source": s, "target": True, "edge": [u, v]},
+            {"source": s, "target": 1, "edge": [u, float(v)]},
+            {"source": str(s), "target": 1, "edge": [u, v]},
+            {"source": s, "target": 1, "edge": [u, v, 0]},
+        ]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{handle.port}/query",
+            data=json.dumps({"queries": [good] + bad}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=5) as response:
+            results = json.loads(response.read().decode("utf-8"))["results"]
+        assert "error" not in results[0]
+        assert results[0]["length"] == result.replacement_length(s, 1, (u, v))
+        for item, answer in zip(bad, results[1:]):
+            assert answer["type"] == "InvalidParameterError", (item, answer)
+            assert answer["error"].startswith("malformed query"), (item, answer)
+
+    def test_service_refuses_fractional_ids(self, served):
+        # The in-process service coerces with operator.index, like the
+        # result, instead of truncating.
+        graph, result, handle, _client = served
+        service = handle.service
+        s = result.sources[0]
+        edge = graph.edges()[0]
+        assert service.point_query(s, 1, edge) == result.replacement_length(s, 1, edge)
+        with pytest.raises(TypeError):
+            service.point_query(s + 0.5, 1, edge)
+        with pytest.raises(TypeError):
+            service.point_query(s, 1.5, edge)
+        with pytest.raises(TypeError):
+            service.sweep(s, (edge[0] + 0.5, edge[1]))
 
     def test_batch_reports_per_item_errors(self, served):
         graph, result, _handle, client = served
@@ -142,7 +198,7 @@ class TestValidation:
 
         _graph, _solver, result = instance
         stripped = type(result)(
-            result.to_dict(),
+            {s: result.table(s) for s in result.sources},
             {s: result.source_tree(s) for s in result.sources},
         )
         service = OracleService(stripped)
@@ -240,7 +296,7 @@ class TestStatusAndCache:
             f"http://127.0.0.1:{handle.port}/status", timeout=5
         ) as response:
             payload = json.loads(response.read().decode("utf-8"))
-        assert payload["store"]["format_version"] == 1
+        assert payload["store"]["format_version"] == FORMAT_VERSION
 
 
 class TestSliceCache:

@@ -125,9 +125,10 @@ class TestRoundTrip:
     def test_graphless_result_rejected(self):
         graph = generators.cycle_graph(6)
         _, result = solve(graph, 1)
-        stripped = type(result)(result.to_dict(), {
-            s: result.source_tree(s) for s in result.sources
-        })
+        stripped = type(result)(
+            {s: result.table(s) for s in result.sources},
+            {s: result.source_tree(s) for s in result.sources},
+        )
         with pytest.raises(InvalidParameterError, match="graph-less"):
             write_store("/tmp/never-written", stripped)
 
@@ -188,11 +189,18 @@ class TestRejection:
             load_header(store_dir)
 
     def test_wrong_format_version(self, store_dir):
-        self._edit_manifest(
-            store_dir, lambda m: m.update(format_version=FORMAT_VERSION + 1)
-        )
-        with pytest.raises(InvalidParameterError, match="version mismatch"):
-            load_store(store_dir)
+        # FORMAT_VERSION - 1 is the edge-keyed layout (targets, counts,
+        # edge_u and edge_v segments); it is refused, not migrated.
+        for version in (FORMAT_VERSION - 1, FORMAT_VERSION + 1):
+            self._edit_manifest(store_dir, lambda m: m.update(format_version=version))
+            named = (
+                f"version mismatch: .* has version {version}, "
+                f"this build reads version {FORMAT_VERSION}"
+            )
+            with pytest.raises(InvalidParameterError, match=named):
+                load_store(store_dir)
+            with pytest.raises(InvalidParameterError, match=named):
+                load_header(store_dir)
 
     def test_corrupted_segment_payload(self, store_dir):
         path = os.path.join(store_dir, SEGMENTS_NAME)
@@ -284,10 +292,58 @@ class TestRejection:
         with pytest.raises(InvalidParameterError, match=named):
             load_header(store_dir)
 
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda m: m.update(byteorder=5), r"field 'byteorder' .* got 5"),
+            (lambda m: m.update(byteorder="middle"), r"field 'byteorder'"),
+            (lambda m: m["graph"].update(num_vertices=-1),
+             r"field 'graph\.num_vertices' must be non-negative, got -1"),
+            (lambda m: m["graph"].update(num_edges=-3),
+             r"field 'graph\.num_edges' must be non-negative, got -3"),
+        ],
+        ids=["int-byteorder", "unknown-byteorder", "negative-num-vertices",
+             "negative-num-edges"],
+    )
+    def test_manifest_header_value_out_of_range(self, store_dir, mmap, mutate, named):
+        # A well-typed header value can still be nonsense: an unknown byte
+        # order would byteswap every segment, and a negative count would
+        # pass load_header.  Both are refused by name.
+        self._edit_manifest(store_dir, mutate)
+        with pytest.raises(InvalidParameterError, match=named):
+            load_store(store_dir, mmap=mmap)
+        with pytest.raises(InvalidParameterError, match=named):
+            load_header(store_dir)
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    def test_values_segment_not_matching_the_tree(self, store_dir, mmap):
+        # The values segment is split by dist over the source's preorder;
+        # a segment one length short cannot be split and is refused.
+        name = f"table/{load_header(store_dir).sources[0]}/values"
+
+        def shorten(manifest):
+            for descriptor in manifest["segments"]:
+                if descriptor["name"] == name:
+                    descriptor["count"] -= 1
+                    descriptor["nbytes"] -= 8
+
+        self._edit_manifest(store_dir, shorten)
+        with pytest.raises(InvalidParameterError, match=f"{name} holds"):
+            load_store(store_dir, mmap=mmap)
+
+    def test_only_the_values_segment_per_table(self, store_dir):
+        # The stored tree implies every entry's target and edge.
+        with open(os.path.join(store_dir, MANIFEST_NAME)) as handle:
+            names = {d["name"] for d in json.load(handle)["segments"]}
+        assert {name.rsplit("/", 1)[1] for name in names if name.startswith("table/")} == {
+            "values"
+        }
+
     def test_magic_and_version_constants(self):
         # The spec in docs/ quotes these; changing them is a format bump.
         assert MAGIC == "repro-msrp-store"
-        assert FORMAT_VERSION == 1
+        assert FORMAT_VERSION == 2
 
 
 @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
@@ -346,7 +402,7 @@ class TestMmapLoad:
 
     def test_segment_offsets_are_aligned(self, tmp_path):
         """The writer pads every segment to an 8-byte boundary, which is
-        part of format version 1 (see docs/store_format.md)."""
+        part of the format (see docs/store_format.md)."""
         graph = generators.random_connected_graph(10, extra_edges=6, seed=3)
         _, result = solve(graph, 3)
         write_store(str(tmp_path), result)
