@@ -57,7 +57,8 @@ def _hit_rate(sampling: float, threshold: float, seed: int) -> float:
             if not item.is_far:
                 continue
             total += 1
-            if solver.candidate(source, target, item) == reference[target][item.edge]:
+            candidate = solver.candidate_edge(source, target, item.edge, item.far_level)
+            if candidate == reference[target][item.edge]:
                 hits += 1
     return hits / total if total else 1.0
 

@@ -1,10 +1,18 @@
 """E2 / Figure A — SSRP runtime scaling in ``n`` (Theorem 14).
 
-Measures the paper's SSRP algorithm and the per-target classical baseline on
-sparse graphs of growing size, fits the growth exponents, and prints the
-series.  The expected shape: the baseline's exponent exceeds the paper
-algorithm's by roughly one half (``m n`` versus ``m sqrt(n) + n^2`` with
-``m = Theta(n)``), and the measured curves diverge as ``n`` grows.
+Times the paper's SSRP algorithm and the per-target classical baseline once
+each on sparse graphs (``m ~ 3n``) with n = 60, 100, 160 and 240, prints
+the series with the baseline / paper ratio, and fits a power law to each.
+The cost model puts the baseline's exponent about one half above the
+paper's (``m n`` against ``m sqrt(n) + n^2`` with ``m = Theta(n)``).
+
+It asserts only that the ratio does not shrink by more than a fifth from
+the smallest to the largest ``n``; the fitted exponents are printed, not
+asserted.  Two runs on a 2-CPU Linux container (CPython 3.11) measured
+the baseline 8-19x slower than the paper's algorithm at every ``n``, with
+fitted exponents of 1.84 against 1.84 in one run and 2.11 against 1.65 in
+the other: single-shot timings at these sizes do not resolve the
+predicted gap.
 """
 
 from __future__ import annotations

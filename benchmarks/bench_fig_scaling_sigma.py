@@ -1,15 +1,22 @@
 """E3 / Figure B — MSRP runtime scaling in ``sigma`` (Theorem 26).
 
-Fixes a sparse graph and sweeps the number of sources.  Reported series:
+Fixes one sparse graph (n = 110, ``m ~ 3n``) and times, once each for
+sigma = 1, 2, 4, 8 and 16:
 
 * the paper's MSRP algorithm (shared ``sqrt(n sigma)`` landmark family),
 * the "independent SSRP per source" baseline (``sigma`` separate runs),
 * the per-edge-BFS brute force.
 
-Expected shape: all curves grow with ``sigma``, the brute force grows
-fastest, and the shared-landmark algorithm stays below the independent-SSRP
-baseline as ``sigma`` grows (the factor the paper's Section 8 machinery is
-about).  The crossover (if any) is reported.
+It prints the three series and the sigma where the brute-force curve
+crosses the paper's (``inf`` when they never cross in range, which
+includes the paper's algorithm being ahead at every sigma).  It asserts
+that the brute force grows from sigma = 1 to 16, and that the paper's
+growth factor over that range stays below 2.5 x 16 times the brute
+force's, a loose bound.  Two runs on a 2-CPU Linux container (CPython
+3.11) measured the paper's algorithm at 8 ms -> 52-60 ms, the brute force
+at 10-11 ms -> 161-179 ms and independent SSRP at 8 ms -> 165-189 ms: the
+paper's algorithm was ahead of the brute force at every sigma and of
+independent SSRP above sigma = 1, and the crossover printed ``inf``.
 """
 
 from __future__ import annotations
@@ -18,9 +25,10 @@ import pytest
 
 from benchmarks.conftest import benchmark_params, print_table, sparse_workload, time_once
 from repro.analysis import crossover_point
-from repro.baselines import msrp_independent_ssrp, msrp_per_edge_bfs
+from repro.baselines import msrp_independent_ssrp
 from repro.core.msrp import multiple_source_replacement_paths
 from repro.graph import generators
+from repro.rp.bruteforce import brute_force_multi_source
 
 NUM_VERTICES = 110
 SIGMAS = [1, 2, 4, 8, 16]
@@ -53,7 +61,7 @@ def test_msrp_sigma_series(benchmark):
         independent_times.append(
             time_once(lambda: msrp_independent_ssrp(graph, sources, params=params))
         )
-        brute_times.append(time_once(lambda: msrp_per_edge_bfs(graph, sources)))
+        brute_times.append(time_once(lambda: brute_force_multi_source(graph, sources)))
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1, warmup_rounds=0)
 

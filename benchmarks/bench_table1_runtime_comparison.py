@@ -2,11 +2,22 @@
 
 The paper positions its ``O~(m sqrt(n sigma) + sigma n^2)`` algorithm against
 (a) the per-edge-BFS brute force, (b) the per-target classical algorithm,
-and (c) running its own SSRP algorithm independently per source.  This
-benchmark measures all four on the same instances and prints the speedup
-table; the expected *shape* is that the paper's algorithm wins against the
-brute force and the per-target baseline on every configuration, with the
-margin growing with ``n`` and with ``sigma``.
+and (c) running its own SSRP algorithm independently per source.  On four
+sparse instances (``m ~ 3n``; n = 80 and 120, sigma = 1 to 11) this script
+times all four once each and prints, per row, the wall time, its ratio to
+the paper's algorithm and the cost model's predicted operation count.
+
+What it asserts is model-level only: ``predicted_operations`` gives the
+paper's algorithm fewer operations than the brute force, and every timing
+is positive.  The single-shot times are not asserted: brute force has
+been the faster one on a row before (n = 80, sigma = 4, at 0.54x of the
+paper's time in an earlier revision).
+
+Two runs on a 2-CPU Linux container (CPython 3.11) printed the paper's
+algorithm fastest on every row: the brute force took 1.5-6.0x its time,
+the per-target baseline 11-21x and independent SSRP 1.2-3.5x.  The
+brute-force margin was largest at sigma = 1 and did not grow with ``n``
+or ``sigma``.
 """
 
 from __future__ import annotations
@@ -15,13 +26,10 @@ import pytest
 
 from benchmarks.conftest import benchmark_params, print_table, sparse_workload, time_once
 from repro.analysis import predicted_operations, speedup_table
-from repro.baselines import (
-    msrp_independent_ssrp,
-    msrp_per_edge_bfs,
-    msrp_per_target_classical,
-)
+from repro.baselines import msrp_independent_ssrp, msrp_per_target_classical
 from repro.core.msrp import multiple_source_replacement_paths
 from repro.graph import generators
+from repro.rp.bruteforce import brute_force_multi_source
 
 CONFIGS = [
     # (n, sigma)
@@ -39,7 +47,7 @@ def test_table1_runtime_comparison(benchmark, num_vertices, num_sources):
     params = benchmark_params(seed=num_vertices)
 
     timings = {
-        "bruteforce": time_once(lambda: msrp_per_edge_bfs(graph, sources)),
+        "bruteforce": time_once(lambda: brute_force_multi_source(graph, sources)),
         "per_target": time_once(lambda: msrp_per_target_classical(graph, sources)),
         "independent_ssrp": time_once(
             lambda: msrp_independent_ssrp(graph, sources, params=params)

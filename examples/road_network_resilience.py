@@ -7,8 +7,8 @@ how much longer the best route becomes — and which closures disconnect a
 customer entirely.
 
 The "road network" is modelled as a grid with a few diagonal shortcuts (a
-standard synthetic stand-in for a city street network).  The script builds
-a fault-tolerant distance oracle from the depots, ranks the most fragile
+standard synthetic stand-in for a city street network).  The script solves
+replacement paths from the depots once, ranks the most fragile
 (depot, customer) pairs by their worst-case stretch, and lists the critical
 road segments whose failure disconnects some customer.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro import AlgorithmParams, FaultTolerantDistanceOracle, Graph
+from repro import AlgorithmParams, Graph, multiple_source_replacement_paths
 from repro.graph import generators
 
 
@@ -47,19 +47,19 @@ def main() -> None:
     print(f"street network: {city.num_vertices} junctions, {city.num_edges} segments")
     print(f"depots: {depots}\n")
 
-    oracle = FaultTolerantDistanceOracle(
+    result = multiple_source_replacement_paths(
         city, depots, params=AlgorithmParams(seed=3)
-    ).preprocess()
+    )
 
     # Rank (depot, customer) pairs by worst-case stretch under one closure.
     ranking = []
     for depot in depots:
         for customer in customers:
-            base = oracle.distance(depot, customer)
+            base = result.distance(depot, customer)
             if math.isinf(base):
                 continue
-            stretch = oracle.vulnerability(depot, customer)
-            ranking.append((stretch, depot, customer, base))
+            worst = max(result.replacement_lengths(depot, customer).values())
+            ranking.append((worst / base, depot, customer, base))
     ranking.sort(reverse=True)
 
     print("most fragile depot -> customer routes (worst stretch under one closure):")
@@ -71,13 +71,11 @@ def main() -> None:
     critical = set()
     for depot in depots:
         for customer in customers:
-            for edge, length in oracle.result.replacement_lengths(depot, customer).items():
+            for edge, length in result.replacement_lengths(depot, customer).items():
                 if math.isinf(length):
                     # Disconnected from this depot; check the other depots.
                     if all(
-                        math.isinf(
-                            oracle.query(other, customer, edge)
-                        )
+                        math.isinf(result.replacement_length(other, customer, edge))
                         for other in depots
                     ):
                         critical.add((edge, customer))

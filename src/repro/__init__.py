@@ -3,8 +3,9 @@ algorithm of Gupta, Jain and Modi (PODC 2020, arXiv:2005.09262).
 
 The package is organised in layers:
 
-* :mod:`repro.graph` — graph container, BFS, shortest-path trees, LCA and
-  workload generators (the substrates the paper assumes).
+* :mod:`repro.graph` — graph container, BFS, shortest-path trees with
+  Euler-interval tree queries, subtree repair and workload generators
+  (the substrates the paper assumes).
 * :mod:`repro.rp` — classical single-pair replacement paths and brute-force
   oracles.
 * :mod:`repro.core` — the paper's SSRP/MSRP pipeline (Sections 5-7).
@@ -12,7 +13,9 @@ The package is organised in layers:
   source-to-landmark replacement paths in ``O~(m sqrt(n sigma) + sigma n^2)``.
 * :mod:`repro.parallel` — process-sharded execution of the per-source
   phases (``AlgorithmParams.workers``), deterministic at any worker count.
-* :mod:`repro.oracle` — a fault-tolerant distance-oracle facade.
+* :mod:`repro.store`, :mod:`repro.serve` — the on-disk result store and the
+  HTTP server that answers the paper's ``QUERY(x, y, e)`` from it
+  (in process, :meth:`ReplacementPathResult.replacement_length`).
 * :mod:`repro.lowerbound` — the Section 9 reduction from Boolean matrix
   multiplication.
 * :mod:`repro.baselines`, :mod:`repro.analysis` — baselines and runtime
@@ -27,7 +30,6 @@ from repro.core.result import ReplacementPathResult
 from repro.core.ssrp import single_source_replacement_paths
 from repro.graph.graph import Graph
 from repro.graph import generators
-from repro.oracle.ftoracle import FaultTolerantDistanceOracle
 from repro.rp.single_pair import replacement_paths
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "replacement_paths",
     "single_source_replacement_paths",
     "multiple_source_replacement_paths",
-    "FaultTolerantDistanceOracle",
 ]
 
 __version__ = "1.0.0"

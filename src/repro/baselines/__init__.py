@@ -2,16 +2,12 @@
 
 from repro.baselines.naive import (
     msrp_independent_ssrp,
-    msrp_per_edge_bfs,
     msrp_per_target_classical,
-    ssrp_per_edge_bfs,
     ssrp_per_target_classical,
 )
 
 __all__ = [
-    "ssrp_per_edge_bfs",
     "ssrp_per_target_classical",
-    "msrp_per_edge_bfs",
     "msrp_per_target_classical",
     "msrp_independent_ssrp",
 ]

@@ -1,11 +1,13 @@
 """Baseline algorithms the paper compares against (Sections 1-2).
 
-Three baseline families are implemented, matching the running-time
-landscape discussed in the paper's introduction:
+Three baseline families match the running-time landscape discussed in the
+paper's introduction:
 
 * **Per-edge BFS brute force** — recompute a BFS for every failed edge;
   ``O~(sigma n m)``.  This is the naive algorithm every replacement-path
-  paper implicitly compares against.
+  paper implicitly compares against, and the repository's oracle:
+  :func:`repro.rp.bruteforce.brute_force_single_source` and
+  :func:`~repro.rp.bruteforce.brute_force_multi_source`.
 * **Per-target classical replacement paths** — run the near-linear
   single-pair algorithm of [20, 21, 22] once per target;
   ``O~(m n)`` per source.  This is the "inefficient algorithm" the paper
@@ -22,29 +24,14 @@ harness and the tests can compare them interchangeably.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.core.params import AlgorithmParams
 from repro.core.ssrp import single_source_replacement_paths
 from repro.graph.bfs import bfs_tree
 from repro.graph.graph import Graph
-from repro.rp.bruteforce import (
-    MultiSourceAnswer,
-    SingleSourceAnswer,
-    brute_force_multi_source,
-    brute_force_single_source,
-)
+from repro.rp.bruteforce import MultiSourceAnswer, SingleSourceAnswer
 from repro.rp.single_pair import replacement_paths
-
-
-def ssrp_per_edge_bfs(graph: Graph, source: int) -> SingleSourceAnswer:
-    """SSRP by one BFS per failed edge (``O~(n m)``)."""
-    return brute_force_single_source(graph, source)
-
-
-def msrp_per_edge_bfs(graph: Graph, sources: Iterable[int]) -> MultiSourceAnswer:
-    """MSRP by one BFS per failed edge and per source (``O~(sigma n m)``)."""
-    return brute_force_multi_source(graph, sources)
 
 
 def ssrp_per_target_classical(graph: Graph, source: int) -> SingleSourceAnswer:

@@ -5,9 +5,6 @@ from repro.core.classification import (
     NEAR,
     ClassifiedEdge,
     classify_path_edges,
-    iter_far_edges,
-    iter_near_edges,
-    near_edges_of_path,
 )
 from repro.core.far_edges import FarEdgeSolver
 from repro.core.landmark_rp import compute_direct_tables
@@ -34,9 +31,6 @@ __all__ = [
     "LandmarkHierarchy",
     "ClassifiedEdge",
     "classify_path_edges",
-    "near_edges_of_path",
-    "iter_far_edges",
-    "iter_near_edges",
     "NEAR",
     "FAR",
     "FarEdgeSolver",

@@ -16,7 +16,7 @@ replacement length: Section 7 (near) or Section 6 / Algorithm 3 (far).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.core.params import ProblemScale
 from repro.graph.graph import Edge, normalize_edge
@@ -92,40 +92,3 @@ def classify_path_edges(
                 ClassifiedEdge(edge, i, distance_to_target, FAR, level)
             )
     return classified
-
-
-def near_edges_of_path(
-    path: Sequence[int], scale: ProblemScale
-) -> List[Tuple[Edge, int]]:
-    """Return the near edges of a path as ``(edge, index)`` pairs.
-
-    This enumerates only the suffix of the path that can possibly be near
-    (the last ``ceil(2 X)`` edges), which is what keeps the Section 7.1
-    auxiliary-graph construction within its stated size bound.
-    """
-    length = len(path) - 1
-    if length <= 0:
-        return []
-    # distance_to_target = length - (i + 1) < near_threshold
-    #   <=>  i + 1 > length - near_threshold
-    first_index = max(0, int(length - scale.near_threshold))
-    result: List[Tuple[Edge, int]] = []
-    for i in range(first_index, length):
-        distance_to_target = length - (i + 1)
-        if distance_to_target < scale.near_threshold:
-            result.append((normalize_edge(path[i], path[i + 1]), i))
-    return result
-
-
-def iter_far_edges(
-    classified: Sequence[ClassifiedEdge],
-) -> Iterator[ClassifiedEdge]:
-    """Yield only the far edges of an already classified path."""
-    return (edge for edge in classified if edge.is_far)
-
-
-def iter_near_edges(
-    classified: Sequence[ClassifiedEdge],
-) -> Iterator[ClassifiedEdge]:
-    """Yield only the near edges of an already classified path."""
-    return (edge for edge in classified if edge.is_near)

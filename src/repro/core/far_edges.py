@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.core.classification import ClassifiedEdge
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import ProblemScale
 from repro.exceptions import InvalidParameterError
@@ -85,26 +84,14 @@ class FarEdgeSolver:
             for level in landmarks.levels
         )
 
-    def candidate(
-        self, source: int, target: int, classified_edge: ClassifiedEdge
+    def candidate_edge(
+        self, source: int, target: int, edge, level: int
     ) -> float:
-        """Best far-edge candidate for one failed edge (Algorithm 3).
+        """Best far-edge candidate for one failed ``level``-far edge (Algorithm 3).
 
         Returns ``math.inf`` when no level-``k`` landmark lies within the
         radius; by Lemma 9 this happens with probability at most ``1/n``
         for edges whose replacement path exists.
-        """
-        return self.candidate_edge(
-            source, target, classified_edge.edge, classified_edge.far_level
-        )
-
-    def candidate_edge(
-        self, source: int, target: int, edge, level: int
-    ) -> float:
-        """Algorithm 3 for a bare ``(edge, far level)`` pair.
-
-        Entry point of the assembly sweep, which classifies path edges with
-        array lookups and has no :class:`ClassifiedEdge` object to hand.
         """
         if level < 0:
             raise InvalidParameterError("landmark level must be non-negative")

@@ -71,13 +71,6 @@ class LandmarkHierarchy:
                 levels.append([v for v in range(n) if rng.random() < probability])
         return cls(levels, sources)
 
-    @classmethod
-    def from_levels(
-        cls, levels: Sequence[Iterable[int]], sources: Iterable[int]
-    ) -> "LandmarkHierarchy":
-        """Build a hierarchy from explicitly given levels (tests use this)."""
-        return cls(levels, sources)
-
     # -- accessors -----------------------------------------------------------
 
     @property

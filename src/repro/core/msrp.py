@@ -42,6 +42,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from operator import index as _vertex_id
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.far_edges import FarEdgeSolver
@@ -75,7 +76,9 @@ class MSRPSolver:
     graph:
         Undirected, unweighted input graph.
     sources:
-        The source set ``S`` (non-empty, distinct vertices).
+        The source set ``S`` (non-empty, distinct vertices).  Ids are
+        coerced with ``operator.index``, so ``3.7`` is refused
+        (``TypeError``) instead of truncated to source 3.
     params:
         Algorithm constants; defaults to :class:`AlgorithmParams`.
     landmark_strategy:
@@ -93,7 +96,7 @@ class MSRPSolver:
         landmark_hierarchy: Optional[LandmarkHierarchy] = None,
     ):
         self.graph = graph
-        self.sources: List[int] = sorted(set(int(s) for s in sources))
+        self.sources: List[int] = sorted(set(map(_vertex_id, sources)))
         if not self.sources:
             raise InvalidParameterError("the source set must not be empty")
         for s in self.sources:

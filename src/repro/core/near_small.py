@@ -37,8 +37,11 @@ zone: :func:`compute_near_small_tables` is one
 :func:`repro.graph.repair.subtree_repair_distances` call with
 ``window=N``, ``O(sum_v deg(v) * min(depth(v), N))`` per source and no
 auxiliary graph.  The paper's construction is kept as
-:func:`compute_near_small_tables_reference`; the two agree on every key,
-value and type (``tests/test_property_battery.py``).
+:func:`compute_near_small_tables_reference`, built on the dict substrate
+(:class:`~repro.rp.dijkstra.AuxiliaryGraphBuilder` and
+:func:`~repro.rp.dijkstra.dijkstra` over the tuple nodes), like every
+``_reference``; the two agree on every key, value and type
+(``tests/test_property_battery.py``).
 
 **The certificate.**  Let ``L = |st <> e|``.  Every vertex ``v`` of a
 shortest ``s``-``t`` path in ``G - e`` has ``dist(v) <= L``.  If
@@ -52,9 +55,9 @@ on the entries the certificate does not cover.
 
 The product tables are the kernel's ``PairEdgeTable`` itself, read with
 ``table.get((t, e), math.inf)``.  The reference returns a
-:class:`NearSmallTables`, whose optional predecessor tracking
-reconstructs the corresponding walk in the original graph.  The solver
-never asks for it: only the Section 8.2.1 split
+:class:`NearSmallTables`, whose optional predecessor dict (the dict
+Dijkstra's) reconstructs the corresponding walk in the original graph.
+The solver never asks for it: only the Section 8.2.1 split
 (:func:`repro.multisource.tables.compute_small_paths_through_centers`),
 which seeds the paper-construction reference of the Section 8.2 tables,
 needs those explicit walks to decide whether a small replacement path
@@ -71,11 +74,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.repair import PairEdgeTable, subtree_repair_distances
 from repro.graph.tree import ShortestPathTree
-from repro.rp.dijkstra import (
-    InternedAuxiliaryGraph,
-    InternedPredecessors,
-    reconstruct_path,
-)
+from repro.rp.dijkstra import AuxiliaryGraphBuilder, dijkstra, reconstruct_path
 
 #: auxiliary-graph node tags
 _SRC = ("src",)
@@ -131,7 +130,7 @@ class NearSmallTables:
     def __init__(
         self,
         values: PairEdgeTable,
-        predecessors: Optional[InternedPredecessors] = None,
+        predecessors: Optional[Dict[Tuple, Tuple]] = None,
         tree: Optional[ShortestPathTree] = None,
     ):
         self.values = values
@@ -224,56 +223,43 @@ def compute_near_small_tables_reference(
     if tree.root != source:
         raise InvalidParameterError("tree must be rooted at the source")
 
-    aux = InternedAuxiliaryGraph()
-    src_id = aux.intern(_SRC)
+    builder = AuxiliaryGraphBuilder()
 
-    # Near edges per target, and dense ids for the existing [t, e] nodes.
+    # The (t, e) pairs with e near t, in tree order; each is a [t, e]
+    # node, reached or not.
     near_edges: Dict[int, List[Edge]] = {}
-    ve_ids: Dict[Tuple[int, Edge], int] = {}
     for target in tree.order:
-        if target == source:
-            continue
-        edges = [e for e, _ in near_edges_from_target(tree, target, scale)]
-        if edges:
-            near_edges[target] = edges
-            for e in edges:
-                ve_ids[(target, e)] = aux.intern(_ve_node(target, e))
+        if target != source:
+            edges = [e for e, _ in near_edges_from_target(tree, target, scale)]
+            if edges:
+                near_edges[target] = edges
+    keys = [(target, e) for target, edges in near_edges.items() for e in edges]
+    near = set(keys)
+    for target, e in keys:
+        builder.add_node(_ve_node(target, e))
 
     # [s] -> [v] edges.
-    add_arc = aux.add_arc
-    dist = tree.dist
-    v_ids: Dict[int, int] = {}
     for v in tree.order:
-        v_ids[v] = v_id = aux.intern(_v_node(v))
-        add_arc(src_id, v_id, float(dist[v]))
+        builder.add_edge(_SRC, _v_node(v), float(tree.dist[v]))
 
-    # [v] -> [t, e] and [v, e] -> [t, e] edges.  The "canonical s-v path
-    # avoids e" guard is the tree's Euler-interval test, inlined over the
-    # flat arrays (one dict get + two comparisons per pair).
-    tec = tree.edge_child_map()
-    tec_get = tec.get
-    tin, tout = tree.euler_intervals()
-    ve_get = ve_ids.get
+    # [v] -> [t, e] when the canonical s-v path avoids e, and
+    # [v, e] -> [t, e] when e is near v; never over the arc e itself.
     for target, edges in near_edges.items():
         for neighbour in graph.neighbors(target):
             hop = normalize_edge(neighbour, target)
-            neighbour_v_id = v_ids.get(neighbour)
-            t_n = tin[neighbour]
             for e in edges:
                 if hop == e:
                     continue
-                if neighbour_v_id is not None:
-                    child = tec_get(e)
-                    if child is None or not (tin[child] <= t_n <= tout[child]):
-                        add_arc(neighbour_v_id, ve_ids[(target, e)], 1.0)
-                ne_id = ve_get((neighbour, e))
-                if ne_id is not None:
-                    add_arc(ne_id, ve_ids[(target, e)], 1.0)
+                node = _ve_node(target, e)
+                if not tree.tree_path_uses_edge(e, neighbour):
+                    builder.add_edge(_v_node(neighbour), node, 1.0)
+                if (neighbour, e) in near:
+                    builder.add_edge(_ve_node(neighbour, e), node, 1.0)
 
-    distances, predecessors = aux.dijkstra(_SRC, with_predecessors=with_paths)
-
-    by_id = distances.by_id
-    values = {key: by_id(node_id, math.inf) for key, node_id in ve_ids.items()}
+    distances, predecessors = dijkstra(
+        builder.adjacency(), _SRC, with_predecessors=with_paths
+    )
+    values = {key: distances.get(_ve_node(*key), math.inf) for key in keys}
     return NearSmallTables(
         values,
         predecessors=predecessors if with_paths else None,

@@ -52,11 +52,6 @@ class AlgorithmParams:
         The paper's "suitably chosen constant ``ell >= 2``" bounding the
         number of per-center failed edges materialised by the Section 8
         auxiliary graphs.
-    use_log_factor:
-        When ``True`` (default) the distance unit includes the ``log n``
-        factor exactly as in the paper; turning it off is occasionally
-        useful in benchmarks that want to highlight the polynomial part of
-        the bound.
     seed:
         Seed for all random sampling.  ``None`` draws fresh randomness.
     verify:
@@ -87,7 +82,6 @@ class AlgorithmParams:
     sampling_constant: float = 4.0
     threshold_constant: float = 1.0
     interval_constant: float = 2.0
-    use_log_factor: bool = True
     seed: Optional[int] = None
     verify: bool = False
     workers: int = 0
@@ -135,12 +129,12 @@ class ProblemScale:
         self.num_vertices = num_vertices
         self.num_sources = num_sources
         self.params = params
-        log_factor = max(1.0, math.log2(num_vertices)) if params.use_log_factor else 1.0
-        #: the paper's distance unit ``sqrt(n / sigma) * log n``
+        #: the paper's distance unit ``sqrt(n / sigma) * log n`` (the log
+        #: factor clamped to at least 1 for ``n < 2``)
         self.base_unit = (
             params.threshold_constant
             * math.sqrt(num_vertices / num_sources)
-            * log_factor
+            * max(1.0, math.log2(num_vertices))
         )
         #: levels ``k = 0 .. log(sqrt(n sigma))`` (Definition 3)
         self.max_level = max(

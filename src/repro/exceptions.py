@@ -30,14 +30,6 @@ class NotOnPathError(ReproError, KeyError):
     canonical shortest path between the queried endpoints."""
 
 
-class PathIndexError(ReproError, IndexError):
-    """Raised when an edge index falls outside a decomposed path.
-
-    Subclasses :class:`IndexError` so sequence-style callers that probe
-    with ``except IndexError`` keep working while ``except ReproError``
-    still catches everything the library raises."""
-
-
 class InternalInvariantError(ReproError, AssertionError):
     """Raised when an internal consistency check fails.
 

@@ -1,4 +1,4 @@
-"""Graph substrate: containers, BFS, shortest-path trees, LCA, generators.
+"""Graph substrate: containers, BFS, shortest-path trees, generators.
 
 The layer is organised around two interchangeable BFS substrates:
 
@@ -22,6 +22,10 @@ or when you need ``prefer_path`` / ``forbidden_edge`` variants per call.
 The randomized property battery (``tests/test_property_battery.py``) pins
 the two substrates to each other on every generator in
 :mod:`repro.graph.generators`.
+
+Tree queries have one answer: :class:`ShortestPathTree`'s Euler intervals
+(``edge_child_map()``, ``euler_intervals()``, ``tree_path_uses_edge``)
+decide Lemma 6's "does ``e`` lie on the tree path to ``v``" in ``O(1)``.
 """
 
 from repro.graph.bfs import bfs_distances, bfs_tree
@@ -34,16 +38,7 @@ from repro.graph.csr import (
     is_connected,
 )
 from repro.graph.graph import Edge, Graph, normalize_edge
-from repro.graph.lca import LCAStructure
-from repro.graph.paths import (
-    concatenate,
-    is_path,
-    path_avoids_edge,
-    path_edges,
-    path_length,
-    validate_path,
-)
-from repro.graph.tree import ShortestPathTree, tree_distance_table
+from repro.graph.tree import ShortestPathTree
 from repro.graph import generators
 
 __all__ = [
@@ -59,13 +54,5 @@ __all__ = [
     "connected_components",
     "is_connected",
     "ShortestPathTree",
-    "tree_distance_table",
-    "LCAStructure",
-    "path_edges",
-    "path_length",
-    "is_path",
-    "validate_path",
-    "path_avoids_edge",
-    "concatenate",
     "generators",
 ]

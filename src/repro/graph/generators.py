@@ -21,29 +21,13 @@ every experiment in the repository is reproducible.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.exceptions import InternalInvariantError, InvalidParameterError
 from repro.graph import csr
 from repro.graph.graph import Graph
 
 RandomLike = Union[int, random.Random, None]
-
-
-def is_connected(graph: Graph) -> bool:
-    """Connectivity check over the graph's cached CSR kernel.
-
-    Empty and single-vertex graphs count as connected.  Generators whose
-    contract promises connectivity (:func:`random_connected_graph`) verify
-    their output with this check, and tests use it to sort workloads into
-    connected/disconnected regimes.
-    """
-    return csr.is_connected(graph)
-
-
-def connected_components(graph: Graph) -> List[List[int]]:
-    """Connected components as sorted vertex lists (CSR flat traversal)."""
-    return csr.connected_components(graph)
 
 
 def _rng(seed: RandomLike) -> random.Random:
@@ -211,7 +195,7 @@ def random_connected_graph(
             continue
         edges.add((min(u, v), max(u, v)))
     graph = Graph(num_vertices, sorted(edges))
-    if not is_connected(graph):  # pragma: no cover - guaranteed by construction
+    if not csr.is_connected(graph):  # pragma: no cover - guaranteed by construction
         raise InternalInvariantError(
             "random_connected_graph produced a disconnected graph"
         )

@@ -247,12 +247,3 @@ class Graph:
                 if u < v:
                     edges.append((u, v))
         return cls(n, edges)
-
-    def to_networkx(self):  # pragma: no cover - thin conversion helper
-        """Convert to a :mod:`networkx` graph (used by analysis notebooks)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self._n))
-        g.add_edges_from(self._edges)
-        return g

@@ -20,18 +20,16 @@ Laziness contract
 -----------------
 Construction stores only the three flat arrays BFS already produced —
 ``parent``, ``dist`` and ``order`` — and *adopts* them when they are plain
-lists (no copy).  Everything else — the per-vertex children rows, the
-tree-edge ``->`` child map and the Euler ``tin``/``tout`` intervals — is
-materialised on first use and cached for the lifetime of the tree:
+lists (no copy).  Everything else — the tree-edge ``->`` child map, the
+Euler ``tin``/``tout`` intervals and the preorder — is materialised on
+first use and cached for the lifetime of the tree:
 
 * a tree that only ever answers ``distance`` / ``path_to`` /
   ``deepest_path_ancestor_indices`` queries (oracle distance tables, many
   center trees) never builds any derived structure;
 * the first structural query (``is_ancestor``, ``edge_child``,
   ``distance_avoiding``, ``subtree_size``, …) builds the edge map and the
-  intervals once, in ``O(n)``;
-* ``children()`` builds the children rows once and returns the *cached*
-  tuple for a vertex, so callers may invoke it in loops without allocating.
+  intervals once, in ``O(n)``.
 
 The flat arrays themselves are part of the public surface: hot loops are
 encouraged to grab ``edge_child_map()`` and ``euler_intervals()`` once and
@@ -42,6 +40,7 @@ the Section 8 table builders do).
 from __future__ import annotations
 
 import math
+from operator import index as _vertex_id
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError, NotOnPathError
@@ -72,8 +71,8 @@ class ShortestPathTree:
     Notes
     -----
     List arguments are adopted without copying — the BFS kernels hand their
-    freshly built arrays straight over.  Derived structures (children rows,
-    tree-edge map, Euler intervals) are built lazily; see the module
+    freshly built arrays straight over.  Derived structures (tree-edge
+    map, Euler intervals, preorder) are built lazily; see the module
     docstring for the exact contract.
     """
 
@@ -82,7 +81,6 @@ class ShortestPathTree:
         "parent",
         "dist",
         "order",
-        "_children",
         "_tin",
         "_tout",
         "_tree_edge_child",
@@ -107,24 +105,12 @@ class ShortestPathTree:
             )
         self.root = root
         # Derived structures; ``None`` until the first query that needs them.
-        self._children: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._tree_edge_child: Optional[Dict[Edge, int]] = None
         self._tin: Optional[List[int]] = None
         self._tout: Optional[List[int]] = None
         self._preorder: Optional[List[int]] = None
 
     # -- lazy construction helpers ------------------------------------------
-
-    def _build_children(self) -> Tuple[Tuple[int, ...], ...]:
-        """Materialise the per-vertex children rows (cached tuples)."""
-        n = len(self.parent)
-        rows: List[List[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                rows[p].append(v)
-        children = tuple(tuple(row) for row in rows)
-        self._children = children
-        return children
 
     def _build_edge_child(self) -> Dict[Edge, int]:
         """Materialise the normalised tree-edge ``->`` child endpoint map."""
@@ -211,7 +197,7 @@ class ShortestPathTree:
         Derived by sorting the BFS order by ``tin`` — the Euler intervals
         are laminar, so ascending entry times are exactly a preorder
         consistent with ``parent``.  Consumers that walk the tree top-down
-        with a path stack (the LCA tour, the assembly sweep) share this
+        (the assembly sweep, the result's subtree slices) share this
         instead of re-deriving it.
         """
         preorder = self._preorder
@@ -226,8 +212,8 @@ class ShortestPathTree:
     def __getstate__(self):
         """Ship only the three flat BFS arrays; derived caches rebuild lazily.
 
-        Children rows, the tree-edge map, Euler intervals and the preorder
-        are all ``O(n)`` to rematerialise and usually *larger* than the
+        The tree-edge map, the Euler intervals and the preorder are all
+        ``O(n)`` to rematerialise and usually *larger* than the
         arrays they derive from, so a tree crosses the process boundary as
         exactly what BFS produced.  A worker that only answers
         distance-style queries never rebuilds anything — the laziness
@@ -238,8 +224,8 @@ class ShortestPathTree:
     def __setstate__(self, state) -> None:
         root, parent, dist, order = state
         # Unpickling materialises *new* float objects, but several hot
-        # paths (``distance_avoiding``, ``tree_distance_table``, the
-        # Section 8 arc loops) test unreachability with ``is math.inf``
+        # paths (``distance_avoiding``, the Section 8 arc loops) test
+        # unreachability with ``is math.inf``
         # against the singleton.  Re-canonicalise so identity semantics are
         # indistinguishable from a locally built tree.
         inf = math.inf
@@ -247,7 +233,6 @@ class ShortestPathTree:
         self.parent = parent
         self.dist = [inf if d == inf else d for d in dist]
         self.order = order
-        self._children = None
         self._tree_edge_child = None
         self._tin = None
         self._tout = None
@@ -260,11 +245,7 @@ class ShortestPathTree:
         Exposed for tests pinning the laziness contract; not used by the
         algorithms themselves.
         """
-        return (
-            self._tin is not None
-            or self._tree_edge_child is not None
-            or self._children is not None
-        )
+        return self._tin is not None or self._tree_edge_child is not None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -281,13 +262,6 @@ class ShortestPathTree:
         """Return ``True`` when ``v`` is in the same component as the root."""
         return v == self.root or self.parent[v] is not None
 
-    def children(self, v: int) -> Tuple[int, ...]:
-        """Return the children of ``v`` in the tree (cached tuple, no copy)."""
-        children = self._children
-        if children is None:
-            children = self._build_children()
-        return children[v]
-
     # -- structural queries --------------------------------------------------
 
     def is_ancestor(self, ancestor: int, descendant: int) -> bool:
@@ -298,18 +272,18 @@ class ShortestPathTree:
         tin, tout = self.euler_intervals()
         return tin[ancestor] <= tin[descendant] and tout[descendant] <= tout[ancestor]
 
-    def is_tree_edge(self, edge: Sequence[int]) -> bool:
-        """Return ``True`` when ``edge`` is an edge of the tree."""
-        return normalize_edge(int(edge[0]), int(edge[1])) in self.edge_child_map()
-
     def edge_child(self, edge: Sequence[int]) -> Optional[int]:
         """Return the lower (child) endpoint of a tree edge, or ``None``.
 
         For a tree edge ``(p, c)`` with ``p = parent[c]`` the child ``c`` is
         the endpoint farther from the root; its subtree is exactly the set of
-        vertices whose root path uses the edge.
+        vertices whose root path uses the edge.  Endpoints are coerced with
+        ``operator.index``, so ``(0.5, 1.2)`` is refused (``TypeError``)
+        instead of truncated to ``(0, 1)``.
         """
-        return self.edge_child_map().get(normalize_edge(int(edge[0]), int(edge[1])))
+        return self.edge_child_map().get(
+            normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
+        )
 
     def tree_path_uses_edge(self, edge: Sequence[int], target: int) -> bool:
         """Does the canonical root->``target`` path use the edge ``edge``?
@@ -318,9 +292,10 @@ class ShortestPathTree:
         answer is a subtree-membership test on its child endpoint.  The
         ``-1`` sentinel of unreachable targets fails the lower interval
         bound (every tree-edge child has ``tin >= 1``), so no reachability
-        pre-check is needed.
+        pre-check is needed.  Endpoints are coerced like
+        :meth:`edge_child`'s.
         """
-        u, v = int(edge[0]), int(edge[1])
+        u, v = _vertex_id(edge[0]), _vertex_id(edge[1])
         child = self.edge_child_map().get((u, v) if u <= v else (v, u))
         if child is None:
             return False
@@ -425,12 +400,3 @@ class ShortestPathTree:
             f"reachable={reachable})"
         )
 
-
-def tree_distance_table(tree: ShortestPathTree) -> Dict[int, float]:
-    """Return a ``vertex -> distance`` mapping for the reachable vertices.
-
-    The paper stores BFS distances in a hash table (Lemma 5); Python's dict
-    plays that role.  Unreachable vertices are omitted so membership in the
-    table doubles as a reachability test.
-    """
-    return {v: tree.dist[v] for v in tree.order if tree.dist[v] is not math.inf}

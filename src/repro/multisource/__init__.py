@@ -12,7 +12,6 @@ from repro.multisource.centers import CenterHierarchy
 from repro.multisource.intervals import (
     PathInterval,
     decompose_path,
-    interval_for_edge,
     milestone_indices,
 )
 from repro.multisource.pipeline import compute_auxiliary_tables
@@ -29,7 +28,6 @@ __all__ = [
     "PathInterval",
     "milestone_indices",
     "decompose_path",
-    "interval_for_edge",
     "compute_source_to_center_tables",
     "compute_source_to_center_tables_reference",
     "compute_center_to_landmark_tables",

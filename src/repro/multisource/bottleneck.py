@@ -251,8 +251,7 @@ def compute_interval_avoiding_tables(
     differential fuzz battery pins this builder against.
     """
     aux = InternedAuxiliaryGraph()
-    src_node = ("s",)
-    src_id = aux.intern(src_node)
+    src_id = aux.intern(("s",))
 
     landmarks = sorted(landmark_paths)
 
@@ -386,10 +385,9 @@ def compute_interval_avoiding_tables(
         if value != inf:
             add_arc(src_id, node_id, value)
 
-    distances, _ = aux.dijkstra(src_node)
+    dist = aux.dijkstra(src_id)
 
     result: Dict[Tuple[int, int], float] = {}
-    by_id = distances.by_id
     for landmark in landmarks:
         for interval in landmark_intervals[landmark]:
             node_id = ri_ids.get((landmark, interval.ordinal))
@@ -398,7 +396,7 @@ def compute_interval_avoiding_tables(
                 or bottlenecks[landmark].get(interval.ordinal) is None
             ):
                 continue
-            result[(landmark, interval.ordinal)] = by_id(node_id, math.inf)
+            result[(landmark, interval.ordinal)] = dist[node_id]
     return result
 
 

@@ -12,9 +12,7 @@ cover every failed edge with only ``O~(2^k sqrt(n/sigma))`` nodes per center.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
-
-from repro.exceptions import PathIndexError
+from typing import Callable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -99,17 +97,3 @@ def decompose_path(
         )
     return intervals
 
-
-def interval_for_edge(
-    intervals: Sequence[PathInterval], edge_index: int
-) -> PathInterval:
-    """Return the interval owning the path edge with index ``edge_index``.
-
-    Intervals partition the edge indices, so a simple scan suffices; callers
-    that need many lookups on the same path build an index themselves (see
-    :mod:`repro.multisource.pipeline`).
-    """
-    for interval in intervals:
-        if interval.contains_edge_index(edge_index):
-            return interval
-    raise PathIndexError(f"edge index {edge_index} outside the decomposed path")

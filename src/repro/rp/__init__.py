@@ -1,10 +1,14 @@
 """Replacement-path primitives: classical single-pair algorithm, brute force,
 and the Dijkstra substrates used by the auxiliary-graph constructions.
 
-Two Dijkstra substrates are exported: the dict-based reference pair
-(:class:`AuxiliaryGraphBuilder` + :func:`dijkstra`) that defines the
-semantics, and the :class:`InternedAuxiliaryGraph` the hot paths run on
-(dense integer node ids, per-node arc rows, ``(float, int)`` heap entries).
+Two Dijkstra substrates are exported, one per role.  The dict-based pair
+(:class:`AuxiliaryGraphBuilder` + :func:`dijkstra`) defines the semantics,
+takes the paper's tuple nodes, tracks predecessors on request and is what
+every ``_reference`` construction builds on.  The
+:class:`InternedAuxiliaryGraph` is the Section 8.3.2 product builder's: it
+takes dense integer ids (``intern``, ``add_arc``) and its ``dijkstra``
+returns the distance list indexed by id, so it is not a drop-in for the
+dict builder.
 """
 
 from repro.rp.bruteforce import (

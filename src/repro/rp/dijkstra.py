@@ -8,15 +8,13 @@ Dijkstra from a designated source node.  Two substrates implement this:
   works over an adjacency mapping ``node -> list of (neighbour, weight)``
   keyed by the tuple nodes themselves.  It defines the semantics, stays
   deliberately simple, and remains the equivalence oracle for tests.
-* the **interned** :class:`InternedAuxiliaryGraph` is the hot-path form:
-  every tuple node is assigned a dense integer id the moment it first
-  appears (``intern`` / ``add_edge``), each node keeps its outgoing arcs
-  as two parallel rows (heads and weights, in insertion order), and the
-  heap loop works exclusively on ``(float, int)`` pairs with list-indexed
-  ``dist`` / ``settled`` state — no tuple hashing anywhere inside the
-  loop.  Builders that already hold the integer ids call ``add_arc`` and
-  skip the interning dictionary entirely.  There is no compile step: the
-  rows are the adjacency the loop reads.
+* the **interned** :class:`InternedAuxiliaryGraph` is the product's form
+  (the Section 8.3.2 builder): every tuple node gets a dense integer id
+  once (``intern``), arcs are added by id (``add_arc``) into two parallel
+  rows per node (heads and weights, in insertion order), and ``dijkstra``
+  takes a source id and returns the distance list indexed by id — no tuple
+  hashing inside the heap loop or on the read-out.  There is no compile
+  step: the rows are the adjacency the loop reads.
 
 Validation contract
 -------------------
@@ -27,11 +25,9 @@ replacement distance — but validate with one flat scan before the first
 relaxation of each run (once per auxiliary graph, which is solved once),
 not per visited arc inside the heap loop.
 
-The optional predecessor tracking (the Section 7.1 walk reconstruction uses
-it to enumerate the actual small replacement paths for the Section 8.2.1
-split) returns mapping views that translate the internal integer ids back
-to the original tuple nodes, so :func:`reconstruct_path` works identically
-on both substrates.
+Only the reference :func:`dijkstra` tracks predecessors: the Section 7.1
+reference reconstructs its walks with :func:`reconstruct_path` for the
+Section 8.2.1 split, which only the ``_reference`` constructions run.
 """
 
 from __future__ import annotations
@@ -39,16 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import (
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
 
@@ -125,8 +112,6 @@ def reconstruct_path(
 ) -> List[Node]:
     """Rebuild the node sequence of a shortest path found by :func:`dijkstra`.
 
-    Accepts both the plain predecessor dict of the reference implementation
-    and the :class:`InternedPredecessors` view of the interned substrate.
     Returns an empty list when ``target`` was not reached.
     """
     if target == source:
@@ -146,9 +131,10 @@ class AuxiliaryGraphBuilder:
     """Incremental builder for the auxiliary graphs of the paper (reference).
 
     Keeps the adjacency mapping in the uniform ``node -> [(nbr, w)]`` shape
-    :func:`dijkstra` consumes.  The hot paths build
-    :class:`InternedAuxiliaryGraph` instead; this builder remains the
-    readable reference and the shape the equivalence tests pin against.
+    :func:`dijkstra` consumes.  Every ``_reference`` construction builds on
+    it; the Section 8.3.2 product builder uses
+    :class:`InternedAuxiliaryGraph` instead, pinned to this pair by
+    ``tests/test_property_battery.py``.
     """
 
     __slots__ = ("_adjacency",)
@@ -178,128 +164,28 @@ class AuxiliaryGraphBuilder:
         return sum(len(v) for v in self._adjacency.values())
 
 
-class InternedDistances:
-    """Read-only ``node -> distance`` view over the interned dist array.
-
-    Behaves like the distance dict of the reference :func:`dijkstra` for the
-    operations the pipeline uses (``get``, membership, iteration over
-    reached nodes) while storing nothing but a reference to the flat array.
-    ``by_id`` skips the interning dictionary for callers that kept the
-    integer ids of the nodes they care about.
-    """
-
-    __slots__ = ("_ids", "_nodes", "_dist")
-
-    def __init__(self, ids: Dict[Node, int], nodes: List[Node], dist: List[float]):
-        self._ids = ids
-        self._nodes = nodes
-        self._dist = dist
-
-    def get(self, node: Node, default: float = _INF) -> float:
-        # ``>= len`` guards nodes interned after the run: the view aliases
-        # the live id dict but snapshots the dist array's length.
-        i = self._ids.get(node)
-        if i is None or i >= len(self._dist):
-            return default
-        d = self._dist[i]
-        return default if d is _INF else d
-
-    def by_id(self, node_id: int, default: float = _INF) -> float:
-        """Distance of an interned id (``default`` when unreached)."""
-        d = self._dist[node_id]
-        return default if d is _INF else d
-
-    def __contains__(self, node: object) -> bool:
-        i = self._ids.get(node)
-        return i is not None and i < len(self._dist) and self._dist[i] is not _INF
-
-    def __getitem__(self, node: Node) -> float:
-        i = self._ids.get(node)
-        if i is None or i >= len(self._dist) or self._dist[i] is _INF:
-            raise KeyError(node)
-        return self._dist[i]
-
-    def __iter__(self) -> Iterator[Node]:
-        for i, d in enumerate(self._dist):
-            if d is not _INF:
-                yield self._nodes[i]
-
-    def __len__(self) -> int:
-        return sum(1 for d in self._dist if d is not _INF)
-
-    def items(self) -> Iterator[Tuple[Node, float]]:
-        for i, d in enumerate(self._dist):
-            if d is not _INF:
-                yield self._nodes[i], d
-
-    def to_dict(self) -> Dict[Node, float]:
-        """Materialise the reference-shaped distance dict (tests)."""
-        return dict(self.items())
-
-
-class InternedPredecessors:
-    """Read-only ``node -> predecessor node`` view over the pred array.
-
-    Supports exactly the mapping protocol :func:`reconstruct_path` needs
-    (``in`` and ``[]``); ``-1`` entries mean "no predecessor recorded".
-    """
-
-    __slots__ = ("_ids", "_nodes", "_pred")
-
-    def __init__(self, ids: Dict[Node, int], nodes: List[Node], pred: List[int]):
-        self._ids = ids
-        self._nodes = nodes
-        self._pred = pred
-
-    def __contains__(self, node: object) -> bool:
-        i = self._ids.get(node)
-        return i is not None and i < len(self._pred) and self._pred[i] >= 0
-
-    def __getitem__(self, node: Node) -> Node:
-        i = self._ids.get(node)
-        if i is None or i >= len(self._pred) or self._pred[i] < 0:
-            raise KeyError(node)
-        return self._nodes[self._pred[i]]
-
-    def get(self, node: Node, default: Optional[Node] = None) -> Optional[Node]:
-        i = self._ids.get(node)
-        if i is None or i >= len(self._pred) or self._pred[i] < 0:
-            return default
-        return self._nodes[self._pred[i]]
-
-    def to_dict(self) -> Dict[Node, Node]:
-        """Materialise the reference-shaped predecessor dict (tests)."""
-        return {
-            self._nodes[i]: self._nodes[p]
-            for i, p in enumerate(self._pred)
-            if p >= 0
-        }
-
-
 class InternedAuxiliaryGraph:
     """Auxiliary graph with dense integer node ids and per-node arc rows.
 
-    Drop-in replacement for :class:`AuxiliaryGraphBuilder` +
-    :func:`dijkstra`: the same ``add_node`` / ``add_edge`` surface accepts
-    the tuple nodes of the paper's constructions and interns them to dense
-    integers on first sight, while ``intern`` + ``add_arc`` let builders
-    that resolve their node ids up front bypass tuple hashing entirely.
-    ``dijkstra`` then runs with list-indexed state and returns views that
-    translate back to the original nodes, so downstream table extraction is
-    unchanged.
+    Ids in, a list out: ``intern`` gives each tuple node of the paper's
+    construction a dense id once, ``add_arc`` adds arcs by those ids, and
+    ``dijkstra`` returns the distance list indexed by them.  The Section
+    8.3.2 builder keeps the ids of the nodes it reads, so no tuple is
+    hashed inside the heap loop or on the read-out.  It is not a drop-in
+    for :class:`AuxiliaryGraphBuilder`: the ``_reference`` constructions
+    build on that one, over the tuple nodes themselves.
     """
 
     __slots__ = ("_ids", "_nodes", "_targets", "_weights")
 
     def __init__(self) -> None:
         self._ids: Dict[Node, int] = {}
+        # The node behind each id, for the negative-weight message.
         self._nodes: List[Node] = []
         # Row ``u`` holds the heads and weights of u's outgoing arcs, in
         # insertion order.
         self._targets: List[List[int]] = []
         self._weights: List[List[float]] = []
-
-    # -- construction --------------------------------------------------------
 
     def intern(self, node: Node) -> int:
         """Return the dense id of ``node``, assigning the next free one."""
@@ -313,38 +199,10 @@ class InternedAuxiliaryGraph:
             self._weights.append([])
         return i
 
-    def add_node(self, node: Node) -> int:
-        """Ensure ``node`` exists (builder-API parity); returns its id."""
-        return self.intern(node)
-
     def add_arc(self, u_id: int, v_id: int, weight: float) -> None:
-        """Add ``u -> v`` by dense ids — the no-hashing hot path."""
+        """Add the arc ``u -> v`` between two interned ids."""
         self._targets[u_id].append(v_id)
         self._weights[u_id].append(weight)
-
-    def add_edge(self, u: Node, v: Node, weight: float) -> None:
-        """Add the directed edge ``u -> v``, interning both endpoints."""
-        self.add_arc(self.intern(u), self.intern(v), weight)
-
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(map(len, self._targets))
-
-    def node_of(self, node_id: int) -> Node:
-        """The original tuple node behind a dense id."""
-        return self._nodes[node_id]
-
-    def id_of(self, node: Node) -> Optional[int]:
-        """The dense id of ``node`` (``None`` when never interned)."""
-        return self._ids.get(node)
-
-    # -- the interned Dijkstra ----------------------------------------------
 
     def _check_weights(self) -> None:
         """Reject negative weights with one C-level ``min`` per row."""
@@ -356,23 +214,19 @@ class InternedAuxiliaryGraph:
                     f"{self._nodes[u]} -> {self._nodes[self._targets[u][k]]}"
                 )
 
-    def dijkstra(
-        self, source: Node, with_predecessors: bool = False
-    ) -> Tuple[InternedDistances, Optional[InternedPredecessors]]:
-        """Run Dijkstra from ``source`` (a node; interned if new).
+    def dijkstra(self, source_id: int) -> List[float]:
+        """Distances from the interned ``source_id``, as a list indexed by id.
 
-        The heap holds ``(distance, id)`` pairs — float/int comparisons
-        only — and ``dist`` / ``settled`` / ``pred`` are flat lists indexed
-        by the dense ids.  Ties are broken by id, which preserves the
-        distances exactly (any tie-break yields the same distance array).
+        An unreached id holds ``math.inf`` itself.  The heap holds
+        ``(distance, id)`` pairs (float/int comparisons only) and
+        ``settled`` is a flat array indexed by id.  Ties are broken by id,
+        which preserves the distances exactly: any tie-break yields the
+        same distance list.
         """
         self._check_weights()
-        source_id = self.intern(source)
         targets, weights = self._targets, self._weights
-        n = len(self._nodes)
-        inf = _INF
-        dist: List[float] = [inf] * n
-        pred: Optional[List[int]] = [-1] * n if with_predecessors else None
+        n = len(targets)
+        dist: List[float] = [_INF] * n
         settled = bytearray(n)
         dist[source_id] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, source_id)]
@@ -386,13 +240,5 @@ class InternedAuxiliaryGraph:
                 candidate = d + w
                 if candidate < dist[v]:
                     dist[v] = candidate
-                    if pred is not None:
-                        pred[v] = u
                     push(heap, (candidate, v))
-        distances = InternedDistances(self._ids, self._nodes, dist)
-        predecessors = (
-            InternedPredecessors(self._ids, self._nodes, pred)
-            if pred is not None
-            else None
-        )
-        return distances, predecessors
+        return dist

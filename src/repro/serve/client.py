@@ -35,6 +35,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import operator
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import urlencode
@@ -77,6 +78,21 @@ def _decode_length(payload: Dict[str, object]) -> float:
     # Re-canonicalise: json produces fresh float objects, and a value that
     # happens to equal inf must become *the* singleton.
     return math.inf if value == math.inf else float(value)
+
+
+def _vertex_id(value: object) -> int:
+    """``value`` as a plain ``int`` id, refused the way the server refuses it.
+
+    ``True`` is not vertex 1 and ``3.7`` is not vertex 3: a ``bool`` or
+    anything ``operator.index`` rejects raises
+    :class:`InvalidParameterError` before a request is sent.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"vertex ids must be integers, got {value!r}")
 
 
 def _raise_remote(payload: Dict[str, object], status: int) -> None:
@@ -228,8 +244,8 @@ class QueryClient:
     def query(self, source: int, target: int, edge: Sequence[int]) -> float:
         """``d(source, target, avoiding=edge)`` from the served store."""
         params = urlencode(
-            {"source": int(source), "target": int(target),
-             "u": int(edge[0]), "v": int(edge[1])}
+            {"source": _vertex_id(source), "target": _vertex_id(target),
+             "u": _vertex_id(edge[0]), "v": _vertex_id(edge[1])}
         )
         return _decode_length(self._request("GET", f"/query?{params}"))
 
@@ -240,8 +256,8 @@ class QueryClient:
         body = json.dumps(
             {
                 "queries": [
-                    {"source": int(s), "target": int(t),
-                     "edge": [int(e[0]), int(e[1])]}
+                    {"source": _vertex_id(s), "target": _vertex_id(t),
+                     "edge": [_vertex_id(e[0]), _vertex_id(e[1])]}
                     for s, t, e in queries
                 ]
             }
@@ -257,7 +273,8 @@ class QueryClient:
     def sweep(self, source: int, edge: Sequence[int]) -> Dict[int, float]:
         """All targets' replacement lengths for one ``(source, edge)``."""
         params = urlencode(
-            {"source": int(source), "u": int(edge[0]), "v": int(edge[1])}
+            {"source": _vertex_id(source), "u": _vertex_id(edge[0]),
+             "v": _vertex_id(edge[1])}
         )
         payload = self._request("GET", f"/sweep?{params}")
         return {

@@ -10,7 +10,6 @@ from repro.exceptions import GraphError, InvalidParameterError, NotOnPathError
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.graph import Graph
-from repro.graph.tree import tree_distance_table
 
 
 class TestBFSDistances:
@@ -77,7 +76,7 @@ class TestShortestPathTree:
     def test_non_tree_edge_never_used(self):
         g = generators.cycle_graph(5)
         tree = bfs_tree(g, 0)
-        non_tree = [e for e in g.edges() if not tree.is_tree_edge(e)]
+        non_tree = [e for e in g.edges() if e not in tree.edge_child_map()]
         assert non_tree
         for e in non_tree:
             for v in g.vertices():
@@ -110,10 +109,16 @@ class TestShortestPathTree:
         assert tree.subtree_size(0) == 5
         assert tree.subtree_size(3) == 2
 
-    def test_tree_distance_table_skips_unreachable(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        table = tree_distance_table(bfs_tree(g, 0))
-        assert table == {0: 0, 1: 1}
+    def test_fractional_edge_endpoints_rejected(self):
+        # (0.5, 1.2) is not the tree edge (0, 1): truncating it would
+        # answer for an edge the caller never named.
+        tree = bfs_tree(generators.cycle_graph(7), 0)
+        with pytest.raises(TypeError):
+            tree.edge_child((0.5, 1.2))
+        with pytest.raises(TypeError):
+            tree.tree_path_uses_edge((0.5, 1.2), 3)
+        assert tree.edge_child((0, 1)) == 1
+        assert tree.tree_path_uses_edge((0, 1), 3)
 
 
 class TestPreferPath:

@@ -6,14 +6,7 @@ import math
 
 import pytest
 
-from repro.core.classification import (
-    FAR,
-    NEAR,
-    classify_path_edges,
-    iter_far_edges,
-    iter_near_edges,
-    near_edges_of_path,
-)
+from repro.core.classification import FAR, NEAR, classify_path_edges
 from repro.core.near_small import (
     compute_near_small_tables,
     compute_near_small_tables_reference,
@@ -27,11 +20,11 @@ from repro.graph.graph import normalize_edge
 
 
 def _tiny_scale(n: int, sigma: int = 1, unit: float = 1.0) -> ProblemScale:
-    """A scale whose base unit is exactly ``unit`` (no log factor)."""
-    constant = unit / math.sqrt(n / sigma)
-    return ProblemScale(
-        n, sigma, AlgorithmParams(threshold_constant=constant, use_log_factor=False)
-    )
+    """A scale whose base unit is ``unit``: the threshold constant divides
+    out ``sqrt(n / sigma) * log2 n``.  Exact in floating point for every
+    threshold-sensitive case below (n = 900 rounds to 0.9999999999999999)."""
+    constant = unit / (math.sqrt(n / sigma) * math.log2(n))
+    return ProblemScale(n, sigma, AlgorithmParams(threshold_constant=constant))
 
 
 class TestClassification:
@@ -67,19 +60,17 @@ class TestClassification:
         levels = [c.far_level for c in sorted(far, key=lambda c: c.distance_to_target)]
         assert levels == sorted(levels)
 
-    def test_near_edges_of_path_matches_full_classification(self):
-        path = list(range(25))
-        scale = _tiny_scale(25, 1, unit=0.5)
-        expected = {(c.edge, c.index) for c in classify_path_edges(path, scale) if c.is_near}
-        assert set(near_edges_of_path(path, scale)) == expected
-
-    def test_iterators(self):
-        path = list(range(40))
-        scale = _tiny_scale(16, unit=1.0)
-        classified = classify_path_edges(path, scale)
-        assert len(list(iter_near_edges(classified))) + len(
-            list(iter_far_edges(classified))
-        ) == len(classified)
+    def test_near_edges_from_target_classified(self):
+        # The near edges walked up from t are the classifier's near edges.
+        tree = bfs_tree(generators.path_graph(25), 0)
+        scale = _tiny_scale(25, 1, unit=2.5)  # near threshold = 5
+        expected = [
+            (c.edge, c.distance_to_target)
+            for c in classify_path_edges(tree.path_to(24), scale)
+            if c.is_near
+        ]
+        assert len(expected) == 5
+        assert near_edges_from_target(tree, 24, scale) == expected[::-1]
 
 
 class TestNearEdgesFromTarget:

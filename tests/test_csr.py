@@ -211,11 +211,6 @@ class TestConnectivity:
         assert connected_components(Graph(0)) == []
         assert connected_components(Graph(1)) == [[0]]
 
-    def test_generators_reexport(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert not generators.is_connected(g)
-        assert generators.connected_components(g) == [[0, 1], [2, 3]]
-
 
 class TestDistanceAvoiding:
     def test_accepts_unnormalized_edges(self):

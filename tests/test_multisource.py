@@ -22,7 +22,6 @@ from repro.multisource.bottleneck import MTCEvaluator
 from repro.multisource.centers import CenterHierarchy
 from repro.multisource.intervals import (
     decompose_path,
-    interval_for_edge,
     milestone_indices,
 )
 from repro.multisource.pipeline import _assemble_for_source, compute_auxiliary_tables
@@ -78,9 +77,8 @@ class TestIntervals:
         owned = [i for interval in intervals for i in range(interval.start_index, interval.end_index)]
         assert owned == list(range(14))
         for idx in range(14):
-            assert interval_for_edge(intervals, idx).contains_edge_index(idx)
-        with pytest.raises(IndexError):
-            interval_for_edge(intervals, 99)
+            assert sum(i.contains_edge_index(idx) for i in intervals) == 1
+        assert not any(i.contains_edge_index(99) for i in intervals)
 
     def test_trivial_paths(self):
         assert milestone_indices([3], lambda v: 0) == [0]

@@ -1,17 +1,14 @@
-"""Tests for the oracle facade, the baselines and the BMM reduction."""
+"""Tests for the baselines and the BMM reduction."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 from repro.baselines import (
     msrp_independent_ssrp,
-    msrp_per_edge_bfs,
     msrp_per_target_classical,
-    ssrp_per_edge_bfs,
     ssrp_per_target_classical,
 )
 from repro.core.params import AlgorithmParams
@@ -23,59 +20,18 @@ from repro.lowerbound.bmm import (
     multiply_naive,
     multiply_via_msrp,
 )
-from repro.oracle import FaultTolerantDistanceOracle
 from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
-
-
-class TestFaultTolerantDistanceOracle:
-    @pytest.fixture
-    def oracle(self):
-        g = generators.grid_graph(4, 4)
-        return FaultTolerantDistanceOracle(g, [0, 15], params=AlgorithmParams(seed=2))
-
-    def test_lazy_preprocessing(self, oracle):
-        assert not oracle.is_ready
-        oracle.preprocess()
-        assert oracle.is_ready
-
-    def test_query_matches_brute_force(self, oracle):
-        g = generators.grid_graph(4, 4)
-        reference = brute_force_multi_source(g, [0, 15])
-        for s in (0, 15):
-            for t, per_edge in reference[s].items():
-                for edge, truth in per_edge.items():
-                    assert oracle.query(s, t, edge) == truth
-
-    def test_query_off_path_edge_keeps_distance(self, oracle):
-        assert oracle.query(0, 5, (10, 11)) == oracle.distance(0, 5)
-
-    def test_query_unknown_edge_rejected(self, oracle):
-        with pytest.raises(InvalidParameterError):
-            oracle.query(0, 5, (0, 5))
-
-    def test_vulnerability_metrics(self):
-        cycle = FaultTolerantDistanceOracle(
-            generators.cycle_graph(9), [0], params=AlgorithmParams(seed=1)
-        )
-        # On an odd cycle a single failure forces the long way round: the
-        # 0-4 distance grows from 4 to 5.
-        assert cycle.vulnerability(0, 4) == pytest.approx(5 / 4)
-        path = FaultTolerantDistanceOracle(
-            generators.path_graph(5), [0], params=AlgorithmParams(seed=1)
-        )
-        assert math.isinf(path.vulnerability(0, 4))
-        assert cycle.vulnerability(0, 0) == 1.0
 
 
 class TestBaselines:
     def test_ssrp_baselines_agree(self):
         g = generators.random_connected_graph(22, extra_edges=30, seed=4)
-        assert ssrp_per_edge_bfs(g, 0) == ssrp_per_target_classical(g, 0)
+        assert brute_force_single_source(g, 0) == ssrp_per_target_classical(g, 0)
 
     def test_msrp_baselines_agree(self):
         g = generators.random_connected_graph(18, extra_edges=20, seed=6)
         sources = [0, 9]
-        brute = msrp_per_edge_bfs(g, sources)
+        brute = brute_force_multi_source(g, sources)
         assert msrp_per_target_classical(g, sources) == brute
         assert msrp_independent_ssrp(g, sources, params=AlgorithmParams(seed=6)) == brute
 

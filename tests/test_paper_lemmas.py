@@ -132,7 +132,7 @@ class TestFarEdgeSolver:
             for item in classified:
                 if not item.is_far:
                     continue
-                candidate = solver.candidate(source, target, item)
+                candidate = solver.candidate_edge(source, target, item.edge, item.far_level)
                 truth = reference[target][item.edge]
                 assert candidate >= truth  # soundness: candidates are realisable
                 assert candidate == truth  # w.h.p. exact with paper constants
@@ -280,7 +280,10 @@ class TestLemma9HitRate:
                     if not item.is_far:
                         continue
                     total += 1
-                    if solver.candidate(source, target, item) != reference[target][item.edge]:
+                    candidate = solver.candidate_edge(
+                        source, target, item.edge, item.far_level
+                    )
+                    if candidate != reference[target][item.edge]:
                         misses += 1
         assert total > 0, "workloads must contain far edges"
         assert misses == 0

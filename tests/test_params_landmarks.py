@@ -16,7 +16,7 @@ class TestAlgorithmParams:
     def test_defaults_match_paper_constants(self):
         params = AlgorithmParams()
         assert params.sampling_constant == 4.0
-        assert params.use_log_factor is True
+        assert params.threshold_constant == 1.0
 
     def test_invalid_constants_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -29,8 +29,10 @@ class TestAlgorithmParams:
 
 class TestProblemScale:
     def test_base_unit_formula(self):
-        scale = ProblemScale(256, 4, AlgorithmParams(use_log_factor=False))
-        assert scale.base_unit == pytest.approx(math.sqrt(256 / 4))
+        scale = ProblemScale(256, 4, AlgorithmParams(threshold_constant=0.5))
+        assert scale.base_unit == pytest.approx(0.5 * math.sqrt(256 / 4) * 8)
+        # The log factor is clamped to 1 below n = 2.
+        assert ProblemScale(1, 1, AlgorithmParams()).base_unit == 1.0
 
     def test_log_factor_applied(self):
         scale = ProblemScale(256, 4, AlgorithmParams())
@@ -43,19 +45,19 @@ class TestProblemScale:
         assert all(0 < p <= 1 for p in probs)
 
     def test_far_level_windows(self):
-        scale = ProblemScale(400, 1, AlgorithmParams(use_log_factor=False))
+        scale = ProblemScale(400, 1, AlgorithmParams())
         unit = scale.base_unit
         assert scale.far_level(2 * unit) == 0
         assert scale.far_level(4 * unit) == 1
         assert scale.far_level(8.5 * unit) == 2
 
     def test_far_level_below_near_threshold_rejected(self):
-        scale = ProblemScale(100, 1, AlgorithmParams(use_log_factor=False))
+        scale = ProblemScale(100, 1, AlgorithmParams())
         with pytest.raises(InvalidParameterError):
             scale.far_level(scale.near_threshold / 2)
 
     def test_far_level_is_clamped_to_max(self):
-        scale = ProblemScale(64, 1, AlgorithmParams(threshold_constant=0.01, use_log_factor=False))
+        scale = ProblemScale(64, 1, AlgorithmParams(threshold_constant=0.01))
         assert scale.far_level(63) <= scale.max_level
 
     def test_landmark_radius_is_sound_for_far_edges(self):
@@ -95,8 +97,8 @@ class TestLandmarkHierarchy:
             expected = scale.expected_level_size(k)
             assert size <= 4 * expected + 4 * math.log2(scale.num_vertices)
 
-    def test_from_levels_and_queries(self):
-        landmarks = LandmarkHierarchy.from_levels([[1, 2], [2]], sources=[0])
+    def test_explicit_levels_and_queries(self):
+        landmarks = LandmarkHierarchy([[1, 2], [2]], sources=[0])
         assert landmarks.level(0) == frozenset({0, 1, 2})
         assert landmarks.level(1) == frozenset({2})
         assert landmarks.level(99) == frozenset()

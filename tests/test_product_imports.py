@@ -1,17 +1,25 @@
-"""The product loads no numpy.
+"""The product's import surface.
 
-numpy is installed for the benchmark and the tier tests only.  Nothing the
-solver, the store or the server imports may pull it in: importing numpy
-would grow the server's resident set and start-up time while no code path
-uses it.  The check runs in a fresh interpreter, because this test process
-may already have imported numpy through another test.
+* **No numpy.**  numpy is installed for the benchmark and the tier tests
+  only.  Nothing the solver, the store or the server imports may pull it
+  in: importing numpy would grow the server's resident set and start-up
+  time while no code path uses it.  The check runs in a fresh
+  interpreter, because this test process may already have imported numpy
+  through another test.
+* **Every re-export resolves.**  Each package's ``__all__`` names only
+  attributes the package has, so ``from repro.graph import *`` cannot
+  fail on a name whose definition was deleted.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import repro
 
@@ -38,3 +46,17 @@ def test_product_modules_import_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+
+
+PACKAGES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
+]
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_every_reexport_resolves(name):
+    package = importlib.import_module(name)
+    missing = [n for n in getattr(package, "__all__", ()) if not hasattr(package, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

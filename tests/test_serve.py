@@ -157,6 +157,21 @@ class TestValidation:
             assert answer["type"] == "InvalidParameterError", (item, answer)
             assert answer["error"].startswith("malformed query"), (item, answer)
 
+    def test_client_refuses_non_integer_ids(self, served):
+        # Regression: the client coerced ids with int() before sending, so
+        # 14.9 was asked as source 14 and True as target 1, and the
+        # server's integer checks never saw the original values.
+        graph, result, _handle, client = served
+        s = result.sources[0]
+        u, v = graph.edges()[0]
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            client.query(s + 0.9, 3.7, (u + 0.5, v + 0.2))
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            client.query_batch([(s, True, (u, v))])
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            client.sweep(s + 0.5, (u, v))
+        assert client.query(s, 1, (u, v)) == result.replacement_length(s, 1, (u, v))
+
     def test_service_refuses_fractional_ids(self, served):
         # The in-process service coerces with operator.index, like the
         # result, instead of truncating.

@@ -124,9 +124,7 @@ class TestMSRPDirect:
     def test_injected_landmark_hierarchy_all_vertices_is_exact(self):
         # With every vertex a landmark the algorithm is deterministic.
         g = generators.random_connected_graph(25, extra_edges=30, seed=8)
-        hierarchy = LandmarkHierarchy.from_levels(
-            [list(range(25))] * 4, sources=[0, 12]
-        )
+        hierarchy = LandmarkHierarchy([list(range(25))] * 4, sources=[0, 12])
         result = multiple_source_replacement_paths(
             g, [0, 12], params=AlgorithmParams(seed=8), landmark_hierarchy=hierarchy
         )
@@ -181,6 +179,13 @@ class TestValidation:
         g = generators.cycle_graph(5)
         solver = MSRPSolver(g, [2, 2, 2])
         assert solver.sources == [2]
+
+    def test_fractional_source_rejected(self):
+        # 3.7 is not source 3: truncating it would solve for a vertex the
+        # caller never named.
+        with pytest.raises(TypeError):
+            MSRPSolver(generators.cycle_graph(9), [3.7])
+        assert MSRPSolver(generators.cycle_graph(9), [3]).sources == [3]
 
     def test_phase_timings_recorded(self):
         g = generators.cycle_graph(10)
