@@ -20,16 +20,11 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import print_table, sparse_workload, time_once
+from benchmarks.conftest import best_of, print_table, sparse_workload
 from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.csr import bfs_distances_csr, bfs_many, bfs_tree_csr
 
 SIZES = [200, 400, 800]
-
-
-def best_of(fn, reps: int = 3) -> float:
-    """Best of ``reps`` timings; damps GC pauses and first-call warmup."""
-    return min(time_once(fn) for _ in range(reps))
 
 
 def test_csr_vs_dict_bfs(benchmark):

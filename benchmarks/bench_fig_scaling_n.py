@@ -1,25 +1,27 @@
 """E2 / Figure A — SSRP runtime scaling in ``n`` (Theorem 14).
 
-Times the paper's SSRP algorithm and the per-target classical baseline once
-each on sparse graphs (``m ~ 3n``) with n = 60, 100, 160 and 240, prints
-the series with the baseline / paper ratio, and fits a power law to each.
-The cost model puts the baseline's exponent about one half above the
-paper's (``m n`` against ``m sqrt(n) + n^2`` with ``m = Theta(n)``).
+Times the paper's SSRP algorithm and the per-target classical baseline,
+best of 3 each, on sparse graphs (``m ~ 3n``) with n = 60, 100, 160 and
+240, prints the series with the baseline / paper ratio, and fits a power
+law to each.  The cost model puts the baseline's exponent about one half
+above the paper's (``m n`` against ``m sqrt(n) + n^2`` with
+``m = Theta(n)``).
 
 It asserts only that the ratio does not shrink by more than a fifth from
 the smallest to the largest ``n``; the fitted exponents are printed, not
-asserted.  Two runs on a 2-CPU Linux container (CPython 3.11) measured
-the baseline 8-19x slower than the paper's algorithm at every ``n``, with
-fitted exponents of 1.84 against 1.84 in one run and 2.11 against 1.65 in
-the other: single-shot timings at these sizes do not resolve the
-predicted gap.
+asserted.  Three runs on a 2-CPU x86-64 Linux container (CPython 3.11.7)
+measured the baseline 7-19x slower than the paper's algorithm at every
+``n`` and fitted the paper's algorithm at n^1.60, n^1.69 and n^1.65
+against the baseline's n^1.97, n^2.03 and n^2.00: a gap of 0.34-0.37,
+below the model's 0.5.  Single-shot timings had fitted the two at n^1.84
+against n^1.84 in one run and n^1.65 against n^2.11 in the next.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import benchmark_params, print_table, sparse_workload, time_once
+from benchmarks.conftest import benchmark_params, best_of, print_table, sparse_workload
 from repro.analysis import fit_power_law
 from repro.baselines import ssrp_per_target_classical
 from repro.core.ssrp import single_source_replacement_paths
@@ -40,15 +42,15 @@ def test_ssrp_scaling_in_n(benchmark, num_vertices):
 
 
 def test_ssrp_scaling_series(benchmark):
-    """Measure the whole series once and report the fitted exponents."""
+    """Measure the whole series, best of 3, and report the fitted exponents."""
     ssrp_times, baseline_times = [], []
     for num_vertices in SIZES:
         graph = sparse_workload(num_vertices, seed=num_vertices)
         params = benchmark_params(seed=num_vertices)
         ssrp_times.append(
-            time_once(lambda: single_source_replacement_paths(graph, 0, params=params))
+            best_of(lambda: single_source_replacement_paths(graph, 0, params=params))
         )
-        baseline_times.append(time_once(lambda: ssrp_per_target_classical(graph, 0)))
+        baseline_times.append(best_of(lambda: ssrp_per_target_classical(graph, 0)))
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1, warmup_rounds=0)
 

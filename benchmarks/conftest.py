@@ -50,6 +50,11 @@ def time_once(fn: Callable[[], object]) -> float:
     return time.perf_counter() - start
 
 
+def best_of(fn: Callable[[], object], reps: int = 3) -> float:
+    """Best of ``reps`` timings; damps GC pauses and first-call warmup."""
+    return min(time_once(fn) for _ in range(reps))
+
+
 def print_table(title: str, header: List[str], rows: List[List[object]]) -> None:
     """Print a small aligned table; this is the 'figure' output of a bench."""
     print(f"\n=== {title} ===")

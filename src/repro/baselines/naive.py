@@ -24,6 +24,7 @@ harness and the tests can compare them interchangeably.
 
 from __future__ import annotations
 
+from operator import index as _vertex_id
 from typing import Iterable, Optional
 
 from repro.core.params import AlgorithmParams
@@ -60,7 +61,7 @@ def msrp_per_target_classical(
     ``O~(sigma m n)`` — with ``sigma = n`` this is the ``O~(m n^2)`` regime
     the Bernstein–Karger oracle improves to ``O~(mn + n^3)``.
     """
-    return {int(s): ssrp_per_target_classical(graph, int(s)) for s in sources}
+    return {s: ssrp_per_target_classical(graph, s) for s in map(_vertex_id, sources)}
 
 
 def msrp_independent_ssrp(
@@ -75,7 +76,7 @@ def msrp_independent_ssrp(
     improves upon for ``sigma > 1``.
     """
     answer: MultiSourceAnswer = {}
-    for s in sources:
-        result = single_source_replacement_paths(graph, int(s), params=params)
-        answer[int(s)] = result.to_dict()[int(s)]
+    for s in map(_vertex_id, sources):
+        result = single_source_replacement_paths(graph, s, params=params)
+        answer[s] = result.to_dict()[s]
     return answer

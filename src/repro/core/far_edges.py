@@ -30,6 +30,7 @@ so the skipped landmark could change neither the value nor the tie-break.
 from __future__ import annotations
 
 import math
+from operator import index as _vertex_id
 from typing import Mapping
 
 from repro.core.landmarks import LandmarkHierarchy
@@ -99,7 +100,7 @@ class FarEdgeSolver:
             # Levels beyond the sampled range are empty.
             return math.inf
         radius = self._scale.landmark_radius(level)
-        edge = normalize_edge(int(edge[0]), int(edge[1]))
+        edge = normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
         table = self._tables[source]
         source_dist = self._source_trees[source].dist
         best = math.inf

@@ -29,6 +29,7 @@ lengthen it, and ``d(s, r)`` is ``inf`` when ``s`` does not reach ``r``.
 from __future__ import annotations
 
 import math
+from operator import index as _vertex_id
 from typing import Dict, Iterable, Mapping
 
 from repro.graph.graph import Graph
@@ -56,7 +57,7 @@ def compute_direct_tables(
     Lengths are ``int``, or ``math.inf`` when the edge separates the pair,
     exactly as the reference returns them.
     """
-    landmark_set = {int(r) for r in landmarks}
+    landmark_set = set(map(_vertex_id, landmarks))
     return {
         source: subtree_repair_distances(graph, tree, landmark_set, math.inf)
         for source, tree in source_trees.items()
@@ -77,7 +78,7 @@ def compute_direct_tables_reference(
     builders are exact, so :func:`compute_direct_tables` is pinned equal
     to this one, value types included.
     """
-    landmark_set = sorted(set(int(r) for r in landmarks))
+    landmark_set = sorted(set(map(_vertex_id, landmarks)))
     tables: Dict[int, PairEdgeTable] = {}
     for source, tree in source_trees.items():
         table: PairEdgeTable = {}

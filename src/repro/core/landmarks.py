@@ -8,18 +8,42 @@ O~(sqrt(n sigma) / 2^k)`` and ``|L| = O~(sqrt(n sigma))`` with high
 probability; the benchmark ``bench_fig_landmark_sizes`` measures exactly
 this.
 
-The same class is reused for the *center* hierarchy of Section 8 (centers
-are sampled with identical probabilities; only their role differs), via
-:meth:`LandmarkHierarchy.sample`.
+The *center* hierarchy of Section 8 is sampled with identical
+probabilities; only its role differs.  So
+:class:`~repro.multisource.centers.CenterHierarchy` subclasses
+:class:`LandmarkHierarchy`, and both ``sample`` constructors draw their
+levels with :func:`sample_levels`.
 """
 
 from __future__ import annotations
 
 import random
+from operator import index as _vertex_id
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.params import ProblemScale
 from repro.exceptions import InvalidParameterError
+
+
+def sample_levels(
+    scale: ProblemScale, rng: Optional[random.Random] = None
+) -> List[List[int]]:
+    """One Definition 3 draw of the levels ``0 .. scale.max_level``.
+
+    Level ``k`` holds each vertex independently with probability
+    ``scale.sampling_probability(k)``; ``rng`` defaults to one seeded with
+    ``scale.params.seed``.
+    """
+    rng = rng if rng is not None else random.Random(scale.params.seed)
+    n = scale.num_vertices
+    levels: List[List[int]] = []
+    for k in range(scale.max_level + 1):
+        probability = scale.sampling_probability(k)
+        if probability >= 1.0:
+            levels.append(list(range(n)))
+        else:
+            levels.append([v for v in range(n) if rng.random() < probability])
+    return levels
 
 
 class LandmarkHierarchy:
@@ -38,8 +62,8 @@ class LandmarkHierarchy:
     __slots__ = ("levels", "sources", "_union")
 
     def __init__(self, levels: Sequence[Iterable[int]], sources: Iterable[int]):
-        self.sources: Tuple[int, ...] = tuple(sorted(set(int(s) for s in sources)))
-        built: List[FrozenSet[int]] = [frozenset(int(v) for v in lvl) for lvl in levels]
+        self.sources: Tuple[int, ...] = tuple(sorted(set(map(_vertex_id, sources))))
+        built = [frozenset(map(_vertex_id, lvl)) for lvl in levels]
         if not built:
             built = [frozenset()]
         # Sources join level 0 (and therefore the union).
@@ -60,16 +84,7 @@ class LandmarkHierarchy:
         rng: Optional[random.Random] = None,
     ) -> "LandmarkHierarchy":
         """Sample the hierarchy for a given problem scale (Definition 3)."""
-        rng = rng if rng is not None else random.Random(scale.params.seed)
-        n = scale.num_vertices
-        levels: List[List[int]] = []
-        for k in range(scale.max_level + 1):
-            probability = scale.sampling_probability(k)
-            if probability >= 1.0:
-                levels.append(list(range(n)))
-            else:
-                levels.append([v for v in range(n) if rng.random() < probability])
-        return cls(levels, sources)
+        return cls(sample_levels(scale, rng), sources)
 
     # -- accessors -----------------------------------------------------------
 
@@ -86,7 +101,7 @@ class LandmarkHierarchy:
         range when distances are clamped.
         """
         if k < 0:
-            raise InvalidParameterError("landmark level must be non-negative")
+            raise InvalidParameterError("hierarchy level must be non-negative")
         if k >= len(self.levels):
             return frozenset()
         return self.levels[k]
@@ -108,4 +123,4 @@ class LandmarkHierarchy:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         sizes = ", ".join(str(len(lvl)) for lvl in self.levels)
-        return f"LandmarkHierarchy(sizes=[{sizes}], |L|={len(self._union)})"
+        return f"{type(self).__name__}(sizes=[{sizes}], union={len(self._union)})"

@@ -67,6 +67,7 @@ passes through a given center.
 from __future__ import annotations
 
 import math
+from operator import index as _vertex_id
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import ProblemScale
@@ -160,7 +161,7 @@ class NearSmallTables:
             raise InvalidParameterError(
                 "NearSmallTables was built without path reconstruction support"
             )
-        e = normalize_edge(int(edge[0]), int(edge[1]))
+        e = normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
         aux_path = reconstruct_path(self._predecessors, _SRC, _ve_node(target, e))
         walk: List[int] = []
         for node in aux_path[1:]:

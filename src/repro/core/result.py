@@ -99,7 +99,7 @@ class ReplacementPathResult:
         self._trees: Dict[int, ShortestPathTree] = dict(source_trees)
         self._tables: Dict[int, PerSourceTable] = {}
         for s, per_source in tables.items():
-            s = int(s)
+            s = _vertex_id(s)
             if s not in self._trees:
                 raise InvalidParameterError(f"missing source tree for source {s}")
             self._tables[s] = _checked_table(s, self._trees[s], per_source)

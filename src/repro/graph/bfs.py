@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import index as _vertex_id
 from typing import List, Optional, Sequence
 
 from repro.exceptions import GraphError, InvalidParameterError
@@ -65,7 +66,7 @@ def bfs_distances(
     """
     _check_source(graph, source)
     banned = (
-        normalize_edge(int(forbidden_edge[0]), int(forbidden_edge[1]))
+        normalize_edge(_vertex_id(forbidden_edge[0]), _vertex_id(forbidden_edge[1]))
         if forbidden_edge is not None
         else None
     )
@@ -115,7 +116,7 @@ def bfs_tree(
     """
     _check_source(graph, source)
     banned = (
-        normalize_edge(int(forbidden_edge[0]), int(forbidden_edge[1]))
+        normalize_edge(_vertex_id(forbidden_edge[0]), _vertex_id(forbidden_edge[1]))
         if forbidden_edge is not None
         else None
     )

@@ -24,7 +24,8 @@ view of a :class:`~repro.graph.graph.Graph` and BFS kernels tuned for it:
   same as a plain BFS instead of one edge comparison per traversed arc.
 * :func:`bfs_many` — the batched entry point: compiles (or reuses) the CSR
   form once and amortises it over all requested roots, returning one
-  :class:`~repro.graph.tree.ShortestPathTree` per distinct root.
+  :class:`~repro.graph.tree.ShortestPathTree` per distinct root, on the
+  caller's executor.
 * :func:`connected_components` — flat-traversal component decomposition,
   the connectivity check used by :mod:`repro.graph.generators`.
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from operator import index as _vertex_id
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InvalidParameterError
@@ -194,7 +196,7 @@ def _banned_endpoints(
     """Normalise ``forbidden_edge`` to an endpoint pair (``(-1, -1)`` = none)."""
     if forbidden_edge is None:
         return (-1, -1)
-    u, v = int(forbidden_edge[0]), int(forbidden_edge[1])
+    u, v = _vertex_id(forbidden_edge[0]), _vertex_id(forbidden_edge[1])
     return (u, v) if u <= v else (v, u)
 
 
@@ -295,8 +297,6 @@ def bfs_tree_csr(
 def bfs_many(
     graph: GraphLike,
     roots: Iterable[int],
-    forbidden_edge: Optional[Sequence[int]] = None,
-    workers: int = 0,
     pool=None,
 ) -> Dict[int, ShortestPathTree]:
     """Run one BFS per distinct root, compiling the CSR form only once.
@@ -309,13 +309,12 @@ def bfs_many(
     between a landmark that is also a source).
 
     The roots run as one :func:`repro.parallel.run_sharded` phase of
-    :func:`~repro.parallel.tasks.bfs_roots_task`: with ``workers > 1``
-    the distinct roots are sharded across a process pool (the compiled
-    CSR form ships once per worker and each worker runs a contiguous chunk
-    of roots), and passing an open :class:`~repro.parallel.Executor` via
-    ``pool`` reuses its running workers instead of opening a pool for
-    just this fan-out.  The returned mapping is identical either way —
-    same trees, same first-seen key order.
+    :func:`~repro.parallel.tasks.bfs_roots_task` on ``pool``, an
+    :class:`~repro.parallel.Executor`: a process pool shards the distinct
+    roots (the compiled CSR form ships once per worker and each worker
+    runs a contiguous chunk of roots).  Without a pool the roots run
+    in-process.  The returned mapping is identical either way — same
+    trees, same first-seen key order.
 
     Returns
     -------
@@ -329,9 +328,8 @@ def bfs_many(
 
     return run_sharded(
         bfs_roots_task,
-        [int(root) for root in roots],
-        {"graph": ensure_csr(graph), "forbidden_edge": forbidden_edge},
-        workers=workers,
+        [_vertex_id(root) for root in roots],
+        {"graph": ensure_csr(graph)},
         pool=pool,
     )
 

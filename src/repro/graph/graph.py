@@ -14,6 +14,7 @@ multiple threads and makes instances shareable between benchmark runs.
 
 from __future__ import annotations
 
+from operator import index as _vertex_id
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exceptions import GraphError
@@ -48,20 +49,22 @@ class Graph:
     -----
     The adjacency lists are sorted, which makes traversal order (and hence
     every "canonical shortest path" the library talks about) deterministic
-    for a given graph.
+    for a given graph.  Vertex ids (and the count) pass ``operator.index``:
+    ``3.7`` is refused, not truncated to ``3``, here and at every public
+    entry point that takes a caller's vertex id.
     """
 
     __slots__ = ("_n", "_adj", "_edges", "_edge_set", "_csr")
 
     def __init__(self, num_vertices: int, edges: Iterable[Sequence[int]] = ()):
-        if num_vertices < 0:
+        self._n = _vertex_id(num_vertices)
+        if self._n < 0:
             raise GraphError(f"num_vertices must be non-negative, got {num_vertices}")
-        self._n = int(num_vertices)
         adjacency: List[set] = [set() for _ in range(self._n)]
         edge_set = set()
         for pair in edges:
             try:
-                u, v = int(pair[0]), int(pair[1])
+                u, v = _vertex_id(pair[0]), _vertex_id(pair[1])
             except (TypeError, IndexError, ValueError) as exc:
                 raise GraphError(f"edge {pair!r} is not a (u, v) pair") from exc
             if not (0 <= u < self._n and 0 <= v < self._n):
@@ -153,7 +156,7 @@ class Graph:
         This is used only by brute-force baselines and tests; the efficient
         algorithms never materialise ``G - e``.
         """
-        e = normalize_edge(int(edge[0]), int(edge[1]))
+        e = normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
         if e not in self._edge_set:
             raise GraphError(f"edge {e} is not present in the graph")
         return Graph(self._n, (f for f in self._edges if f != e))
@@ -205,7 +208,7 @@ class Graph:
     @classmethod
     def from_edge_list(cls, edges: Iterable[Sequence[int]]) -> "Graph":
         """Build a graph whose vertex count is inferred from the edge list."""
-        edge_list = [(int(u), int(v)) for u, v in edges]
+        edge_list = [(_vertex_id(u), _vertex_id(v)) for u, v in edges]
         n = 1 + max((max(u, v) for u, v in edge_list), default=-1)
         return cls(n, edge_list)
 
@@ -227,7 +230,7 @@ class Graph:
         for u, nbrs in enumerate(adjacency):
             row = set()
             for v in nbrs:
-                v = int(v)
+                v = _vertex_id(v)
                 if not 0 <= v < n:
                     raise GraphError(
                         f"adjacency[{u}] lists {v}, outside 0..{n - 1}"

@@ -11,33 +11,29 @@ auxiliary graphs of Sections 8.1-8.3 are all driven by these priorities.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence
 
+from repro.core.landmarks import LandmarkHierarchy, sample_levels
 from repro.core.params import ProblemScale
-from repro.exceptions import InvalidParameterError
 
 
-class CenterHierarchy:
+class CenterHierarchy(LandmarkHierarchy):
     """Sampled center sets ``C_0 .. C_K`` with per-vertex priorities.
+
+    A :class:`~repro.core.landmarks.LandmarkHierarchy` (levels, sources,
+    union, level accessors) plus the priorities.
 
     Attributes
     ----------
-    levels:
-        ``levels[k]`` is the frozen set ``C_k``.
     priority:
         Mapping ``vertex -> highest level k with vertex in C_k``; vertices
         that are not centers are absent.
     """
 
-    __slots__ = ("levels", "priority", "sources")
+    __slots__ = ("priority",)
 
     def __init__(self, levels: Sequence[Iterable[int]], sources: Iterable[int]):
-        self.sources: Tuple[int, ...] = tuple(sorted(set(int(s) for s in sources)))
-        built: List[FrozenSet[int]] = [frozenset(int(v) for v in lvl) for lvl in levels]
-        if not built:
-            built = [frozenset()]
-        built[0] = built[0] | frozenset(self.sources)
-        self.levels: Tuple[FrozenSet[int], ...] = tuple(built)
+        super().__init__(levels, sources)
         priority: Dict[int, int] = {}
         for k, level in enumerate(self.levels):
             for v in level:
@@ -52,36 +48,16 @@ class CenterHierarchy:
         rng: Optional[random.Random] = None,
     ) -> "CenterHierarchy":
         """Sample centers with the Definition 3 probabilities."""
-        rng = rng if rng is not None else random.Random(scale.params.seed)
-        levels: List[List[int]] = []
-        for k in range(scale.max_level + 1):
-            probability = scale.sampling_probability(k)
-            if probability >= 1.0:
-                levels.append(list(range(scale.num_vertices)))
-            else:
-                levels.append(
-                    [v for v in range(scale.num_vertices) if rng.random() < probability]
-                )
-        return cls(levels, sources)
+        # Deliberately not LandmarkHierarchy.sample: perfbench/tracing.py
+        # counts landmark and center draws on each class's own ``sample``.
+        return cls(sample_levels(scale, rng), sources)
 
     # -- accessors -------------------------------------------------------------
 
     @property
     def all(self) -> FrozenSet[int]:
         """Every center (union of all levels plus the sources)."""
-        return frozenset(self.priority)
-
-    @property
-    def max_level(self) -> int:
-        return len(self.levels) - 1
-
-    def level(self, k: int) -> FrozenSet[int]:
-        """Return ``C_k`` (empty beyond the sampled range)."""
-        if k < 0:
-            raise InvalidParameterError("center level must be non-negative")
-        if k >= len(self.levels):
-            return frozenset()
-        return self.levels[k]
+        return self.union
 
     def priority_of(self, vertex: int) -> int:
         """Priority of ``vertex`` (``-1`` when it is not a center)."""
@@ -89,13 +65,3 @@ class CenterHierarchy:
 
     def is_center(self, vertex: int) -> bool:
         return vertex in self.priority
-
-    def level_sizes(self) -> List[int]:
-        return [len(level) for level in self.levels]
-
-    def __len__(self) -> int:
-        return len(self.priority)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        sizes = ", ".join(str(len(level)) for level in self.levels)
-        return f"CenterHierarchy(sizes=[{sizes}], |C|={len(self.priority)})"

@@ -37,6 +37,7 @@ centers* term (Definition 17) of the path cover lemma:
 from __future__ import annotations
 
 import math
+from operator import index as _vertex_id
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.near_small import NearSmallTables
@@ -207,7 +208,7 @@ def compute_small_paths_through_centers(
     :func:`repro.core.near_small.compute_near_small_tables_reference` with
     ``with_paths=True``.
     """
-    landmark_set = set(int(r) for r in landmarks)
+    landmark_set = set(map(_vertex_id, landmarks))
     through: Dict[int, Dict[Tuple[int, Edge], float]] = {}
     for s in sources:
         tables = near_small_with_paths[s]
@@ -296,7 +297,7 @@ def compute_center_to_landmark_tables_reference(
 
     reachable_landmarks: List[int] = []
     node_edges: Dict[int, List[Edge]] = {}
-    for landmark in sorted(set(int(r) for r in landmarks)):
+    for landmark in sorted(set(map(_vertex_id, landmarks))):
         if not center_tree.is_reachable(landmark) or landmark == center:
             continue
         reachable_landmarks.append(landmark)

@@ -14,11 +14,13 @@ package shards those key lists across an :class:`Executor`:
   multiprocessing one (one pool spanning every sharded phase of a solve,
   each new phase context re-installed into the running workers by a
   generation-countered broadcast).  :func:`run_sharded` is the
-  scheduling entry point: the (large, shared) inputs travel **once per
-  worker**, the per-task messages carry only integer keys, the key list
-  splits into contiguous chunks, and results merge back in input-key
-  order — byte-identical to the serial run at any worker count (the
-  tasks are deterministic pure functions of the shipped context).
+  scheduling entry point, on the caller's executor (a
+  :class:`SerialExecutor` when none is passed): the (large, shared)
+  inputs travel **once per worker**, the per-task messages carry only
+  integer keys, the key list splits into one contiguous chunk per
+  worker, and results merge back in input-key order — byte-identical to
+  the serial run at any worker count (the tasks are deterministic pure
+  functions of the shipped context).
 * :mod:`repro.parallel.journal` — the checkpoint journal.  Attach a
   :class:`CheckpointJournal` to an executor and every completed chunk's
   results are durably recorded; a killed solve resumes by re-executing
@@ -30,8 +32,8 @@ package shards those key lists across an :class:`Executor`:
   assume landmark and center draws are independent) and to give per-source
   work deterministic child seeds should it ever need randomness.
 
-Both the ``fork`` and ``spawn`` start methods are supported; see
-:func:`repro.parallel.executor.default_start_method`.
+Both the ``fork`` and ``spawn`` start methods are supported
+(``LocalProcessExecutor(start_method=...)``).
 
 The scheduler is crash-safe: dead workers (SIGKILL, OOM, broken result
 pipes) and per-chunk timeouts are detected, the pool is respawned and
@@ -47,8 +49,6 @@ from repro.parallel.executor import (
     Executor,
     LocalProcessExecutor,
     SerialExecutor,
-    default_start_method,
-    resolve_workers,
     run_sharded,
     worker_context,
 )
@@ -61,9 +61,7 @@ __all__ = [
     "LocalProcessExecutor",
     "SerialExecutor",
     "child_rng",
-    "default_start_method",
     "derive_child_seed",
-    "resolve_workers",
     "run_sharded",
     "worker_context",
 ]

@@ -33,9 +33,9 @@ and inherits the whole fault-injection and determinism test surface.
   parent's memory); under ``spawn`` it is pickled exactly once per worker,
   which is why the substrates define compact ``__getstate__`` forms (typed
   arrays, no lazy caches).
-* The key list splits into contiguous chunks — by default one chunk per
-  worker — so the per-dispatch overhead (one pickled list of ints, one
-  pickled result dict) is amortised over the whole shard.  Duplicate keys
+* The key list splits into contiguous chunks, one per worker, so the
+  per-dispatch overhead (one pickled list of ints, one pickled result
+  dict) is amortised over the whole shard.  Duplicate keys
   are computed once: the distinct keys (first-seen order) are what gets
   chunked, and the merge fans the shared results back out over the
   original key list.
@@ -45,10 +45,10 @@ and inherits the whole fault-injection and determinism test surface.
   produced regardless of worker count, chunking or completion order.
 
 A :class:`LocalProcessExecutor` runs a phase as an in-process call of the
-*same* task function when sharding cannot help (``workers <= 1``, a
-single key, or already inside a pool worker), so serial and parallel runs
-execute identical code on identical inputs — the determinism guarantee is
-structural, not tested into existence.
+*same* task function when sharding cannot help (a single key, or already
+inside a pool worker), so serial and parallel runs execute identical code
+on identical inputs — the determinism guarantee is structural, not tested
+into existence.
 
 **Checkpointing.**  Attach a
 :class:`~repro.parallel.journal.CheckpointJournal` to an executor (or set
@@ -67,8 +67,8 @@ start-up per worker, and a solve runs five-plus sharded phases.
 :class:`LocalProcessExecutor` owns one pool for the duration of a solve
 and re-installs each phase's context into the already-running workers, so
 the start-up is paid once per solve.  Call sites accept an optional
-``pool``; :func:`run_sharded` without one opens an executor for just that
-call.
+``pool``; :func:`run_sharded` without one runs in-process on a
+:class:`SerialExecutor`.
 
 **Crash safety.**  A raw ``multiprocessing.Pool`` turns a SIGKILLed
 worker into a silent hang: the killed worker's chunk never completes and
@@ -90,7 +90,6 @@ propagate unchanged, exactly as the serial path would raise them.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -106,9 +105,6 @@ from repro.exceptions import (
 )
 from repro.faults.harness import chunk_checkpoint
 from repro.parallel.journal import CheckpointJournal
-
-#: Environment variable overriding the default start method (fork/spawn).
-START_METHOD_ENV = "REPRO_MP_START_METHOD"
 
 #: The shared context installed by the pool initializer / context broadcast
 #: (or by the in-process serial fallback).  Thread-local rather than a
@@ -258,48 +254,6 @@ def worker_context() -> Any:
     return context
 
 
-def default_start_method() -> str:
-    """The start method ``run_sharded`` uses when none is passed.
-
-    ``fork`` when the platform offers it (context transfer is free — the
-    children inherit the parent's memory), otherwise ``spawn``.  The
-    ``REPRO_MP_START_METHOD`` environment variable overrides the choice,
-    which is how the test battery pins the spawn path on fork platforms;
-    its value is validated against the platform's start methods so a typo
-    fails with a clear error instead of surfacing as an opaque
-    ``ValueError`` inside ``multiprocessing.get_context``.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    env = os.environ.get(START_METHOD_ENV)
-    if env:
-        if env not in methods:
-            raise InvalidParameterError(
-                f"{START_METHOD_ENV}={env!r} is not a multiprocessing start "
-                f"method of this platform; choose one of {methods}"
-            )
-        return env
-    return "fork" if "fork" in methods else "spawn"
-
-
-def resolve_workers(workers: int, num_keys: int) -> int:
-    """Effective pool size for ``workers`` over ``num_keys`` keys.
-
-    ``0`` and ``1`` mean serial; pool workers themselves always resolve to
-    serial (nested pools are both illegal for daemonic processes and
-    pointless).  The count is clamped to the number of keys but **not** to
-    ``os.cpu_count()``: oversubscription only costs time, never changes
-    results, and the fingerprint-equality tests rely on being able to ask
-    for 4 workers on any machine.
-    """
-    if workers < 0:
-        raise InvalidParameterError(f"workers must be non-negative, got {workers}")
-    if workers <= 1 or num_keys <= 1:
-        return 0
-    if multiprocessing.current_process().daemon:
-        return 0
-    return min(workers, num_keys)
-
-
 def chunk_keys(keys: Sequence[Hashable], num_chunks: int) -> List[List[Hashable]]:
     """Split ``keys`` into ``num_chunks`` contiguous, size-balanced chunks.
 
@@ -320,13 +274,6 @@ def chunk_keys(keys: Sequence[Hashable], num_chunks: int) -> List[List[Hashable]
         chunks.append(list(keys[start : start + size]))
         start += size
     return chunks
-
-
-def _check_chunks_per_worker(chunks_per_worker: int) -> None:
-    if chunks_per_worker < 1:
-        raise InvalidParameterError(
-            f"chunks_per_worker must be at least 1, got {chunks_per_worker}"
-        )
 
 
 def _distinct_keys(key_list: List[Hashable]) -> List[Hashable]:
@@ -433,11 +380,11 @@ class Executor:
 
     def _journal_chunk(
         self,
-        phase_id: Optional[str],
+        phase_id: str,
         keys: Sequence[Hashable],
         results: Dict[Hashable, Any],
     ) -> None:
-        if self._journal is not None and phase_id is not None and keys:
+        if self._journal is not None and keys:
             self._journal.append(phase_id, keys, results)
 
     # -- scheduling --------------------------------------------------------
@@ -447,7 +394,6 @@ class Executor:
         task: Callable[[Sequence[Hashable]], Dict[Hashable, Any]],
         keys: Sequence[Hashable],
         context: Any,
-        chunks_per_worker: int = 1,
     ) -> Dict[Hashable, Any]:
         """Apply ``task`` to ``keys`` on this transport (one sharded phase).
 
@@ -456,7 +402,6 @@ class Executor:
         attached, journaled keys are replayed and only the remainder is
         dispatched; completed chunks are journaled as they land.
         """
-        _check_chunks_per_worker(chunks_per_worker)
         key_list = list(keys)
         distinct = _distinct_keys(key_list)
         phase_id = self._next_phase_id(task)
@@ -468,9 +413,7 @@ class Executor:
         remaining = [key for key in distinct if key not in replayed]
         computed: Dict[Hashable, Any] = {}
         if remaining:
-            computed = self._run_distinct(
-                task, remaining, context, chunks_per_worker, phase_id
-            )
+            computed = self._run_distinct(task, remaining, context, phase_id)
         merged: Dict[Hashable, Any] = {}
         for key in distinct:
             if key in replayed:
@@ -486,8 +429,7 @@ class Executor:
         task: Callable,
         distinct: List[Hashable],
         context: Any,
-        chunks_per_worker: int,
-        phase_id: Optional[str],
+        phase_id: str,
     ) -> Dict[Hashable, Any]:
         raise NotImplementedError
 
@@ -513,22 +455,19 @@ class SerialExecutor(Executor):
     plumbing (:data:`_TLS`) and the same per-chunk fault checkpoint as
     the pooled transport, so the chaos battery and the checkpoint
     journal exercise identical control flow — just without processes.
-    Holds no resources; :meth:`close` is a no-op and ``workers`` is
-    always 0.
+    Holds no resources; :meth:`close` is a no-op.
     """
 
     kind = "serial"
-    workers = 0
 
     def _run_distinct(
         self,
         task: Callable,
         distinct: List[Hashable],
         context: Any,
-        chunks_per_worker: int,
-        phase_id: Optional[str],
+        phase_id: str,
     ) -> Dict[Hashable, Any]:
-        if self._journal is None or phase_id is None:
+        if self._journal is None:
             chunks = [distinct]
         else:
             chunks = chunk_keys(
@@ -553,11 +492,11 @@ class LocalProcessExecutor(Executor):
 
     Usage rules:
 
-    * Construct with the requested ``workers`` count and use as a context
-      manager (or call :meth:`close` explicitly) — the underlying pool is
-      opened **lazily** on the first phase that actually shards, so a
-      ``workers <= 1`` executor never starts a process and every phase runs
-      the in-process serial fallback.
+    * Construct with at least two ``workers`` (in-process runs are
+      :class:`SerialExecutor`'s) and use as a context manager (or call
+      :meth:`close` explicitly) — the underlying pool is opened **lazily**
+      on the first phase that actually shards.  ``start_method`` defaults
+      to ``fork`` where the platform offers it, otherwise ``spawn``.
     * Hand the instance to :func:`run_sharded` (or call :meth:`run`) for
       every phase of the solve.  Each new phase context is re-installed
       into the already-running workers by a broadcast "set context" task
@@ -571,10 +510,12 @@ class LocalProcessExecutor(Executor):
       the broadcast is skipped entirely when the same context object is
       installed twice.  Mutating shipped state would desynchronise parent
       and workers.
-    * The pool is sized to ``workers`` once, at first use; phases with
-      fewer keys simply leave workers idle, phases with a single key (or
-      running inside a pool worker) fall back to the serial path without
-      touching the generation counter.
+    * The pool is sized to ``workers`` (not clamped to the CPU count:
+      oversubscription costs time, never changes results) and a phase
+      splits into one chunk per worker; phases with fewer keys leave
+      workers idle, phases with a single key (or running inside a pool
+      worker) fall back to the serial path without touching the
+      generation counter.
     * Shipped components are retained — parent-side (strong refs) and in
       every worker's store — until :meth:`close`.  This is deliberate: a
       component absent from one phase's context routinely recurs in a
@@ -590,16 +531,17 @@ class LocalProcessExecutor(Executor):
 
     def __init__(
         self,
-        workers: int = 0,
+        workers: int,
         start_method: Optional[str] = None,
         max_crash_retries: int = DEFAULT_MAX_CRASH_RETRIES,
         degrade_to_serial: bool = True,
         chunk_timeout: Optional[float] = None,
     ):
         super().__init__()
-        if workers < 0:
+        if workers < 2:
             raise InvalidParameterError(
-                f"workers must be non-negative, got {workers}"
+                f"a LocalProcessExecutor needs at least two workers, got "
+                f"{workers}; SerialExecutor is the in-process transport"
             )
         if max_crash_retries < 0:
             raise InvalidParameterError(
@@ -613,9 +555,11 @@ class LocalProcessExecutor(Executor):
         self.max_crash_retries = max_crash_retries
         self.degrade_to_serial = degrade_to_serial
         self.chunk_timeout = chunk_timeout
+        if start_method is None:
+            methods = multiprocessing.get_all_start_methods()
+            start_method = "fork" if "fork" in methods else "spawn"
         self._start_method = start_method
         self._pool: Optional[Any] = None
-        self._size = 0
         self._generation = 0
         self._installed: Any = None
         self._worker_pids: frozenset = frozenset()
@@ -656,7 +600,6 @@ class LocalProcessExecutor(Executor):
         """
         pool, self._pool = self._pool, None
         if pool is not None:
-            self._size = 0
             terminator = threading.Thread(
                 target=self._terminate_quietly, args=(pool,), daemon=True
             )
@@ -767,15 +710,12 @@ class LocalProcessExecutor(Executor):
         global POOLS_OPENED
         if self._pool is not None:
             return
-        ctx = multiprocessing.get_context(
-            self._start_method or default_start_method()
-        )
-        self._size = self.workers
+        ctx = multiprocessing.get_context(self._start_method)
         self._generation += 1
         new, layout, pending_tokens, pending_values = self._encode_context(context)
-        barrier = ctx.Barrier(self._size)
+        barrier = ctx.Barrier(self.workers)
         self._pool = ctx.Pool(
-            processes=self._size,
+            processes=self.workers,
             initializer=_install_pool_worker,
             initargs=(barrier, self._generation, new, layout),
         )
@@ -827,7 +767,7 @@ class LocalProcessExecutor(Executor):
             (self._generation, new, layout), pickle.HIGHEST_PROTOCOL
         )
         handle = self._pool.map_async(
-            _set_context_task, [blob] * self._size, chunksize=1
+            _set_context_task, [blob] * self.workers, chunksize=1
         )
         deadline = time.monotonic() + BROADCAST_TIMEOUT
         while not handle.ready():
@@ -848,10 +788,10 @@ class LocalProcessExecutor(Executor):
             raise _PoolCrash(
                 f"context broadcast failed with transport error {exc!r}"
             ) from exc
-        if echoed != [self._generation] * self._size:
+        if echoed != [self._generation] * self.workers:
             raise InternalInvariantError(
                 f"context broadcast for generation {self._generation} "
-                f"echoed {echoed} from {self._size} workers"
+                f"echoed {echoed} from {self.workers} workers"
             )
         # Only a provably complete broadcast registers its components as
         # shipped; a failed sweep re-ships them next time (workers that
@@ -866,22 +806,22 @@ class LocalProcessExecutor(Executor):
         task: Callable,
         distinct: List[Hashable],
         context: Any,
-        chunks_per_worker: int,
-        phase_id: Optional[str],
+        phase_id: str,
     ) -> Dict[Hashable, Any]:
-        if resolve_workers(self.workers, len(distinct)) == 0:
+        # Nested pools are illegal for daemonic processes (and pointless),
+        # and one key cannot be split: both run in-process.
+        if len(distinct) == 1 or multiprocessing.current_process().daemon:
             merged = _run_serial(task, distinct, context)
             self._journal_chunk(phase_id, distinct, merged)
             return merged
-        return self._run_pooled(task, distinct, context, chunks_per_worker, phase_id)
+        return self._run_pooled(task, distinct, context, phase_id)
 
     def _run_pooled(
         self,
         task: Callable,
         distinct: List[Hashable],
         context: Any,
-        chunks_per_worker: int,
-        phase_id: Optional[str],
+        phase_id: str,
     ) -> Dict[Hashable, Any]:
         """One sharded phase with crash recovery.
 
@@ -891,7 +831,7 @@ class LocalProcessExecutor(Executor):
         re-execution byte-identical anyway, so salvaging is a pure
         optimisation).
         """
-        num_chunks = min(len(distinct), self.workers * chunks_per_worker)
+        num_chunks = min(len(distinct), self.workers)
         pending: Dict[int, List[Hashable]] = dict(
             enumerate(chunk_keys(distinct, num_chunks))
         )
@@ -938,7 +878,7 @@ class LocalProcessExecutor(Executor):
         task: Callable,
         pending: Dict[int, List[Hashable]],
         done: Dict[int, Dict[Hashable, Any]],
-        phase_id: Optional[str] = None,
+        phase_id: str,
     ) -> None:
         """Dispatch every pending chunk and gather results until all land.
 
@@ -957,11 +897,7 @@ class LocalProcessExecutor(Executor):
         }
         deadline = None
         if self.chunk_timeout is not None:
-            # Chunks beyond the pool size queue behind earlier ones; scale
-            # the budget by the number of scheduling waves so a deep queue
-            # is not misread as a hang.
-            waves = math.ceil(len(handles) / max(1, self._size))
-            deadline = time.monotonic() + self.chunk_timeout * waves
+            deadline = time.monotonic() + self.chunk_timeout
         while handles:
             progressed = False
             for index, handle in list(handles.items()):
@@ -997,8 +933,6 @@ def run_sharded(
     task: Callable[[Sequence[Hashable]], Dict[Hashable, Any]],
     keys: Sequence[Hashable],
     context: Any,
-    workers: int = 0,
-    chunks_per_worker: int = 1,
     pool: Optional[Executor] = None,
 ) -> Dict[Hashable, Any]:
     """Apply ``task`` to ``keys``, sharded across an executor.
@@ -1014,19 +948,11 @@ def run_sharded(
         duplicate keys are computed once and share the result.
     context:
         The read-only shared inputs, shipped once per worker.
-    workers:
-        Requested worker count; ``0``/``1`` run the task in-process.
-        Ignored when ``pool`` is given (the executor's size wins).
-    chunks_per_worker:
-        Scheduling granularity (at least 1).  ``1`` (default) minimises
-        transfer — one chunk per worker; larger values trade dispatch
-        overhead for load balancing when per-key costs are skewed.
     pool:
-        An open :class:`Executor` to reuse.  When given, this phase's
-        context is broadcast into the executor's running workers (and
-        journaled, if the executor carries a checkpoint journal); when
-        omitted, a :class:`LocalProcessExecutor` of ``workers`` spans
-        just this call.
+        The :class:`Executor` to run on.  This phase's context is
+        broadcast into its running workers (and journaled, if it carries
+        a checkpoint journal); when omitted, the phase runs in-process on
+        a :class:`SerialExecutor`.
 
     Returns
     -------
@@ -1034,10 +960,9 @@ def run_sharded(
         ``{key: result}`` in ``keys`` order — byte-identical to the serial
         run at any worker count, journaled or not, interrupted or not.
     """
-    if pool is not None:
-        return pool.run(task, keys, context, chunks_per_worker=chunks_per_worker)
-    with LocalProcessExecutor(workers) as one_shot:
-        return one_shot.run(task, keys, context, chunks_per_worker=chunks_per_worker)
+    if pool is None:
+        pool = SerialExecutor()
+    return pool.run(task, keys, context)
 
 
 def _run_serial(

@@ -10,9 +10,9 @@ pickles task functions by qualified name.
 Every task is a deterministic pure function of (context, keys): no task
 consumes randomness, mutates the context, or depends on sibling keys, which
 is what makes the sharded merge byte-identical to the serial loop.  Workers
-run strictly serial code — ``resolve_workers`` returns 0 inside a pool
-worker, so a task can safely call helpers that themselves accept a
-``workers`` knob.
+run strictly serial code: a task that calls a sharded helper without a
+``pool`` runs it in-process on a ``SerialExecutor``, and a
+``LocalProcessExecutor`` used inside a pool worker runs in-process too.
 
 Imports of :mod:`repro.core.msrp` and :mod:`repro.multisource.pipeline`
 are deferred into the task bodies: those modules are the *call sites* of
@@ -47,15 +47,10 @@ def chaos_probe_task(keys: Sequence[int]) -> Dict[int, int]:
 def bfs_roots_task(roots: Sequence[int]) -> Dict[int, Any]:
     """One BFS tree per root over the shared CSR graph.
 
-    Context: ``{"graph": CSRGraph, "forbidden_edge": Optional[Edge]}``.
+    Context: ``{"graph": CSRGraph}``.
     """
-    ctx = worker_context()
-    graph = ctx["graph"]
-    forbidden_edge = ctx["forbidden_edge"]
-    return {
-        root: bfs_tree_csr(graph, root, forbidden_edge=forbidden_edge)
-        for root in roots
-    }
+    graph = worker_context()["graph"]
+    return {root: bfs_tree_csr(graph, root) for root in roots}
 
 
 def bruteforce_edges_task(

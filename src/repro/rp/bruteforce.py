@@ -16,25 +16,25 @@ the efficient algorithms (same canonical paths, same set of reported
 ``(t, e)`` pairs).
 
 The one-BFS-per-tree-edge sweep is embarrassingly parallel, so the single-
-and multi-source oracles accept the same ``workers``/``pool`` knobs as the
-efficient pipeline (:mod:`repro.parallel`): the per-edge sweep shards
-across the pool with output entry-for-entry identical to the serial sweep
+and multi-source oracles take the same ``pool`` as the efficient pipeline
+(an :class:`~repro.parallel.Executor`): the per-edge sweep shards across
+the pool with output entry-for-entry identical to the serial sweep
 (including ``math.inf`` canonicalisation), which is what makes
 ``verify=True`` runs and the nightly differential-fuzz sweeps usable on
-larger instances.
+larger instances.  Without a pool the sweep runs in-process.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+from operator import index as _vertex_id
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.csr import bfs_distances_csr, bfs_tree_csr
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.tree import ShortestPathTree
-from repro.parallel import Executor, LocalProcessExecutor, run_sharded
+from repro.parallel import Executor, run_sharded
 
 #: target -> (failed edge -> replacement length)
 SingleSourceAnswer = Dict[int, Dict[Edge, float]]
@@ -64,14 +64,13 @@ def brute_force_single_source(
     graph: Graph,
     source: int,
     source_tree: Optional[ShortestPathTree] = None,
-    workers: int = 0,
     pool: Optional[Executor] = None,
 ) -> SingleSourceAnswer:
     """Ground-truth SSRP: replacement lengths for every target and failed edge.
 
-    With ``workers > 1`` (or an open ``pool``) the one-BFS-per-tree-edge
-    sweep shards across a process pool; the merge re-canonicalises
-    infinities so the answer is entry-for-entry identical to the serial
+    The one-BFS-per-tree-edge sweep runs as one sharded phase on ``pool``
+    (in-process without one); the merge re-canonicalises infinities so a
+    process pool's answer is entry-for-entry identical to the serial
     sweep, ``is math.inf`` checks included.
 
     Returns
@@ -88,9 +87,9 @@ def brute_force_single_source(
     tree = source_tree if source_tree is not None else bfs_tree_csr(graph, source)
     # One BFS per tree edge: compile the CSR view once and reuse it for the
     # whole sweep (this loop dominates the oracle's running time).  The
-    # sweep is keyed by the child endpoint of each tree edge; the serial
-    # fallback of run_sharded executes the identical task function, so the
-    # pooled and serial answers are structurally the same object graph.
+    # sweep is keyed by the child endpoint of each tree edge; every
+    # transport executes the identical task function, so the pooled and
+    # serial answers are structurally the same object graph.
     csr = graph.csr()
     reachable = tree.reachable_vertices()
     children = [child for child in reachable if tree.parent[child] is not None]
@@ -98,7 +97,6 @@ def brute_force_single_source(
         bruteforce_edges_task,
         children,
         {"graph": csr, "source": source, "tree": tree},
-        workers=workers,
         pool=pool,
     )
     inf = math.inf
@@ -115,22 +113,17 @@ def brute_force_single_source(
 def brute_force_multi_source(
     graph: Graph,
     sources: Iterable[int],
-    workers: int = 0,
     pool: Optional[Executor] = None,
 ) -> MultiSourceAnswer:
     """Ground-truth MSRP: one brute-force SSRP per source.
 
-    ``workers``/``pool`` shard each per-source edge sweep; when no pool is
-    given one :class:`~repro.parallel.LocalProcessExecutor` spans all sources, so a
-    multi-source verification never pays more than one pool start-up.
+    Every per-source edge sweep runs on ``pool`` (in-process without
+    one), so a multi-source verification never pays more than the one
+    pool start-up of the caller's executor.
     """
-    scope = nullcontext(pool) if pool is not None else LocalProcessExecutor(workers)
     answer: MultiSourceAnswer = {}
-    with scope as active_pool:
-        for s in sources:
-            answer[int(s)] = brute_force_single_source(
-                graph, int(s), workers=workers, pool=active_pool
-            )
+    for s in map(_vertex_id, sources):
+        answer[s] = brute_force_single_source(graph, s, pool=pool)
     return answer
 
 
@@ -142,7 +135,7 @@ def replacement_distance(
     A thin convenience wrapper (one BFS on ``G - e``) used by examples and a
     few spot-check tests; the efficient algorithms never call it.
     """
-    banned = normalize_edge(int(edge[0]), int(edge[1]))
+    banned = normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
     if not graph.has_edge(*banned):
         raise InvalidParameterError(f"edge {banned} is not in the graph")
     dist = bfs_distances_csr(graph, source, forbidden_edge=banned)

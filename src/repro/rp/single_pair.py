@@ -42,6 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import index as _vertex_id
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError, NotOnPathError
@@ -90,7 +91,7 @@ class SinglePairReplacementPaths:
         Edges not on the canonical path do not affect the distance, so the
         original shortest distance is returned for them.
         """
-        e = normalize_edge(int(edge[0]), int(edge[1]))
+        e = normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
         if e in self.lengths:
             return self.lengths[e]
         return self.shortest_distance

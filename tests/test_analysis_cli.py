@@ -171,7 +171,7 @@ class TestCLIVerifyFailure:
     def test_forced_mismatch_exits_one_with_summary(self, capsys, monkeypatch):
         import repro.rp.bruteforce as bruteforce
 
-        def wrong_oracle(graph, sources, workers=0, pool=None):
+        def wrong_oracle(graph, sources, pool=None):
             # An empty reference disagrees with every computed entry.
             return {int(s): {} for s in sources}
 

@@ -122,7 +122,7 @@ def test_run_sharded_checkpoint_round_trip(tmp_path):
     identical result."""
     keys, context = list(range(24)), {"bias": 7}
     ckpt = str(tmp_path / "journal")
-    plain = run_sharded(chaos_probe_task, keys, context, workers=0)
+    plain = run_sharded(chaos_probe_task, keys, context)
     first = SerialExecutor().attach_journal(CheckpointJournal.open(ckpt))
     with first:
         assert run_sharded(chaos_probe_task, keys, context, pool=first) == plain

@@ -187,12 +187,6 @@ class TestBfsMany:
         assert bfs_many(generators.path_graph(4), []) == {}
         assert bfs_many(Graph(0), []) == {}
 
-    def test_forbidden_edge_applies_to_every_root(self):
-        g = generators.cycle_graph(5)
-        trees = bfs_many(g, [0, 2], forbidden_edge=(0, 1))
-        for root in (0, 2):
-            assert_same_tree(bfs_tree(g, root, forbidden_edge=(0, 1)), trees[root])
-
 
 class TestConnectivity:
     def test_connected_components_on_disconnected_graph(self):

@@ -52,7 +52,7 @@ from repro.multisource.tables import (
     compute_source_to_center_tables,
     compute_source_to_center_tables_reference,
 )
-from repro.parallel import child_rng
+from repro.parallel import LocalProcessExecutor, SerialExecutor, child_rng
 from repro.rp.bruteforce import brute_force_multi_source
 
 #: name -> seeded factory.  Sizes stay small enough for the brute-force
@@ -84,7 +84,11 @@ def _check_pipeline_matches_bruteforce(
         params=AlgorithmParams(seed=seed, workers=workers),
         landmark_strategy="auxiliary",
     )
-    reference = brute_force_multi_source(graph, sources, workers=oracle_workers)
+    oracle_pool = (
+        LocalProcessExecutor(oracle_workers) if oracle_workers else SerialExecutor()
+    )
+    with oracle_pool:
+        reference = brute_force_multi_source(graph, sources, pool=oracle_pool)
     mismatches = result.differences_from(reference)
     assert not mismatches, (
         f"{name}/seed={seed}/workers={workers}"

@@ -1,8 +1,9 @@
 """Regression tests for boundary inputs across the whole stack.
 
-Collected here per the CSR-kernel issue: disconnected graphs, empty and
-single-vertex graphs, the ``sigma = 1`` regime, star and bridge-heavy
-instances, and the tightened ``Graph.from_adjacency`` contract.
+Disconnected graphs, empty and single-vertex graphs, the ``sigma = 1``
+regime, star and bridge-heavy instances, the tightened
+``Graph.from_adjacency`` contract, and non-integral vertex ids at every
+public entry point.
 """
 
 from __future__ import annotations
@@ -11,14 +12,22 @@ import math
 
 import pytest
 
+from repro.core.landmarks import LandmarkHierarchy
 from repro.core.msrp import multiple_source_replacement_paths
-from repro.core.params import AlgorithmParams
+from repro.core.params import AlgorithmParams, ProblemScale
 from repro.core.ssrp import single_source_replacement_paths
 from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph import generators
+from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.csr import bfs_distances_csr, bfs_many, bfs_tree_csr
 from repro.graph.graph import Graph
-from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
+from repro.multisource.centers import CenterHierarchy
+from repro.rp.bruteforce import (
+    brute_force_multi_source,
+    brute_force_single_source,
+    replacement_distance,
+)
+from repro.rp.single_pair import replacement_paths
 
 
 class TestDisconnectedGraphs:
@@ -154,3 +163,157 @@ class TestFromAdjacencyContract:
             Graph.from_adjacency([[3], []])
         with pytest.raises(GraphError, match="outside"):
             Graph.from_adjacency([[-1], []])
+
+
+def _cycle_setup():
+    """``cycle_graph(7)`` with one source (0), every vertex a landmark and
+    a center, and the trees and tables the entry points below read."""
+    g = generators.cycle_graph(7)
+    trees = bfs_many(g, range(7))
+    scale = ProblemScale(7, 1, AlgorithmParams(seed=1))
+    return g, trees, scale, LandmarkHierarchy([range(7)], [0]), CenterHierarchy(
+        [range(7)], [0]
+    )
+
+
+def _near_small_walk():
+    from repro.core.near_small import compute_near_small_tables_reference
+
+    g, trees, scale, _landmarks, _centers = _cycle_setup()
+    tables = compute_near_small_tables_reference(g, 0, trees[0], scale, with_paths=True)
+    return tables.walk(1, (0.5, 1.2))
+
+
+def _far_candidate():
+    from repro.core.far_edges import FarEdgeSolver
+    from repro.core.landmark_rp import compute_direct_tables
+
+    g, trees, scale, landmarks, _centers = _cycle_setup()
+    tables = compute_direct_tables(g, {0: trees[0]}, range(7))
+    solver = FarEdgeSolver(scale, landmarks, trees, tables, {0: trees[0]})
+    return solver.candidate_edge(0, 3, (0.5, 1.2), 0)
+
+
+def _direct_tables(reference: bool):
+    from repro.core import landmark_rp
+
+    g, trees, _scale, _landmarks, _centers = _cycle_setup()
+    build = (
+        landmark_rp.compute_direct_tables_reference
+        if reference
+        else landmark_rp.compute_direct_tables
+    )
+    return build(g, {0: trees[0]}, [1.5])
+
+
+def _small_paths_through_centers():
+    from repro.core.near_small import compute_near_small_tables_reference
+    from repro.multisource.tables import compute_small_paths_through_centers
+
+    g, trees, scale, _landmarks, centers = _cycle_setup()
+    near = compute_near_small_tables_reference(g, 0, trees[0], scale, with_paths=True)
+    return compute_small_paths_through_centers([0], [1.5], {0: near}, centers)
+
+
+def _center_tables_reference():
+    from repro.multisource.tables import compute_center_to_landmark_tables_reference
+
+    _g, trees, scale, _landmarks, _centers = _cycle_setup()
+    return compute_center_to_landmark_tables_reference(
+        center=0,
+        center_tree=trees[0],
+        priority=0,
+        landmarks=[1.5],
+        landmark_trees=trees,
+        scale=scale,
+    )
+
+
+def _result_table_key():
+    from repro.core.result import ReplacementPathResult
+
+    result = multiple_source_replacement_paths(
+        generators.cycle_graph(7), [0], params=AlgorithmParams(seed=1)
+    )
+    tables, trees, _graph = result.__getstate__()
+    return ReplacementPathResult({0.7: tables[0]}, trees)
+
+
+def _baseline(name: str):
+    from repro.baselines import naive
+
+    return getattr(naive, name)(generators.cycle_graph(7), [0.7])
+
+
+#: One call per public entry point that takes a caller's vertex id.  Each
+#: passes a non-integral id that ``int()`` would truncate to a valid one.
+TRUNCATING_CALLS = {
+    "Graph-edges": (lambda: Graph(3, [(0.5, 1.7)]), GraphError),
+    "Graph-num_vertices": (lambda: Graph(3.7), TypeError),
+    "Graph.from_edge_list": (lambda: Graph.from_edge_list([(0.5, 1.7)]), TypeError),
+    "Graph.from_adjacency": (lambda: Graph.from_adjacency([[1.5], [0]]), TypeError),
+    "Graph.subgraph_without_edge": (
+        lambda: generators.cycle_graph(7).subgraph_without_edge((0.5, 1.2)),
+        TypeError,
+    ),
+    "bfs_distances": (
+        lambda: bfs_distances(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
+        TypeError,
+    ),
+    "bfs_tree": (
+        lambda: bfs_tree(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
+        TypeError,
+    ),
+    "bfs_distances_csr": (
+        lambda: bfs_distances_csr(
+            generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)
+        ),
+        TypeError,
+    ),
+    "bfs_tree_csr": (
+        lambda: bfs_tree_csr(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
+        TypeError,
+    ),
+    "bfs_many": (lambda: bfs_many(generators.cycle_graph(7), [0.5]), TypeError),
+    "replacement_distance": (
+        lambda: replacement_distance(generators.cycle_graph(7), 0, 3, (0.5, 1.2)),
+        TypeError,
+    ),
+    "brute_force_multi_source": (
+        lambda: brute_force_multi_source(generators.cycle_graph(7), [0.7]),
+        TypeError,
+    ),
+    "SinglePairReplacementPaths.get": (
+        lambda: replacement_paths(generators.cycle_graph(7), 0, 3).get((0.5, 1.2)),
+        TypeError,
+    ),
+    "NearSmallTables.walk": (_near_small_walk, TypeError),
+    "FarEdgeSolver.candidate_edge": (_far_candidate, TypeError),
+    "compute_direct_tables": (lambda: _direct_tables(False), TypeError),
+    "compute_direct_tables_reference": (lambda: _direct_tables(True), TypeError),
+    "compute_small_paths_through_centers": (_small_paths_through_centers, TypeError),
+    "compute_center_to_landmark_tables_reference": (
+        _center_tables_reference,
+        TypeError,
+    ),
+    "LandmarkHierarchy": (
+        lambda: LandmarkHierarchy([[1.5, 2.9]], sources=[0.7]),
+        TypeError,
+    ),
+    "CenterHierarchy": (lambda: CenterHierarchy([[1.5, 2.9]], sources=[0]), TypeError),
+    "ReplacementPathResult": (_result_table_key, TypeError),
+    "msrp_per_target_classical": (
+        lambda: _baseline("msrp_per_target_classical"),
+        TypeError,
+    ),
+    "msrp_independent_ssrp": (lambda: _baseline("msrp_independent_ssrp"), TypeError),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(TRUNCATING_CALLS))
+def test_non_integral_vertex_ids_refused(entry_point):
+    """``0.5`` is not vertex 0: every entry point coerces caller ids with
+    ``operator.index`` and refuses a float instead of truncating it."""
+    call, error = TRUNCATING_CALLS[entry_point]
+    with pytest.raises(error):
+        call()

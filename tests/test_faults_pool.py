@@ -68,7 +68,9 @@ def hard_time_limit():
 
 
 def serial_result():
-    return run_sharded(chaos_probe_task, KEYS, CONTEXT, workers=0)
+    """The fault-free reference: compute it before a plan is installed,
+    because the serial transport consults the plan at every chunk too."""
+    return run_sharded(chaos_probe_task, KEYS, CONTEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,7 @@ def test_externally_killed_worker_between_phases(tmp_path):
         second = pool.run(chaos_probe_task, KEYS, second_context)
         assert pool.crash_recoveries >= 1
     assert first == serial_result()
-    assert second == run_sharded(chaos_probe_task, KEYS, second_context, workers=0)
+    assert second == run_sharded(chaos_probe_task, KEYS, second_context)
 
 
 def test_kill_fault_refuses_outside_pool_worker(tmp_path):
@@ -169,8 +171,8 @@ def test_kill_fault_refuses_outside_pool_worker(tmp_path):
     process raises instead of SIGKILLing the test process itself."""
     plan = FaultPlan([Fault("kill_worker", chunk_index=0)])
     with active_plan(plan, str(tmp_path)) as plan_path:
-        # workers=0 routes through the serial path, which never consults
-        # the chunk hook — so drive the dispatch shim directly.
+        # Drive the pool's worker-side dispatch shim directly, in this
+        # (non-daemonic) test process.
         executor_module._TLS.generation = 99
         executor_module._TLS.context = CONTEXT
         try:
@@ -293,23 +295,20 @@ def _chaos_round(seed: int, tmp_path) -> None:
     correct-or-loud contract."""
     kinds = ("kill_worker", "hang_chunk", "raise_chunk")
     kind = kinds[derive_fault_index(seed, "sweep-kind", len(kinds))]
-    num_chunks = 4  # workers=2, chunks_per_worker=2
+    num_chunks = 2  # one chunk per worker
     chunk = derive_fault_index(seed, "sweep-chunk", num_chunks)
     fault = Fault(kind, chunk_index=chunk, seconds=600.0)
     plan_dir = tmp_path / f"seed{seed}"
     plan_dir.mkdir()
+    expected = serial_result()
     with active_plan(FaultPlan([fault]), str(plan_dir)) as plan_path:
         with LocalProcessExecutor(2, chunk_timeout=2.0) as pool:
             if kind == "raise_chunk":
                 with pytest.raises(InjectedFault):
-                    pool.run(
-                        chaos_probe_task, KEYS, CONTEXT, chunks_per_worker=2
-                    )
+                    pool.run(chaos_probe_task, KEYS, CONTEXT)
             else:
-                result = pool.run(
-                    chaos_probe_task, KEYS, CONTEXT, chunks_per_worker=2
-                )
-                assert result == serial_result()
+                result = pool.run(chaos_probe_task, KEYS, CONTEXT)
+                assert result == expected
                 assert pool.crash_recoveries >= 1
         assert fired_count(plan_path) == 1
 

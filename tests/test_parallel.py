@@ -3,8 +3,7 @@
 Five families:
 
 * **Scheduler semantics** — chunking, serial fallback, context plumbing,
-  spawn-vs-fork, merge order and completeness (including duplicate keys
-  and the validation of every scheduling knob).
+  spawn-vs-fork, merge order and completeness (including duplicate keys).
 * **Executor contract** — :class:`~repro.parallel.SerialExecutor` and
   :class:`~repro.parallel.LocalProcessExecutor` behind one interface:
   identical results, shared stats surface, idempotent close.
@@ -13,8 +12,9 @@ Five families:
   generation-countered context broadcasts, the stale-worker guard, and
   serial degradation.
 * **Determinism** — the full MSRP solve is entry-for-entry identical at
-  ``workers`` ∈ {serial, 2, 4} for both landmark strategies, and
-  ``workers`` alone picks the one executor a solve opens.
+  ``workers`` ∈ {serial, 2, 4} for both landmark strategies, under the
+  ``fork`` and the ``spawn`` start methods, and ``workers`` alone picks
+  the one executor a solve opens.
 * **Sharded oracle** — the process-sharded brute-force oracle equals the
   serial oracle entry-for-entry on the property-battery generators.
 * **Seeding** — tagged child-seed derivation, and the regression for the
@@ -43,11 +43,10 @@ from repro.parallel import (
     SerialExecutor,
     child_rng,
     derive_child_seed,
-    resolve_workers,
     run_sharded,
 )
 from repro.parallel import executor as executor_module
-from repro.parallel.executor import chunk_keys, default_start_method
+from repro.parallel.executor import chunk_keys
 from repro.parallel.tasks import bfs_roots_task
 from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
 
@@ -55,6 +54,11 @@ from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_sou
 # ---------------------------------------------------------------------------
 # scheduler semantics
 # ---------------------------------------------------------------------------
+
+
+def _executor(workers: int):
+    """The transport a solve picks for ``workers``: serial up to one."""
+    return SerialExecutor() if workers <= 1 else LocalProcessExecutor(workers)
 
 
 class TestScheduler:
@@ -68,22 +72,14 @@ class TestScheduler:
         with pytest.raises(InvalidParameterError):
             chunk_keys(keys, 0)
 
-    def test_resolve_workers(self):
-        assert resolve_workers(0, 10) == 0
-        assert resolve_workers(1, 10) == 0
-        assert resolve_workers(4, 10) == 4
-        assert resolve_workers(4, 1) == 0  # one key: sharding cannot help
-        assert resolve_workers(8, 3) == 3  # clamped to the key count
-        with pytest.raises(InvalidParameterError):
-            resolve_workers(-1, 10)
-
     @pytest.mark.parametrize("workers", [0, 3])
     def test_bfs_task_matches_serial(self, workers):
         graph = generators.random_connected_graph(24, extra_edges=30, seed=2)
         roots = list(range(12))
-        context = {"graph": graph.csr(), "forbidden_edge": None}
-        serial = run_sharded(bfs_roots_task, roots, context, workers=0)
-        sharded = run_sharded(bfs_roots_task, roots, context, workers=workers)
+        context = {"graph": graph.csr()}
+        serial = run_sharded(bfs_roots_task, roots, context)
+        with _executor(workers) as pool:
+            sharded = run_sharded(bfs_roots_task, roots, context, pool=pool)
         assert list(sharded) == roots  # merge preserves input-key order
         for root in roots:
             assert sharded[root].dist == serial[root].dist
@@ -94,8 +90,8 @@ class TestScheduler:
         """The spawn path (context + task pickled) produces the same trees."""
         graph = generators.random_connected_graph(16, extra_edges=20, seed=4)
         roots = [0, 3, 7, 11]
-        context = {"graph": graph.csr(), "forbidden_edge": None}
-        serial = run_sharded(bfs_roots_task, roots, context, workers=0)
+        context = {"graph": graph.csr()}
+        serial = run_sharded(bfs_roots_task, roots, context)
         with LocalProcessExecutor(2, start_method="spawn") as pool:
             spawned = run_sharded(bfs_roots_task, roots, context, pool=pool)
         for root in roots:
@@ -105,7 +101,8 @@ class TestScheduler:
         graph = generators.random_connected_graph(30, extra_edges=45, seed=9)
         roots = [5, 1, 5, 2, 29]
         serial = bfs_many(graph, roots)
-        sharded = bfs_many(graph, roots, workers=3)
+        with LocalProcessExecutor(3) as pool:
+            sharded = bfs_many(graph, roots, pool=pool)
         assert list(sharded) == list(serial)  # first-seen dedup order
         for root, tree in serial.items():
             assert sharded[root].dist == tree.dist
@@ -118,38 +115,14 @@ class TestScheduler:
         spurious ``InternalInvariantError``.  Duplicates must dedupe before
         chunking and fan back out in input order."""
         graph = generators.random_connected_graph(24, extra_edges=30, seed=2)
-        context = {"graph": graph.csr(), "forbidden_edge": None}
+        context = {"graph": graph.csr()}
         roots = [5, 1, 5, 5, 2, 1]
-        result = run_sharded(bfs_roots_task, roots, context, workers=workers)
+        with _executor(workers) as pool:
+            result = run_sharded(bfs_roots_task, roots, context, pool=pool)
         assert list(result) == [5, 1, 2]  # first-seen order, computed once
-        reference = run_sharded(bfs_roots_task, [5, 1, 2], context, workers=0)
+        reference = run_sharded(bfs_roots_task, [5, 1, 2], context)
         for root in reference:
             assert result[root].dist == reference[root].dist
-
-    def test_chunks_per_worker_validated(self):
-        """Regression: ``chunks_per_worker`` was silently clamped via
-        ``max(1, ...)`` while every other knob raises on bad values."""
-        context = {"graph": None, "forbidden_edge": None}
-        for bad in (0, -2):
-            with pytest.raises(InvalidParameterError, match="chunks_per_worker"):
-                run_sharded(
-                    bfs_roots_task, [1, 2], context, workers=0, chunks_per_worker=bad
-                )
-            with LocalProcessExecutor(2) as pool:
-                with pytest.raises(InvalidParameterError, match="chunks_per_worker"):
-                    pool.run(bfs_roots_task, [1, 2], context, chunks_per_worker=bad)
-
-    def test_start_method_env_var_validated(self, monkeypatch):
-        """Regression: a typo in ``REPRO_MP_START_METHOD`` used to surface
-        as an opaque ``ValueError`` inside ``multiprocessing.get_context``;
-        it must fail with ``InvalidParameterError`` naming the variable."""
-        monkeypatch.setenv(executor_module.START_METHOD_ENV, "frok")
-        with pytest.raises(InvalidParameterError, match=executor_module.START_METHOD_ENV):
-            default_start_method()
-        monkeypatch.setenv(executor_module.START_METHOD_ENV, "spawn")
-        assert default_start_method() == "spawn"
-        monkeypatch.delenv(executor_module.START_METHOD_ENV)
-        assert default_start_method() in ("fork", "spawn")
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +144,9 @@ class TestExecutorContract:
         keys, same order, same values — for a multi-phase workload with
         duplicate keys."""
         graph = generators.random_connected_graph(24, extra_edges=30, seed=2)
-        context = {"graph": graph.csr(), "forbidden_edge": None}
+        context = {"graph": graph.csr()}
         roots = [5, 1, 5, 2, 9, 1]
-        reference = run_sharded(bfs_roots_task, roots, context, workers=0)
+        reference = run_sharded(bfs_roots_task, roots, context)
         with TRANSPORTS[kind]() as executor:
             first = executor.run(bfs_roots_task, roots, context)
             second = executor.run(bfs_roots_task, [3, 8], context)
@@ -187,7 +160,7 @@ class TestExecutorContract:
         """All transports expose the same stats shape; a clean run reports
         zero crashes, degradations and journal reuse."""
         graph = generators.random_connected_graph(16, extra_edges=20, seed=4)
-        context = {"graph": graph.csr(), "forbidden_edge": None}
+        context = {"graph": graph.csr()}
         with TRANSPORTS[kind]() as executor:
             executor.run(bfs_roots_task, [0, 1, 2, 3], context)
             stats = executor.stats()
@@ -199,7 +172,7 @@ class TestExecutorContract:
 
     def test_serial_executor_opens_no_pool(self):
         graph = generators.random_connected_graph(16, extra_edges=20, seed=4)
-        context = {"graph": graph.csr(), "forbidden_edge": None}
+        context = {"graph": graph.csr()}
         before = executor_module.POOLS_OPENED
         with SerialExecutor() as executor:
             result = executor.run(bfs_roots_task, [0, 1, 2, 3], context)
@@ -213,7 +186,7 @@ class TestExecutorContract:
         number of times, including on a never-opened executor and after a
         context-manager exit already closed it."""
         graph = generators.random_connected_graph(16, extra_edges=20, seed=4)
-        context = {"graph": graph.csr(), "forbidden_edge": None}
+        context = {"graph": graph.csr()}
         executor = TRANSPORTS[kind]()
         executor.close()  # never opened: no-op
         with executor:
@@ -236,9 +209,9 @@ class TestWorkerPool:
         pool; the second context is broadcast under a new generation and
         the results match the serial run of each phase."""
         graph = generators.random_connected_graph(26, extra_edges=30, seed=7)
-        first_ctx = {"graph": graph.csr(), "forbidden_edge": None}
-        edge = (0, graph.neighbors(0)[0])
-        second_ctx = {"graph": graph.csr(), "forbidden_edge": edge}
+        other = generators.random_connected_graph(26, extra_edges=30, seed=8)
+        first_ctx = {"graph": graph.csr()}
+        second_ctx = {"graph": other.csr()}
         before = executor_module.POOLS_OPENED
         with LocalProcessExecutor(2) as pool:
             assert not pool.is_open  # opened lazily, on first sharded phase
@@ -251,10 +224,8 @@ class TestWorkerPool:
             assert pool.generation > first_generation
         assert not pool.is_open
         assert executor_module.POOLS_OPENED - before == 1
-        serial_first = run_sharded(bfs_roots_task, list(range(8)), first_ctx, workers=0)
-        serial_second = run_sharded(
-            bfs_roots_task, list(range(8, 14)), second_ctx, workers=0
-        )
+        serial_first = run_sharded(bfs_roots_task, list(range(8)), first_ctx)
+        serial_second = run_sharded(bfs_roots_task, list(range(8, 14)), second_ctx)
         for root, tree in serial_first.items():
             assert first[root].dist == tree.dist
             assert first[root].order == tree.order
@@ -264,7 +235,7 @@ class TestWorkerPool:
 
     def test_same_context_not_rebroadcast(self):
         graph = generators.random_connected_graph(20, extra_edges=24, seed=3)
-        context = {"graph": graph.csr(), "forbidden_edge": None}
+        context = {"graph": graph.csr()}
         with LocalProcessExecutor(2) as pool:
             run_sharded(bfs_roots_task, [0, 1, 2, 3], context, pool=pool)
             generation = pool.generation
@@ -272,14 +243,18 @@ class TestWorkerPool:
             assert pool.generation == generation  # same object: workers hold it
 
     def test_serial_pool_never_opens(self):
+        """A phase with one distinct key cannot be split, so it runs
+        in-process and never opens the pool, however often the key
+        repeats."""
         graph = generators.random_connected_graph(18, extra_edges=20, seed=5)
-        context = {"graph": graph.csr(), "forbidden_edge": None}
+        context = {"graph": graph.csr()}
         before = executor_module.POOLS_OPENED
-        for workers in (0, 1):
-            with LocalProcessExecutor(workers) as pool:
-                result = pool.run(bfs_roots_task, [0, 1, 2], context)
+        for keys in ([4], [4, 4, 4]):
+            with LocalProcessExecutor(2) as pool:
+                result = pool.run(bfs_roots_task, keys, context)
                 assert not pool.is_open
-            assert list(result) == [0, 1, 2]
+            assert list(result) == [4]
+            assert result[4].dist == run_sharded(bfs_roots_task, [4], context)[4].dist
         assert executor_module.POOLS_OPENED == before
 
     def test_stale_generation_dispatch_rejected(self):
@@ -299,6 +274,13 @@ class TestWorkerPool:
     def test_negative_workers_rejected(self):
         with pytest.raises(InvalidParameterError):
             LocalProcessExecutor(-1)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_fewer_than_two_workers_rejected(self, workers):
+        """In-process runs are SerialExecutor's; a process pool of zero or
+        one worker would be a second in-process transport."""
+        with pytest.raises(InvalidParameterError, match="SerialExecutor"):
+            LocalProcessExecutor(workers)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +433,8 @@ class TestShardedOracle:
             rng = random.Random(seed)
             sources = sorted(rng.sample(range(graph.num_vertices), 2))
             serial = brute_force_multi_source(graph, sources)
-            sharded = brute_force_multi_source(graph, sources, workers=2)
+            with LocalProcessExecutor(2) as pool:
+                sharded = brute_force_multi_source(graph, sources, pool=pool)
             assert sharded == serial
             for s in serial:
                 assert list(sharded[s]) == list(serial[s])
@@ -464,7 +447,8 @@ class TestShardedOracle:
     def test_multi_source_opens_one_pool(self):
         graph = generators.random_connected_graph(20, extra_edges=26, seed=4)
         before = executor_module.POOLS_OPENED
-        brute_force_multi_source(graph, [0, 7, 13], workers=2)
+        with LocalProcessExecutor(2) as pool:
+            brute_force_multi_source(graph, [0, 7, 13], pool=pool)
         assert executor_module.POOLS_OPENED - before == 1
 
     def test_single_source_accepts_shared_pool(self):
@@ -480,17 +464,45 @@ class TestShardedOracle:
 
     def test_serial_workers_change_nothing(self):
         graph = generators.path_graph(5)
-        assert brute_force_single_source(graph, 0, workers=1) == (
+        assert brute_force_single_source(graph, 0, pool=SerialExecutor()) == (
             brute_force_single_source(graph, 0)
         )
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("strategy", ["direct", "auxiliary"])
 def test_fingerprints_identical_under_spawn(strategy, monkeypatch):
-    """Full solve under the spawn start method (workers re-import repro)."""
-    monkeypatch.setenv(executor_module.START_METHOD_ENV, "spawn")
-    assert _solve_entries(strategy, 2) == _solve_entries(strategy, 0)
+    """A full solve on a spawn pool equals the serial solve.
+
+    Spawned workers re-import ``repro`` and receive every phase context
+    pickled, hierarchies included, so this pins each substrate's pickled
+    form end to end.  Values are compared with their types and
+    ``math.inf`` identity.
+    """
+    graph = generators.random_connected_graph(48, extra_edges=70, seed=3)
+    sources = sorted(random.Random(3).sample(range(48), 3))
+
+    def solve():
+        solver = MSRPSolver(
+            graph, sources, params=AlgorithmParams(seed=3), landmark_strategy=strategy
+        )
+        entries = [
+            (s, t, e, v, type(v), v is math.inf)
+            for s, t, e, v in solver.solve().iter_entries()
+        ]
+        return solver.executor_stats["executor"], entries
+
+    serial_kind, serial = solve()
+    assert serial_kind == "serial" and serial
+    monkeypatch.setattr(
+        MSRPSolver,
+        "_make_executor",
+        lambda self: LocalProcessExecutor(2, start_method="spawn"),
+    )
+    before = executor_module.POOLS_OPENED
+    spawned_kind, spawned = solve()
+    assert spawned_kind == "process"
+    assert executor_module.POOLS_OPENED - before == 1
+    assert spawned == serial
 
 
 # ---------------------------------------------------------------------------
