@@ -38,7 +38,6 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.graph import generators
-from repro.lint.cli import add_lint_arguments, run_lint_command
 from repro.lowerbound.bmm import multiply_naive, multiply_via_msrp
 
 
@@ -178,16 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bmm.add_argument("--size", type=int, default=16)
     bmm.add_argument("--density", type=float, default=0.25)
     bmm.add_argument("--seed", type=int, default=0)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the architecture-invariant linter (repro-lint)",
-        description=(
-            "AST-based invariant linter enforcing this repository's "
-            "architecture contracts (rule catalogue: docs/lint.md)"
-        ),
-    )
-    add_lint_arguments(lint)
     return parser
 
 
@@ -368,11 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "lint":
-            # repro-lint has its own exit-code contract (0 clean, 1
-            # findings, 2 usage error) and reports through its own
-            # formatters, so it bypasses the ReproError -> 1 translation.
-            return run_lint_command(args)
         if args.command == "ssrp":
             return _run_solver(args, [args.source], "direct")
         if args.command == "msrp":

@@ -165,7 +165,7 @@ class Graph:
         if isinstance(item, int):
             return self.has_vertex(item)
         if isinstance(item, tuple) and len(item) == 2:
-            return self.has_edge(int(item[0]), int(item[1]))
+            return self.has_edge(_vertex_id(item[0]), _vertex_id(item[1]))
         return False
 
     def __iter__(self) -> Iterator[int]:

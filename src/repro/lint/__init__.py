@@ -2,8 +2,8 @@
 
 The reproduction's guarantees (byte-identical parallelism, inf
 re-canonicalisation at pickle boundaries, typed correct-or-loud errors,
-frozen broadcast contexts, non-vacuous chaos tests, dual-substrate
-reference twins) are documented in ROADMAP.md and docs/ — this package
+frozen broadcast contexts, non-vacuous chaos tests, no numpy in the
+product) are documented in ROADMAP.md and docs/ — this package
 enforces them mechanically with stdlib ``ast`` so a PR that erodes one
 fails CI instead of failing review.  Rule catalogue: ``docs/lint.md``.
 
@@ -14,7 +14,6 @@ Programmatic use::
     assert report.clean, report.findings
 """
 
-from repro.lint.baseline import DEFAULT_BASELINE, load_baseline, save_baseline
 from repro.lint.engine import LintReport, build_project, run_lint
 from repro.lint.findings import Finding
 from repro.lint.reporters import JSON_SCHEMA_VERSION, REPORTERS
@@ -22,7 +21,6 @@ from repro.lint.rules import Rule, all_rules, known_rule_ids
 from repro.lint.suppressions import SUPPRESSION_RULE, parse_suppressions
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "Finding",
     "JSON_SCHEMA_VERSION",
     "LintReport",
@@ -32,8 +30,6 @@ __all__ = [
     "all_rules",
     "build_project",
     "known_rule_ids",
-    "load_baseline",
     "parse_suppressions",
     "run_lint",
-    "save_baseline",
 ]

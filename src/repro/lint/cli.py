@@ -1,33 +1,36 @@
 """``repro-lint`` — the command-line surface of the invariant linter.
 
-Standalone::
+Usage::
 
     python -m repro.lint src tests                # text report, exit 0/1
     python -m repro.lint src tests --format github
     python -m repro.lint --list-rules
-    python -m repro.lint src tests --update-baseline
 
-or through the main CLI as ``repro-msrp lint <same args>``.  Exit codes:
-0 = no unsuppressed/unbaselined findings, 1 = findings, 2 = usage or
-environment error (bad path, unreadable baseline).
+Exit codes: 0 = no unsuppressed findings, 1 = findings, 2 = usage or
+environment error (bad path, unknown rule id).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, TextIO
+from typing import List, Optional
 
 from repro.exceptions import ReproError
-from repro.lint.baseline import DEFAULT_BASELINE, save_baseline
 from repro.lint.engine import run_lint
 from repro.lint.reporters import REPORTERS
 from repro.lint.rules import all_rules
 from repro.lint.suppressions import SUPPRESSION_RULE
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to ``parser`` (shared with ``repro-msrp lint``)."""
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-lint",
+        description=(
+            "AST-based invariant linter enforcing this repository's "
+            "architecture contracts (rule catalogue: docs/lint.md)"
+        ),
+    )
     parser.add_argument(
         "paths",
         nargs="*",
@@ -41,101 +44,43 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (default text; 'github' emits CI annotations)",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="FILE",
-        help=(
-            f"baseline file of accepted findings (default {DEFAULT_BASELINE}; "
-            f"a missing file is an empty baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--select",
         metavar="IDS",
         default=None,
         help="comma-separated rule ids to run (default: all rules)",
     )
     parser.add_argument(
-        "--fast",
-        action="store_true",
-        help=(
-            "skip the one-level call-graph expansion (cheaper smoke mode "
-            "for pre-commit and CI smoke jobs)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
     )
+    return parser
 
 
-def _list_rules(stream: TextIO) -> int:
-    stream.write(
+def _list_rules() -> int:
+    print(
         f"{SUPPRESSION_RULE}  malformed suppression directive / unparsable "
-        f"file (the meta-rule; cannot be suppressed)\n"
+        f"file (the meta-rule; cannot be suppressed)"
     )
     for rule in all_rules():
-        stream.write(f"{rule.id}  {rule.summary}\n")
+        print(f"{rule.id}  {rule.summary}")
     return 0
 
 
-def run_lint_command(
-    args: argparse.Namespace, stream: Optional[TextIO] = None
-) -> int:
-    """Execute a parsed lint invocation; returns the process exit code."""
-    if stream is None:
-        stream = sys.stdout
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run one lint invocation; returns the process exit code."""
+    args = _build_parser().parse_args(argv)
     if args.list_rules:
-        return _list_rules(stream)
+        return _list_rules()
     select = (
         [part.strip() for part in args.select.split(",") if part.strip()]
         if args.select
         else None
     )
-    baseline = None if args.no_baseline else args.baseline
     try:
-        report = run_lint(
-            args.paths,
-            baseline_path=None if args.update_baseline else baseline,
-            select=select,
-            fast=args.fast,
-        )
-        if args.update_baseline:
-            if baseline is None:
-                raise ReproError(
-                    "--update-baseline and --no-baseline are contradictory"
-                )
-            count = save_baseline(baseline, report.findings)
-            stream.write(
-                f"repro-lint: baseline {baseline} updated with {count} "
-                f"finding(s)\n"
-            )
-            return 0
+        report = run_lint(args.paths, select=select)
     except ReproError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-    REPORTERS[args.format](report, stream)
+    REPORTERS[args.format](report, sys.stdout)
     return 0 if report.clean else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "AST-based invariant linter enforcing this repository's "
-            "architecture contracts (rule catalogue: docs/lint.md)"
-        ),
-    )
-    add_lint_arguments(parser)
-    return run_lint_command(parser.parse_args(argv))

@@ -3,13 +3,10 @@
 One :func:`run_lint` call is one lint run: it walks the given paths for
 Python files, parses them into a :class:`~repro.lint.symbols.Project`,
 runs every registered rule, then filters the raw findings through the
-two sanctioned escape hatches —
-
-* suppression comments (``# repro-lint: disable=REPROxxx -- reason``),
-  which require a written justification and are themselves linted
-  (REPRO000), and
-* the baseline file, the ledger for adopted-with-debt codebases (this
-  repository keeps it empty by policy).
+one sanctioned escape hatch: suppression comments
+(``# repro-lint: disable=REPROxxx -- reason``), which require a written
+justification and are themselves linted (REPRO000).  Every other
+finding fails the run.
 
 Unparsable files surface as REPRO000 findings rather than crashing the
 run — a linter that dies on the file it should be flagging is worse
@@ -24,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
-from repro.lint.baseline import load_baseline
 from repro.lint.findings import Finding
 from repro.lint.rules import all_rules, known_rule_ids
 from repro.lint.suppressions import (
@@ -43,7 +39,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed_count: int = 0
-    baselined_count: int = 0
     files_scanned: int = 0
 
     @property
@@ -85,7 +80,7 @@ def _display_path(path: str) -> str:
     return path if relative.startswith("..") else relative
 
 
-def build_project(paths: Sequence[str], fast: bool = False) -> "tuple[Project, List[Finding]]":
+def build_project(paths: Sequence[str]) -> "tuple[Project, List[Finding]]":
     """Parse every file under ``paths``; syntax errors become findings."""
     modules: List[Module] = []
     problems: List[Finding] = []
@@ -113,7 +108,7 @@ def build_project(paths: Sequence[str], fast: bool = False) -> "tuple[Project, L
                     message=f"file is not valid UTF-8: {exc}",
                 )
             )
-    return Project(modules, fast=fast), problems
+    return Project(modules), problems
 
 
 def _attach_symbols(module: Module, findings: List[Finding]) -> List[Finding]:
@@ -130,16 +125,12 @@ def _attach_symbols(module: Module, findings: List[Finding]) -> List[Finding]:
 
 def run_lint(
     paths: Sequence[str],
-    baseline_path: Optional[str] = None,
     select: Optional[Sequence[str]] = None,
-    fast: bool = False,
 ) -> LintReport:
     """Run every (selected) rule over ``paths`` and return the report.
 
-    ``baseline_path=None`` means "no baseline"; ``select`` narrows to the
-    given rule ids (REPRO000 problems are always reported).  ``fast``
-    skips the one-level call-graph expansion — a cheaper smoke mode for
-    pre-commit hooks and the bench-smoke CI assertion.
+    ``select`` narrows to the given rule ids (REPRO000 problems are
+    always reported).
     """
     known = set(known_rule_ids())
     if select:
@@ -149,7 +140,7 @@ def run_lint(
                 f"unknown rule id(s) {unknown}; known rules: {sorted(known)}"
             )
 
-    project, parse_problems = build_project(paths, fast=fast)
+    project, parse_problems = build_project(paths)
 
     raw: List[Finding] = list(parse_problems)
     for rule in all_rules():
@@ -169,7 +160,6 @@ def run_lint(
         by_path.setdefault(path, []).extend(parsed.problems)
 
     report = LintReport(files_scanned=len(modules_by_path) or len(by_path))
-    baseline = load_baseline(baseline_path) if baseline_path else set()
 
     survivors: List[Finding] = []
     for path, findings in by_path.items():
@@ -183,15 +173,7 @@ def run_lint(
             ):
                 report.suppressed_count += 1
                 continue
-            if finding.baseline_key in baseline:
-                report.baselined_count += 1
-                continue
             survivors.append(finding)
 
     report.findings = sorted(survivors)
     return report
-
-
-def check_baseline_findings(report: LintReport) -> List[Finding]:
-    """The findings a ``--update-baseline`` run would record (= active)."""
-    return list(report.findings)

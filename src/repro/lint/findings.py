@@ -2,16 +2,11 @@
 
 A finding is one violation of one rule at one source location.  Findings
 are value objects: rules yield them, the engine filters them through
-suppressions and the baseline, reporters render them.  The
-:attr:`Finding.baseline_key` deliberately excludes the line number so a
-baselined finding survives unrelated edits above it in the file — the
-key is (rule, path, enclosing symbol, message digest), which only churns
-when the violation itself moves or changes.
+suppressions, reporters render them.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -26,11 +21,6 @@ class Finding:
     message: str
     #: Qualified name of the enclosing function/class ("" = module level).
     symbol: str = field(default="", compare=False)
-
-    @property
-    def baseline_key(self) -> str:
-        digest = hashlib.sha256(self.message.encode("utf-8")).hexdigest()[:12]
-        return f"{self.rule}|{self.path}|{self.symbol}|{digest}"
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import TextIO
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def report_text(report, stream: TextIO) -> None:
@@ -22,8 +22,7 @@ def report_text(report, stream: TextIO) -> None:
         )
     stream.write(
         f"repro-lint: {len(report.findings)} finding(s) "
-        f"({report.suppressed_count} suppressed, "
-        f"{report.baselined_count} baselined) "
+        f"({report.suppressed_count} suppressed) "
         f"across {report.files_scanned} file(s)\n"
     )
 
@@ -36,7 +35,6 @@ def report_json(report, stream: TextIO) -> None:
         "counts": {
             "findings": len(report.findings),
             "suppressed": report.suppressed_count,
-            "baselined": report.baselined_count,
         },
         "findings": [
             {
@@ -71,8 +69,7 @@ def report_github(report, stream: TextIO) -> None:
         )
     stream.write(
         f"repro-lint: {len(report.findings)} finding(s) "
-        f"({report.suppressed_count} suppressed, "
-        f"{report.baselined_count} baselined)\n"
+        f"({report.suppressed_count} suppressed)\n"
     )
 
 

@@ -3,8 +3,8 @@
 A rule is a function ``check(project) -> Iterable[Finding]`` registered
 with the :func:`rule` decorator.  Rules receive the whole parsed
 :class:`~repro.lint.symbols.Project` so cross-module checks (call-graph
-expansion, registration validation) are plain dictionary lookups; they
-must never import or execute the code under analysis.
+expansion) are plain dictionary lookups; they must never import or
+execute the code under analysis.
 
 The shipped pack mirrors the ROADMAP's architecture invariants one to
 one — the standing policy (docs/lint.md, ROADMAP.md) is that every new

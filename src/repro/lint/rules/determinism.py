@@ -252,8 +252,6 @@ def check_task_determinism(project: Project) -> Iterable[Finding]:
         if "." in name:
             continue  # methods would not pickle as spawn tasks anyway
         scanned.setdefault((tasks.name, name), (tasks, node, name))
-        if project.fast:
-            continue
         # One level of intra-package call resolution: the helpers a task
         # body calls run inside the worker too.
         for call in ast.walk(node):

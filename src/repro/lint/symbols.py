@@ -2,13 +2,11 @@
 
 The lint rules need just enough name resolution to follow *one* level of
 calls inside this repository — e.g. REPRO001 scans the bodies of the
-functions a task function calls, and REPRO006 validates that a
-``__reference_twin__`` registration points at a symbol that exists.  Full
-type inference would be overkill (and fragile); a per-module table of
+functions a task function calls.  Full type inference would be overkill
+(and fragile); a per-module table of
 
 * top-level functions and classes (methods keyed ``Class.method``),
 * import aliases (``alias -> dotted target``),
-* top-level simple assignments (for registration constants),
 
 plus a project-wide index by dotted module name covers everything the
 rules ask.  Dotted names are derived structurally by walking up from
@@ -51,8 +49,6 @@ class Module:
     classes: Dict[str, ast.ClassDef] = field(default_factory=dict)
     #: local alias -> dotted target ("pkg.mod" or "pkg.mod.symbol").
     imports: Dict[str, str] = field(default_factory=dict)
-    #: top-level ``NAME = <expr>`` assignments.
-    module_assigns: Dict[str, ast.expr] = field(default_factory=dict)
 
     @property
     def in_repro(self) -> bool:
@@ -102,10 +98,6 @@ def _collect_symbols(module: Module) -> None:
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     module.functions[f"{node.name}.{item.name}"] = item
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                module.module_assigns[target.id] = node.value
 
 
 def parse_module(path: str, display_path: Optional[str] = None) -> Module:
@@ -136,9 +128,8 @@ class Resolved:
 class Project:
     """Every parsed module of one lint run, indexed for resolution."""
 
-    def __init__(self, modules: List[Module], fast: bool = False):
+    def __init__(self, modules: List[Module]):
         self.modules = modules
-        self.fast = fast
         self.by_name: Dict[str, Module] = {m.name: m for m in modules if m.name}
 
     def repro_modules(self) -> Iterator[Module]:
@@ -212,9 +203,9 @@ class Project:
 def enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
     """Map every line to the qualname of its innermost def/class.
 
-    Used to attach a stable ``symbol`` to findings (the baseline key
-    builds on it).  Later (inner) definitions overwrite outer ones per
-    line, which is exactly the innermost-wins behaviour wanted.
+    Used to attach a ``symbol`` to findings.  Later (inner) definitions
+    overwrite outer ones per line, which is exactly the innermost-wins
+    behaviour wanted.
     """
     spans: Dict[int, str] = {}
 

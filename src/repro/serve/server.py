@@ -311,8 +311,7 @@ class QueryServer:
       hint with backoff).
     * **Read timeouts** — a client that stalls mid-request (slowloris,
       dead peer) is answered with 408 after ``read_timeout`` seconds and
-      disconnected; idle keep-alive connections may optionally be reaped
-      via ``idle_timeout``.
+      disconnected.
     * **Graceful drain** — :meth:`drain` stops accepting, lets in-flight
       requests finish (bounded), then closes every connection;
       :func:`serve_store` wires it to SIGTERM/SIGINT so containerised
@@ -326,7 +325,6 @@ class QueryServer:
         port: int = 8351,
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
         read_timeout: Optional[float] = DEFAULT_READ_TIMEOUT,
-        idle_timeout: Optional[float] = None,
         retry_after: float = DEFAULT_RETRY_AFTER,
     ):
         if max_connections < 1:
@@ -338,7 +336,6 @@ class QueryServer:
         self.port = port
         self.max_connections = max_connections
         self.read_timeout = read_timeout
-        self.idle_timeout = idle_timeout
         self.retry_after = retry_after
         self.requests_shed = 0
         self.requests_timed_out = 0
@@ -463,9 +460,7 @@ class QueryServer:
         self._connections.add(writer)
         try:
             while True:
-                request_line = await self._read_bounded(
-                    reader.readline(), self.idle_timeout
-                )
+                request_line = await reader.readline()
                 if not request_line or request_line in (b"\r\n", b"\n"):
                     break
                 self._busy.add(task)
@@ -478,9 +473,6 @@ class QueryServer:
                 fault = None  # injected delays apply to the first request only
                 if not finished or self._draining:
                     break
-        except asyncio.TimeoutError:
-            # Idle keep-alive connection reaped; nothing was in flight.
-            pass
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,

@@ -359,37 +359,6 @@ def test_source_to_center_tables_subsampled_regime():
         )
 
 
-@pytest.mark.parametrize("tier", ["numpy", "pure"])
-def test_auxiliary_pipeline_matches_bruteforce_both_tiers(tier, monkeypatch):
-    """The fast pipeline differential, pinned explicitly on each tier.
-
-    The unmarked differentials above run under whatever tier the
-    environment selects; this pin forces ``REPRO_NUMPY`` both ways so a
-    vectorized-kernel regression cannot hide behind a CI image that
-    happens to lack numpy (or behind an operator's env override).
-    """
-    from repro.npsupport import NUMPY_ENV_VAR, numpy_available
-
-    if tier == "numpy" and not numpy_available():
-        pytest.skip("numpy tier not installed")
-    monkeypatch.setenv(NUMPY_ENV_VAR, "1" if tier == "numpy" else "0")
-    for seed in FAST_SEEDS:
-        _check_pipeline_matches_bruteforce("gnp", seed)
-        _check_pipeline_matches_bruteforce("clusters", seed)
-
-
-@pytest.mark.parametrize("tier", ["numpy", "pure"])
-def test_dense_tables_match_references_both_tiers(tier, monkeypatch):
-    """Section 8 table builders vs BFS truth and references, on each tier."""
-    from repro.npsupport import NUMPY_ENV_VAR, numpy_available
-
-    if tier == "numpy" and not numpy_available():
-        pytest.skip("numpy tier not installed")
-    monkeypatch.setenv(NUMPY_ENV_VAR, "1" if tier == "numpy" else "0")
-    for seed in FAST_SEEDS:
-        _check_tables_match_references(seed)
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_auxiliary_pipeline_matches_bruteforce_sweep(name):

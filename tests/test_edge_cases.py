@@ -256,6 +256,7 @@ TRUNCATING_CALLS = {
         lambda: generators.cycle_graph(7).subgraph_without_edge((0.5, 1.2)),
         TypeError,
     ),
+    "Graph.__contains__": (lambda: (0.5, 1.2) in generators.cycle_graph(7), TypeError),
     "bfs_distances": (
         lambda: bfs_distances(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
         TypeError,

@@ -1,11 +1,12 @@
 """The product's import surface.
 
-* **No numpy.**  numpy is installed for the benchmark and the tier tests
-  only.  Nothing the solver, the store or the server imports may pull it
-  in: importing numpy would grow the server's resident set and start-up
-  time while no code path uses it.  The check runs in a fresh
-  interpreter, because this test process may already have imported numpy
-  through another test.
+* **No numpy.**  numpy is installed for the benchmark only.  No module
+  under ``src/repro`` may pull it in: importing numpy would grow every
+  process's resident set and start-up time while no code path uses it.
+  This is the run-time twin of the lint rule REPRO006, and it also
+  catches a dynamic import the rule cannot see.  The check imports
+  every module in a fresh interpreter, because this test process may
+  already have imported numpy through another test.
 * **Every re-export resolves.**  Each package's ``__all__`` names only
   attributes the package has, so ``from repro.graph import *`` cannot
   fail on a name whose definition was deleted.
@@ -23,22 +24,18 @@ import pytest
 
 import repro
 
-PRODUCT_MODULES = (
-    "repro.cli",
-    "repro.serve",
-    "repro.store",
-    "repro.core.msrp",
-    "repro.multisource.pipeline",
-)
-
 
 def test_product_modules_import_no_numpy():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = (
-        "import importlib, sys\n"
-        f"for name in {PRODUCT_MODULES!r}:\n"
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "names = [info.name for info in pkgutil.walk_packages(\n"
+        "    repro.__path__, prefix='repro.')]\n"
+        "assert 'repro.core.msrp' in names, names\n"
+        "for name in names:\n"
         "    importlib.import_module(name)\n"
         "    assert 'numpy' not in sys.modules, f'{name} imported numpy'\n"
     )

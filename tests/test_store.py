@@ -427,16 +427,3 @@ class TestMmapLoad:
             handle.write(bytes([byte[0] ^ 0x5A]))
         with pytest.raises(InvalidParameterError, match="corrupted"):
             load_store(str(tmp_path), mmap=True)
-
-    def test_explicit_mmap_off_never_touches_numpy_tier(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.npsupport import NUMPY_ENV_VAR
-
-        graph = generators.random_connected_graph(10, extra_edges=6, seed=5)
-        _, result = solve(graph, 5)
-        write_store(str(tmp_path), result)
-        monkeypatch.setenv(NUMPY_ENV_VAR, "0")
-        # The default maps the payload; no load path reads REPRO_NUMPY.
-        loaded, _ = load_store(str(tmp_path))
-        assert_results_identical(loaded, result)
