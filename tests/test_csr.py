@@ -20,6 +20,7 @@ from repro.graph.csr import (
     is_connected,
 )
 from repro.graph.graph import Graph
+from repro.npsupport import NUMPY_ENV_VAR
 
 
 def assert_same_tree(dict_tree, csr_tree):
@@ -102,7 +103,10 @@ class TestCSRGraphLayout:
         assert list(built.offsets) == list(cached.offsets)
         assert list(built.neighbors) == list(cached.neighbors)
 
-    def test_flat_pair_is_typed_array(self):
+    @pytest.mark.parametrize("tier", ["1", "0"])
+    def test_flat_pair_is_typed_array_on_every_tier(self, tier, monkeypatch):
+        """numpy does not back the graph kernels: ``REPRO_NUMPY`` is moot."""
+        monkeypatch.setenv(NUMPY_ENV_VAR, tier)
         csr = CSRGraph.from_graph(generators.grid_graph(3, 4))
         for flat in (csr.offsets, csr.neighbors):
             assert type(flat) is array and flat.typecode == "i"
