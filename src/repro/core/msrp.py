@@ -25,7 +25,7 @@
    of the responsible candidate generators — Algorithm 3 for far edges,
    the Section 7.1 value and Algorithm 4 for near edges.  Algorithm 4
    runs only where the Section 7.1 value is not certified exact
-   (:func:`solve_single_source`).
+   (:func:`solve_single_source`, proof in :mod:`repro.core.near_small`).
 
 Both table families are kept per source in one shape, the repair
 kernel's :data:`~repro.graph.repair.PairEdgeTable`: ``(r, e) -> d(s, r, e)``
@@ -391,12 +391,13 @@ def solve_single_source(
     precomputed far-level-by-distance table).
 
     A near entry takes the Section 7.1 value ``w[t, e]`` (``small_tables``)
-    and, only when ``w[t, e] >= dist(ch) + near_threshold`` for
-    ``e = (p, ch)``, the Algorithm 4 candidate below it.  A smaller
+    and, only when ``w[t, e] >= 2(dist(ch) + near_threshold) - dist(t)``
+    for ``e = (p, ch)``, the Algorithm 4 candidate below it.  A smaller
     ``w[t, e]`` is certified exact (:mod:`repro.core.near_small`), and
     every Algorithm 4 candidate is the length of a walk avoiding ``e``, so
-    it could not replace the value: skipping the scan changes no entry.  Stack index ``i`` holds
-    the edge whose child is at depth ``dist(ch) = i + 1``, and entry ``i``
+    it could not replace the value: skipping the scan changes no entry.
+    Stack index ``i`` holds the edge whose child is at depth
+    ``dist(ch) = i + 1``, the stack length is ``dist(t)``, and entry ``i``
     of the target's list is that edge's replacement length
     (:data:`~repro.core.result.PerSourceTable`).
 
@@ -436,7 +437,7 @@ def solve_single_source(
             level = far_level_of[length - i - 1]
             if level < 0:
                 value = small_value((target, edge), inf)
-                if value >= i + 1 + near_threshold:
+                if value >= 2 * (i + 1 + near_threshold) - length:
                     # Not certified: Algorithm 4, bounded by the Section
                     # 7.1 value (math.inf unless smaller).
                     alternative = large_candidate(source, target, edge, value)

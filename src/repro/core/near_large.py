@@ -13,8 +13,8 @@ Every candidate the solver emits is realisable (both summands correspond to
 paths avoiding ``e``), so it can never beat an exact value.  The assembly
 sweep (:func:`repro.core.msrp.solve_single_source`) therefore evaluates
 Algorithm 4 only on the near entries whose Section 7.1 value is not
-certified exact, ``w[t, e] >= dist(ch) + near_threshold`` for
-``e = (p, ch)`` (the certificate is proved in
+certified exact, ``w[t, e] >= 2(dist(ch) + near_threshold) - dist(t)``
+for ``e = (p, ch)`` (the certificate is proved in
 :mod:`repro.core.near_small`).
 
 The scan is bounded: the candidate through ``r`` is at least

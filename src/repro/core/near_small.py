@@ -49,9 +49,26 @@ shortest ``s``-``t`` path in ``G - e`` has ``dist(v) <= L``.  If
 outside ``subtree(ch)`` lies in ``Z_e``, so ``w[t, e] <= L``; and
 ``w[t, e] >= L`` always.  Hence ``w[t, e] < dist(ch) + N`` implies
 ``w[t, e] = L``: the value certifies itself.  This is Lemma 10's
-small/large split, checked per entry against the zone actually used, and
-:func:`repro.core.msrp.solve_single_source` evaluates Algorithm 4 only
-on the entries the certificate does not cover.
+small/large split, checked per entry against the zone actually used.
+
+A sharper bound certifies more: ``w[t, e] < 2(dist(ch) + N) - dist(t)``
+implies ``w[t, e] = L``.  Let ``R`` be a shortest ``s``-``t`` path in
+``G - e`` and ``x`` its last vertex outside ``subtree(ch)``.
+
+* If ``R`` stays in ``Z_e`` after ``x``, the windowed repair offers
+  ``dist(x)`` plus the part of ``R`` after ``x``, which is at most
+  ``|R|``; so ``w[t, e] <= L``, and ``w[t, e] = L``.
+* Otherwise ``R`` visits some ``u`` in ``subtree(ch)`` with
+  ``dist(u) >= dist(ch) + N``.  The part of ``R`` up to ``u`` is at least
+  ``dist(u)`` long and the rest at least ``d(u, t) >= dist(u) - dist(t)``,
+  so ``L >= 2 dist(u) - dist(t) >= 2(dist(ch) + N) - dist(t)``.
+
+So when ``w[t, e]`` is below that bound, ``L <= w[t, e]`` is too, no
+shortest replacement path leaves the zone and the first case gives
+``w[t, e] = L``.  Every near entry has ``dist(t) < dist(ch) + N``, so the
+bound exceeds ``dist(ch) + N`` and certifies every entry the first one
+does.  :func:`repro.core.msrp.solve_single_source` evaluates Algorithm 4
+only on the entries the sharper bound does not cover.
 
 The product tables are the kernel's ``PairEdgeTable`` itself, read with
 ``table.get((t, e), math.inf)``.  The reference returns a

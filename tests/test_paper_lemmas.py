@@ -13,8 +13,8 @@ compares each bounded scan with a plain scan kept here as its reference
 that makes the skip exact: no table value is below the plain distance.
 
 ``TestNearEntryCertificate`` pins the assembly's gate: a Section 7.1 value
-below ``dist(ch) + near_threshold`` is exact, and Algorithm 4 runs on
-exactly the near entries whose value is not.
+below ``2(dist(ch) + near_threshold) - dist(t)`` is exact, and Algorithm 4
+runs on exactly the near entries whose value is not.
 
 ``TestSection8CandidatesAreRealisable`` checks MTC, the Section 8.3 value
 and the near-landmark scan each on its own against brute force, and the
@@ -618,8 +618,9 @@ def _certified(solver, source, target, edge):
     """The Section 7.1 value and whether it certifies itself exact."""
     tree = solver.source_trees[source]
     value = solver.near_small_tables[source][(target, edge)]
-    zone_end = tree.dist[tree.edge_child(edge)] + solver.scale.near_threshold
-    return value, value < zone_end
+    child_depth = tree.dist[tree.edge_child(edge)]
+    bound = 2 * (child_depth + solver.scale.near_threshold) - tree.dist[target]
+    return value, value < bound
 
 
 def _solvers(solver):
@@ -684,12 +685,12 @@ CERTIFICATE_CASES = [
 class TestNearEntryCertificate:
     """Algorithm 4 runs only where the Section 7.1 value is not certified.
 
-    For ``e = (p, ch)`` a value ``w[t, e] < dist(ch) + near_threshold`` is
-    exact (proof in :mod:`repro.core.near_small`), and no Algorithm 4
-    candidate is below the exact value, so the gated assembly equals the
-    ungated one.  Certified / not certified near entries: far-clusters-1
-    3,548 / 661, ring-6 1,679 / 2,824, grid-2x150 16,259 / 157 and
-    sparse-aux-1 1,592 / 6, under either strategy.
+    For ``e = (p, ch)`` a value ``w[t, e] < 2(dist(ch) + near_threshold)
+    - dist(t)`` is exact (proof in :mod:`repro.core.near_small`), and no
+    Algorithm 4 candidate is below the exact value, so the gated assembly
+    equals the ungated one.  Certified / not certified near entries:
+    far-clusters-1 3,952 / 257, ring-6 2,914 / 1,589, grid-2x150
+    16,338 / 78 and sparse-aux-1 1,592 / 6, under either strategy.
     """
 
     @pytest.mark.parametrize("name,strategy", CERTIFICATE_CASES)
@@ -746,6 +747,54 @@ class TestNearEntryCertificate:
             if level < 0 and not _certified(solver, source, target, edge)[1]
         ]
         assert sorted(calls) == sorted(expected)
+
+
+CERTIFICATE_SWEEP = {
+    "far-clusters": range(1, 61),
+    "sparse-aux": range(1, 61),
+    "ring": range(1, 41),
+}
+
+
+@pytest.mark.slow
+class TestCertificateSweep:
+    """Every entry the certificate covers equals brute force, seed by seed.
+
+    far-clusters and sparse-aux seeds 1-60 and ring seeds 1-40, each
+    solved under both strategies: wherever ``_certified`` holds, the
+    Section 7.1 value and the solve's entry equal brute force.  The
+    entries only the sharper bound certifies (``w[t, e] >= dist(ch) +
+    near_threshold``) are counted: far-clusters and the ring have some,
+    sparse-aux has none.
+    """
+
+    @pytest.mark.parametrize("family", sorted(CERTIFICATE_SWEEP))
+    def test_certified_entries_are_exact(self, family):
+        sharper_only = 0
+        for seed in CERTIFICATE_SWEEP[family]:
+            graph, sources, params = (
+                _ring(seed) if family == "ring" else _benchmark_instance(family, seed)
+            )
+            truth = brute_force_multi_source(graph, sources)
+            for strategy in ("direct", "auxiliary"):
+                solver = MSRPSolver(
+                    graph, sources, params=params, landmark_strategy=strategy
+                )
+                result = solver.solve()
+                for source, target, edge, level in _path_entries(solver):
+                    if level >= 0:
+                        continue
+                    value, certified = _certified(solver, source, target, edge)
+                    if not certified:
+                        continue
+                    where = (seed, strategy, source, target, edge)
+                    assert value == truth[source][target][edge], where
+                    assert result.replacement_length(source, target, edge) == value
+                    tree = solver.source_trees[source]
+                    child_depth = tree.dist[tree.edge_child(edge)]
+                    if value >= child_depth + solver.scale.near_threshold:
+                        sharper_only += 1
+        assert (sharper_only > 0) == (family != "sparse-aux"), sharper_only
 
 
 def _sweep_graph(family, n, seed):
