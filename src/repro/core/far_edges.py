@@ -9,29 +9,39 @@ automatically avoids ``e``; the candidate ``d(s, r, e) + d(r, t)`` is
 therefore always realisable, and for the landmark promised by Lemma 9 it is
 exact.
 
-The solver below evaluates Algorithm 3 verbatim: scan the level-``k``
-landmark set, keep the landmarks within the radius, and take the minimum
-candidate.  The per-edge cost is ``O~(sqrt(n sigma) / 2^k)`` and, summed over
-the geometric ranges of a path, ``O~(n)`` per target — the scaling trick the
-paper highlights as its main idea.
+The solver below evaluates Algorithm 3: among the level-``k`` landmarks
+within the radius of ``t``, take the minimum candidate.  The per-edge cost
+is ``O~(sqrt(n sigma) / 2^k)`` and, summed over the geometric ranges of a
+path, ``O~(n)`` per target — the scaling trick the paper highlights as its
+main idea.
 
-Two details make the scan deterministic and cheaper.  Each level's
-landmarks are scanned in id order (a level is a frozenset, whose iteration
-order can differ between equal hierarchies and across a pickle round
-trip), so a tie between a table value (``7.0`` under the auxiliary
-strategy) and the tree-distance fallback (``7``) always resolves the same
-way.  And a landmark whose ``d(s, r) + d(r, t)`` is not below the best
-candidate so far is skipped before its table lookup: every ``d(s, r, e)``
-table value is the length of an ``s``-``r`` walk, hence at least
-``d(s, r)``, and a candidate replaces the best only when strictly smaller,
-so the skipped landmark could change neither the value nor the tie-break.
+Which landmarks lie within the radius depends only on the level and the
+target, not on the source or the edge.  So the first call at a level walks
+each level-``k`` landmark's BFS ``order`` until ``d(r, v)`` passes the
+radius and files ``(r, d(r, v))`` under every vertex ``v`` it reaches.  That
+costs the summed ball sizes, ``O(|L_k| n)`` at worst and as much memory,
+once per level, and each call then reads only the in-radius landmarks of
+its target (Lemma 9 expects a few) instead of testing all of ``L_k``.  A
+level no call asks for builds nothing, and the lists are dropped when the
+solver is pickled, so a sharded solve ships only the solver's inputs.
+
+Two details make the scan deterministic and cheaper.  Each target's list
+is in landmark-id order (a level is a frozenset, whose iteration order can
+differ between equal hierarchies and across a pickle round trip), so a tie
+between a table value (``7.0`` under the auxiliary strategy) and the
+tree-distance fallback (``7``) always resolves the same way.  And a
+landmark whose ``d(s, r) + d(r, t)`` is not below the best candidate so far
+is skipped before its table lookup: every ``d(s, r, e)`` table value is the
+length of an ``s``-``r`` walk, hence at least ``d(s, r)``, and a candidate
+replaces the best only when strictly smaller, so the skipped landmark could
+change neither the value nor the tie-break.
 """
 
 from __future__ import annotations
 
 import math
 from operator import index as _vertex_id
-from typing import Mapping
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import ProblemScale
@@ -61,7 +71,7 @@ class FarEdgeSolver:
         the canonical ``s``-``r`` path, which has no table key.
     """
 
-    __slots__ = ("_scale", "_levels", "_tables", "_source_trees")
+    __slots__ = ("_scale", "_levels", "_tables", "_source_trees", "_in_radius")
 
     def __init__(
         self,
@@ -84,6 +94,32 @@ class FarEdgeSolver:
             )
             for level in landmarks.levels
         )
+        #: level -> target -> ``(landmark, d(r, t))`` within the level's
+        #: radius, in landmark-id order; a level is built on first use
+        self._in_radius: Dict[int, Dict[int, List[Tuple[int, float]]]] = {}
+
+    def __getstate__(self):
+        """Ship the solver's inputs only; the in-radius lists rebuild lazily."""
+        return (self._scale, self._levels, self._tables, self._source_trees)
+
+    def __setstate__(self, state) -> None:
+        self._scale, self._levels, self._tables, self._source_trees = state
+        self._in_radius = {}
+
+    def _build_in_radius(self, level: int) -> Dict[int, List[Tuple[int, float]]]:
+        """File every level-``level`` landmark under the vertices within its radius."""
+        radius = self._scale.landmark_radius(level)
+        in_radius: Dict[int, List[Tuple[int, float]]] = {}
+        for landmark, tree in self._levels[level]:
+            dist = tree.dist
+            # BFS order lists vertices by nondecreasing distance.
+            for vertex in tree.order:
+                distance = dist[vertex]
+                if distance > radius:
+                    break
+                in_radius.setdefault(vertex, []).append((landmark, distance))
+        self._in_radius[level] = in_radius
+        return in_radius
 
     def candidate_edge(
         self, source: int, target: int, edge, level: int
@@ -99,15 +135,14 @@ class FarEdgeSolver:
         if level >= len(self._levels):
             # Levels beyond the sampled range are empty.
             return math.inf
-        radius = self._scale.landmark_radius(level)
+        in_radius = self._in_radius.get(level)
+        if in_radius is None:
+            in_radius = self._build_in_radius(level)
         edge = normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
         table = self._tables[source]
         source_dist = self._source_trees[source].dist
         best = math.inf
-        for landmark, tree in self._levels[level]:
-            distance_to_target = tree.dist[target]
-            if distance_to_target > radius:
-                continue
+        for landmark, distance_to_target in in_radius.get(target, ()):
             # d(s, r, e) + d(r, t) >= d(s, r) + d(r, t): skip landmarks
             # that cannot beat the best so far.
             if source_dist[landmark] + distance_to_target >= best:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -456,6 +457,12 @@ def _path_entries(solver):
                 yield source, target, item.edge, item.far_level
 
 
+FAR_CASES = [
+    ("grid-2x150", "direct"), ("far-clusters-1", "direct"),
+    ("far-clusters-1", "auxiliary"), ("ring-6", "direct"), ("ring-6", "auxiliary"),
+]
+
+
 class TestBoundedScans:
     """Each bounded scan equals its plain scan wherever the bound allows."""
 
@@ -485,11 +492,7 @@ class TestBoundedScans:
             checked += 1
         assert checked > 0
 
-    @pytest.mark.parametrize(
-        "name,strategy",
-        [("grid-2x150", "direct"), ("far-clusters-1", "direct"),
-         ("far-clusters-1", "auxiliary")],
-    )
+    @pytest.mark.parametrize("name,strategy", FAR_CASES)
     def test_far_candidate_edge(self, name, strategy):
         solver = _preprocessed(name, strategy)[0]
         far = _solvers(solver)[0]
@@ -502,6 +505,39 @@ class TestBoundedScans:
             assert got == plain and type(got) is type(plain)
             checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("name,strategy", FAR_CASES[1:])
+    def test_far_candidate_edge_at_every_level(self, name, strategy):
+        # The in-radius lists are built per level on first use: ask every
+        # level for every path edge, not only the entry's own level (the
+        # 2 x 150 grid's 22,500 entries would take minutes here).
+        solver = _preprocessed(name, strategy)[0]
+        far = _solvers(solver)[0]
+        levels = range(len(solver.landmarks.levels))
+        finite = 0
+        for source, target, edge, _level in _path_entries(solver):
+            for level in levels:
+                got = far.candidate_edge(source, target, edge, level)
+                plain = plain_far(solver, source, target, edge, level)
+                assert got == plain and type(got) is type(plain), (
+                    source, target, edge, level, got, plain,
+                )
+                finite += got is not math.inf
+        assert finite > 0
+
+    def test_pickled_far_solver_answers_alike(self):
+        # The in-radius lists are derived: a solver that built them
+        # pickles to the bytes of a fresh one and answers the same.
+        solver = _preprocessed("far-clusters-1", "auxiliary")[0]
+        far, fresh = _solvers(solver)[0], _solvers(solver)[0]
+        entries = [entry for entry in _path_entries(solver) if entry[3] >= 0]
+        expected = [far.candidate_edge(*entry) for entry in entries]
+        assert pickle.dumps(far) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(far))
+        got = [copy.candidate_edge(*entry) for entry in entries]
+        assert [(v, type(v), v is math.inf) for v in got] == [
+            (v, type(v), v is math.inf) for v in expected
+        ]
 
     @pytest.mark.parametrize(
         "name", ["grid-5x6", "cycle-12", "sparse-aux-2", "far-clusters-1"]
