@@ -20,13 +20,21 @@ for ``e = (p, ch)`` (the certificate is proved in
 The scan is bounded: the candidate through ``r`` is at least
 ``d(s, r) + d(r, t)``, because every ``d(s, r, e)`` table value is the
 length of an ``s``-``r`` walk (under both landmark strategies) and the
-fallback is ``d(s, r)`` itself.  A landmark whose bound is not below the
-caller's ``bound`` or the best candidate so far is skipped before its
-``distance_avoiding`` call and table lookup.  A candidate replaces the
-current value only when strictly smaller, so a skipped landmark could
-change neither the minimum nor which landmark wins a tie (``7`` against
-``7.0``): the result is the plain scan's minimum when that is below
-``bound`` and ``math.inf`` otherwise.
+fallback is ``d(s, r)`` itself.  A candidate replaces the current value
+only when strictly smaller, so a landmark whose candidate is not below the
+caller's ``bound`` or the best candidate so far could change neither the
+minimum nor which landmark wins a tie (``7`` against ``7.0``).  Each
+landmark is therefore read cheapest test first:
+
+1. ``d(s, r) + d(r, t)`` against the limit, two array reads;
+2. the candidate ``d(s, r, e) + d(r, t)`` against the limit, one table
+   lookup;
+3. only then whether ``r``'s canonical path to ``t`` uses ``e``
+   (``distance_avoiding``).
+
+A landmark that fails a test is skipped.  The candidate is the expression
+the plain scan sums, so the result is the plain scan's minimum when that
+is below ``bound`` and ``math.inf`` otherwise.
 """
 
 from __future__ import annotations
@@ -94,17 +102,17 @@ class NearLargeSolver:
         table = self._tables[source]
         source_dist = self._source_trees[source].dist
         for landmark, tree in self._pairs:
+            distance_to_target = tree.dist[target]
             # d(s, r, e) + d(r, t) >= d(s, r) + d(r, t): skip landmarks
             # that cannot beat the value in hand.
-            if source_dist[landmark] + tree.dist[target] >= limit:
-                continue
-            distance_to_target = tree.distance_avoiding(edge, target)
-            if distance_to_target is inf:
+            if source_dist[landmark] + distance_to_target >= limit:
                 continue
             candidate = (
                 table.get((landmark, edge), source_dist[landmark])
                 + distance_to_target
             )
-            if candidate < limit:
+            if candidate < limit and (
+                tree.distance_avoiding(edge, target) is not inf
+            ):
                 best = limit = candidate
         return best
