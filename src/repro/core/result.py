@@ -173,7 +173,7 @@ class ReplacementPathResult:
         source = self._require_source(source)
         tree = self._trees[source]
         target = _require_vertex(tree, target)
-        child = tree.edge_child_map().get(self.require_edge(edge))
+        child = tree.edge_child(self.require_edge(edge))
         if child is not None:
             tin, tout = tree.euler_intervals()
             if tin[child] <= tin[target] <= tout[child]:
@@ -189,7 +189,7 @@ class ReplacementPathResult:
         """
         source = self._require_source(source)
         tree = self._trees[source]
-        child = tree.edge_child_map().get(self.require_edge(edge))
+        child = tree.edge_child(self.require_edge(edge))
         lengths = list(tree.dist)
         if child is not None:
             tin, tout = tree.euler_intervals()

@@ -23,9 +23,11 @@ The randomized property battery (``tests/test_property_battery.py``) pins
 the two substrates to each other on every generator in
 :mod:`repro.graph.generators`.
 
-Tree queries have one answer: :class:`ShortestPathTree`'s Euler intervals
-(``edge_child_map()``, ``euler_intervals()``, ``tree_path_uses_edge``)
-decide Lemma 6's "does ``e`` lie on the tree path to ``v``" in ``O(1)``.
+Tree queries have one answer: :class:`ShortestPathTree`'s parent array
+names a tree edge's child (``edge_child``: ``(u, v)`` has child ``v`` when
+``parent[v] == u`` and child ``u`` when ``parent[u] == v``), and its Euler
+intervals (``euler_intervals()``, ``tree_path_uses_edge``) then decide
+Lemma 6's "does ``e`` lie on the tree path to ``v``" in ``O(1)``.
 """
 
 from repro.graph.bfs import bfs_distances, bfs_tree

@@ -20,28 +20,32 @@ Laziness contract
 -----------------
 Construction stores only the three flat arrays BFS already produced —
 ``parent``, ``dist`` and ``order`` — and *adopts* them when they are plain
-lists (no copy).  Everything else — the tree-edge ``->`` child map, the
-Euler ``tin``/``tout`` intervals and the preorder — is materialised on
-first use and cached for the lifetime of the tree:
+lists (no copy).  The Euler ``tin``/``tout`` intervals and the preorder
+are materialised on first use and cached for the lifetime of the tree:
 
 * a tree that only ever answers ``distance`` / ``path_to`` /
-  ``deepest_path_ancestor_indices`` queries (oracle distance tables, many
-  center trees) never builds any derived structure;
-* the first structural query (``is_ancestor``, ``edge_child``,
-  ``distance_avoiding``, ``subtree_size``, …) builds the edge map and the
+  ``edge_child`` / ``deepest_path_ancestor_indices`` queries (oracle
+  distance tables, many center trees) never builds any derived structure;
+* the first subtree query (``is_ancestor``, ``tree_path_uses_edge``,
+  ``distance_avoiding`` on a tree edge, ``subtree_size``, …) builds the
   intervals once, in ``O(n)``.
 
+A tree edge's child needs no derived structure: the parent array answers
+it.  An edge ``(u, v)`` whose endpoints are both vertices is a tree edge
+with child ``v`` when ``parent[v] == u``, with child ``u`` when
+``parent[u] == v``, and no tree edge otherwise.  The range check comes
+first, because a bare ``parent[-1]`` read would answer for the last vertex.
+
 The flat arrays themselves are part of the public surface: hot loops are
-encouraged to grab ``edge_child_map()`` and ``euler_intervals()`` once and
-index them directly instead of paying a method call per query (this is what
-the Section 8 table builders do).
+encouraged to grab ``parent`` and ``euler_intervals()`` once and index
+them directly instead of paying a method call per query.
 """
 
 from __future__ import annotations
 
 import math
 from operator import index as _vertex_id
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError, NotOnPathError
 from repro.graph.graph import Edge, normalize_edge
@@ -71,9 +75,9 @@ class ShortestPathTree:
     Notes
     -----
     List arguments are adopted without copying — the BFS kernels hand their
-    freshly built arrays straight over.  Derived structures (tree-edge
-    map, Euler intervals, preorder) are built lazily; see the module
-    docstring for the exact contract.
+    freshly built arrays straight over.  Derived structures (Euler
+    intervals, preorder) are built lazily; see the module docstring for
+    the exact contract.
     """
 
     __slots__ = (
@@ -83,7 +87,6 @@ class ShortestPathTree:
         "order",
         "_tin",
         "_tout",
-        "_tree_edge_child",
         "_preorder",
     )
 
@@ -105,21 +108,11 @@ class ShortestPathTree:
             )
         self.root = root
         # Derived structures; ``None`` until the first query that needs them.
-        self._tree_edge_child: Optional[Dict[Edge, int]] = None
         self._tin: Optional[List[int]] = None
         self._tout: Optional[List[int]] = None
         self._preorder: Optional[List[int]] = None
 
     # -- lazy construction helpers ------------------------------------------
-
-    def _build_edge_child(self) -> Dict[Edge, int]:
-        """Materialise the normalised tree-edge ``->`` child endpoint map."""
-        tree_edge_child: Dict[Edge, int] = {}
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                tree_edge_child[(p, v) if p <= v else (v, p)] = v
-        self._tree_edge_child = tree_edge_child
-        return tree_edge_child
 
     def _build_intervals(self) -> Tuple[List[int], List[int]]:
         """Compute DFS entry/exit times without running a DFS.
@@ -171,15 +164,6 @@ class ShortestPathTree:
 
     # -- flat-array accessors for hot loops ----------------------------------
 
-    def edge_child_map(self) -> Dict[Edge, int]:
-        """The normalised tree-edge ``->`` child endpoint map (cached).
-
-        Hot loops bind this once and call ``.get`` directly instead of
-        paying a method dispatch per :meth:`edge_child` query.
-        """
-        tec = self._tree_edge_child
-        return tec if tec is not None else self._build_edge_child()
-
     def euler_intervals(self) -> Tuple[List[int], List[int]]:
         """The Euler ``(tin, tout)`` arrays (cached; ``-1`` = unreachable).
 
@@ -212,8 +196,8 @@ class ShortestPathTree:
     def __getstate__(self):
         """Ship only the three flat BFS arrays; derived caches rebuild lazily.
 
-        The tree-edge map, the Euler intervals and the preorder are all
-        ``O(n)`` to rematerialise and usually *larger* than the
+        The Euler intervals and the preorder are both ``O(n)`` to
+        rematerialise and usually *larger* than the
         arrays they derive from, so a tree crosses the process boundary as
         exactly what BFS produced.  A worker that only answers
         distance-style queries never rebuilds anything — the laziness
@@ -233,7 +217,6 @@ class ShortestPathTree:
         self.parent = parent
         self.dist = [inf if d == inf else d for d in dist]
         self.order = order
-        self._tree_edge_child = None
         self._tin = None
         self._tout = None
         self._preorder = None
@@ -245,7 +228,7 @@ class ShortestPathTree:
         Exposed for tests pinning the laziness contract; not used by the
         algorithms themselves.
         """
-        return self._tin is not None or self._tree_edge_child is not None
+        return self._tin is not None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -277,13 +260,21 @@ class ShortestPathTree:
 
         For a tree edge ``(p, c)`` with ``p = parent[c]`` the child ``c`` is
         the endpoint farther from the root; its subtree is exactly the set of
-        vertices whose root path uses the edge.  Endpoints are coerced with
-        ``operator.index``, so ``(0.5, 1.2)`` is refused (``TypeError``)
-        instead of truncated to ``(0, 1)``.
+        vertices whose root path uses the edge.  The parent array answers
+        it (module docstring); an endpoint outside the vertex range is no
+        tree edge.  Endpoints are coerced with ``operator.index``, so
+        ``(0.5, 1.2)`` is refused (``TypeError``) instead of truncated to
+        ``(0, 1)``.
         """
-        return self.edge_child_map().get(
-            normalize_edge(_vertex_id(edge[0]), _vertex_id(edge[1]))
-        )
+        u, v = _vertex_id(edge[0]), _vertex_id(edge[1])
+        parent = self.parent
+        n = len(parent)
+        if 0 <= u < n and 0 <= v < n:
+            if parent[v] == u:
+                return v
+            if parent[u] == v:
+                return u
+        return None
 
     def tree_path_uses_edge(self, edge: Sequence[int], target: int) -> bool:
         """Does the canonical root->``target`` path use the edge ``edge``?
@@ -295,8 +286,7 @@ class ShortestPathTree:
         pre-check is needed.  Endpoints are coerced like
         :meth:`edge_child`'s.
         """
-        u, v = _vertex_id(edge[0]), _vertex_id(edge[1])
-        child = self.edge_child_map().get((u, v) if u <= v else (v, u))
+        child = self.edge_child(edge)
         if child is None:
             return False
         tin, tout = self.euler_intervals()
@@ -308,17 +298,13 @@ class ShortestPathTree:
         Fused form of ``distance`` + ``tree_path_uses_edge`` for the hot
         Algorithm-4 scans: returns ``dist[target]`` when the canonical
         root->``target`` path avoids ``edge`` and ``math.inf`` when the path
-        uses it or ``target`` is unreachable.
+        uses it or ``target`` is unreachable.  Endpoints are coerced like
+        :meth:`edge_child`'s.
         """
         d = self.dist[target]
         if d is math.inf:
             return d
-        if edge[0] > edge[1]:
-            edge = (edge[1], edge[0])
-        tec = self._tree_edge_child
-        if tec is None:
-            tec = self._build_edge_child()
-        child = tec.get(edge)
+        child = self.edge_child(edge)
         if child is not None:
             tin = self._tin
             if tin is None:

@@ -273,7 +273,7 @@ def compute_interval_avoiding_tables(
     # up-front Dijkstra distance ``|s r'|`` — into a running minimum that
     # becomes one seed arc per node, with identical distances (pinned
     # against the reference builder by the differential fuzz battery).
-    s_tec_get = source_tree.edge_child_map().get
+    s_edge_child = source_tree.edge_child
     s_tin, s_tout = source_tree.euler_intervals()
     source_dist = source_tree.dist
     e_index: Dict[Edge, int] = {}
@@ -312,7 +312,7 @@ def compute_interval_avoiding_tables(
             if idx is None:
                 idx = len(s_lo)
                 e_index[bottleneck_edge] = idx
-                child = s_tec_get(bottleneck_edge)
+                child = s_edge_child(bottleneck_edge)
                 s_lo.append(s_tin[child])
                 s_hi.append(s_tout[child])
                 e_path_index.append(int(source_dist[child]) - 1)
@@ -327,7 +327,7 @@ def compute_interval_avoiding_tables(
     for other in landmarks:
         other_tree = landmark_trees[other]
         o_dist = other_tree.dist
-        o_tec_get = other_tree.edge_child_map().get
+        o_edge_child = other_tree.edge_child
         s_t_other = s_tin[other]
         cand_base = float(source_dist[other])
         other_length = path_lengths[other]
@@ -338,7 +338,7 @@ def compute_interval_avoiding_tables(
         o_lo = [1] * num_distinct
         o_hi = [0] * num_distinct
         for e, idx in e_index.items():
-            child = o_tec_get(e)
+            child = o_edge_child(e)
             if child is not None:
                 o_lo[idx] = o_tin[child]
                 o_hi[idx] = o_tout[child]

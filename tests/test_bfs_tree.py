@@ -9,7 +9,7 @@ import pytest
 from repro.exceptions import GraphError, InvalidParameterError, NotOnPathError
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, normalize_edge
 
 
 class TestBFSDistances:
@@ -76,11 +76,27 @@ class TestShortestPathTree:
     def test_non_tree_edge_never_used(self):
         g = generators.cycle_graph(5)
         tree = bfs_tree(g, 0)
-        non_tree = [e for e in g.edges() if e not in tree.edge_child_map()]
-        assert non_tree
+        tree_edges = {
+            normalize_edge(p, v) for v, p in enumerate(tree.parent) if p is not None
+        }
+        non_tree = [e for e in g.edges() if e not in tree_edges]
+        assert non_tree == [(2, 3)]
         for e in non_tree:
+            assert tree.edge_child(e) is None
             for v in g.vertices():
                 assert not tree.tree_path_uses_edge(e, v)
+                assert tree.distance_avoiding(e, v) == tree.dist[v]
+
+    def test_out_of_range_endpoint_is_no_tree_edge(self):
+        # Vertex 6's parent is 0, so a bare parent[-1] read would take
+        # (0, -1) for a tree edge with child -1 (answering -1, True and
+        # math.inf below), and (5, 99) would raise IndexError.
+        tree = bfs_tree(generators.cycle_graph(7), 0)
+        assert tree.parent[6] == 0
+        for edge in [(0, -1), (5, 99)]:
+            assert tree.edge_child(edge) is None
+            assert tree.tree_path_uses_edge(edge, 4) is False
+            assert tree.distance_avoiding(edge, 4) == 3
 
     def test_edge_child_is_deeper_endpoint(self):
         g = generators.path_graph(4)

@@ -95,7 +95,6 @@ class TestShortestPathTreePickle:
     def test_with_structural_caches_materialised(self, graph):
         tree = bfs_tree_csr(graph, 3)
         tree.euler_intervals()
-        tree.edge_child_map()
         tree.preorder()
         assert tree.has_structural_cache
         copy = roundtrip(tree)
