@@ -75,9 +75,12 @@ def _collect_imports(module: Module) -> None:
                 module.imports[local] = target
         elif isinstance(node, ast.ImportFrom):
             if node.level:
-                # Relative import: resolve against the enclosing package.
+                # Relative import: resolve against the enclosing package,
+                # which a package's __init__.py (named after the package)
+                # is itself.
                 anchor_parts = module.name.split(".")
-                drop = node.level if module.name.endswith("__init__") else node.level
+                is_package = os.path.basename(module.path) == "__init__.py"
+                drop = node.level - 1 if is_package else node.level
                 anchor = ".".join(anchor_parts[: len(anchor_parts) - drop])
                 base = f"{anchor}.{node.module}" if node.module else anchor
             else:

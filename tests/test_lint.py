@@ -80,6 +80,20 @@ def test_module_name_derivation(tmp_path):
     assert module_name_for(str(tmp_path / "tests/test_foo.py")) == "test_foo"
 
 
+def test_relative_import_in_package_init_resolves_against_the_package(tmp_path):
+    # A package's __init__.py is named after the package, so its ``.`` is
+    # the package itself; in a sibling module ``.`` is the parent package.
+    write_tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/pkg/__init__.py": "from .mod import helper\n",
+        "src/repro/pkg/mod.py": "def helper():\n    return 1\n",
+        "src/repro/pkg/other.py": "from .mod import helper\n",
+    })
+    for name in ("__init__.py", "other.py"):
+        module = parse_module(str(tmp_path / "src/repro/pkg" / name))
+        assert module.imports["helper"] == "repro.pkg.mod.helper", name
+
+
 # ---------------------------------------------------------------------------
 # suppression parsing
 # ---------------------------------------------------------------------------
