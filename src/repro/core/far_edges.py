@@ -85,7 +85,7 @@ class FarEdgeSolver:
         self._tables = landmark_tables
         self._source_trees = source_trees
         # ``(landmark, tree)`` pairs of every level in landmark-id order,
-        # resolved once instead of per candidate.
+        # the order the in-radius lists keep.
         self._levels = tuple(
             tuple(
                 (landmark, landmark_trees[landmark])
