@@ -240,11 +240,18 @@ def compute_interval_avoiding_tables(
 
     Notes
     -----
-    The ``via other landmarks`` families run on a dense distinct-edge table
+    The ``via other landmarks`` families run per distinct bottleneck edge
     (the bottleneck edges are tree edges of the source tree, and many
-    intervals share one): per landmark ``r'`` every distinct bottleneck
-    edge is resolved against ``r'``'s tree once, so the quadratic loop body
-    is interval compares and dense-id arc appends — no per-query
+    intervals share one): the ``[s, r, i]`` nodes are grouped by their
+    bottleneck edge ``e``, and for each landmark ``r'`` each group resolves
+    once what depends only on ``(r', e)``: ``e``'s subtree interval in
+    ``r'``'s tree, whether ``e`` lies on the canonical ``s``-``r'`` path,
+    and then ``r'``'s interval holding ``e``, the term ``MTC(r', e)`` and
+    the ``[r', i']`` node.  So ``MTC(r', e)`` is evaluated once per
+    ``(r', e)``, not once per node of the group, and lazily, at the group's
+    first node that passes the tests: the Section 8.2 entries it reads are
+    exactly those the per-node form reads.  The quadratic loop body is
+    interval compares and dense-id arc appends — no per-query
     :meth:`tree_path_uses_edge` / ``is_reachable`` predicates.  The
     per-query form survives as
     :func:`compute_interval_avoiding_tables_reference`, the oracle the
@@ -264,8 +271,8 @@ def compute_interval_avoiding_tables(
                 mapping[edge_index] = interval
         interval_of_index[landmark] = mapping
 
-    # Per (landmark, interval) node and the dense distinct-edge table: every
-    # bottleneck edge is a tree edge of the source tree (it lies on a
+    # Per (landmark, interval) node, grouped by distinct bottleneck edge:
+    # every bottleneck edge is a tree edge of the source tree (it lies on a
     # canonical s-r path), so its subtree interval, its path-edge index and
     # the edge itself are resolved once.  ``best[id]`` folds every
     # ``[s] -> [s, r, i]`` contribution — the small-path and MTC seeds plus
@@ -282,8 +289,8 @@ def compute_interval_avoiding_tables(
     e_path_index: List[int] = []
     edge_of_idx: List[Edge] = []
     ri_ids: Dict[Tuple[int, int], int] = {}
-    #: (landmark, its [s, r, i] node id, distinct bottleneck-edge index)
-    entries: List[Tuple[int, int, int]] = []
+    #: per distinct bottleneck edge: (landmark, its [s, r, i] node id)
+    groups: List[List[Tuple[int, int]]] = []
     inf = math.inf
     best: List[float] = []
     for landmark in landmarks:
@@ -310,76 +317,84 @@ def compute_interval_avoiding_tables(
 
             idx = e_index.get(bottleneck_edge)
             if idx is None:
-                idx = len(s_lo)
+                idx = len(groups)
                 e_index[bottleneck_edge] = idx
                 child = s_edge_child(bottleneck_edge)
                 s_lo.append(s_tin[child])
                 s_hi.append(s_tout[child])
                 e_path_index.append(int(source_dist[child]) - 1)
                 edge_of_idx.append(bottleneck_edge)
-            entries.append((landmark, node_id, idx))
-    num_distinct = len(s_lo)
+                groups.append([])
+            groups[idx].append((landmark, node_id))
     path_lengths = {r: len(landmark_paths[r]) - 1 for r in landmarks}
 
-    # Via other landmarks r', iterated outermost so each r' tree resolves
-    # every distinct bottleneck edge exactly once.
+    # Via other landmarks r', iterated outermost; each r' resolves every
+    # distinct bottleneck edge once, for the whole group of nodes sharing it.
     add_arc = aux.add_arc
     for other in landmarks:
         other_tree = landmark_trees[other]
         o_dist = other_tree.dist
         o_edge_child = other_tree.edge_child
+        o_tin, o_tout = other_tree.euler_intervals()
         s_t_other = s_tin[other]
         cand_base = float(source_dist[other])
         other_length = path_lengths[other]
         iof_get = interval_of_index[other].get
-        # Subtree interval of every distinct edge in r''s tree ((1, 0) —
-        # empty — when e is not a tree edge there).
-        o_tin, o_tout = other_tree.euler_intervals()
-        o_lo = [1] * num_distinct
-        o_hi = [0] * num_distinct
-        for e, idx in e_index.items():
-            child = o_edge_child(e)
-            if child is not None:
-                o_lo[idx] = o_tin[child]
-                o_hi[idx] = o_tout[child]
-        for landmark, node_id, idx in entries:
-            if landmark == other:
+        for idx, group in enumerate(groups):
+            edge = edge_of_idx[idx]
+            # Subtree interval of e in r''s tree ((1, 0) — empty — when e
+            # is not a tree edge there).
+            child = o_edge_child(edge)
+            if child is None:
+                o_lo, o_hi = 1, 0
+            else:
+                o_lo, o_hi = o_tin[child], o_tout[child]
+            # source_tree.tree_path_uses_edge(e, other)
+            if not s_lo[idx] <= s_t_other <= s_hi[idx]:
+                # The canonical s-r' path avoids the bottleneck: the plain
+                # distance |s r'| is realisable.
+                for landmark, node_id in group:
+                    if landmark == other:
+                        continue
+                    hop = o_dist[landmark]
+                    if hop is inf:
+                        continue
+                    # other_tree.tree_path_uses_edge(e, landmark)
+                    if o_lo <= o_tin[landmark] <= o_hi:
+                        continue
+                    cand = cand_base + hop
+                    if cand < best[node_id]:
+                        best[node_id] = cand
                 continue
-            hop = o_dist[landmark]
-            if hop is math.inf:
+            # The bottleneck lies on the canonical s-r' path: relate the
+            # group's nodes to r''s own interval machinery.
+            other_interval = iof_get(e_path_index[idx])
+            if other_interval is None:
                 continue
-            # other_tree.tree_path_uses_edge(bottleneck_edge, landmark)
-            if o_lo[idx] <= o_tin[landmark] <= o_hi[idx]:
-                continue
-            hop = float(hop)
-            # source_tree.tree_path_uses_edge(bottleneck_edge, other)
-            if s_lo[idx] <= s_t_other <= s_hi[idx]:
-                # The bottleneck lies on the canonical s-r' path: relate
-                # the node to r''s own interval machinery.
-                other_interval = iof_get(e_path_index[idx])
-                if other_interval is None:
+            mtc_other = None
+            for landmark, node_id in group:
+                if landmark == other:
                     continue
-                mtc_other = evaluator.mtc(
-                    other, other_length, other_interval, edge_of_idx[idx]
-                )
+                hop = o_dist[landmark]
+                if hop is inf:
+                    continue
+                if o_lo <= o_tin[landmark] <= o_hi:
+                    continue
+                hop = float(hop)
+                if mtc_other is None:
+                    mtc_other = evaluator.mtc(
+                        other, other_length, other_interval, edge
+                    )
+                    key = (other, other_interval.ordinal)
+                    other_ri_id = ri_ids.get(key)
+                    if other_ri_id is None:
+                        other_ri_id = ri_ids[key] = aux.intern(("ri", *key))
+                        while len(best) <= other_ri_id:
+                            best.append(inf)
                 cand = mtc_other + hop
                 if cand < best[node_id]:
                     best[node_id] = cand
-                other_ri_id = ri_ids.get((other, other_interval.ordinal))
-                if other_ri_id is None:
-                    other_ri_id = aux.intern(
-                        ("ri", other, other_interval.ordinal)
-                    )
-                    ri_ids[(other, other_interval.ordinal)] = other_ri_id
-                    while len(best) <= other_ri_id:
-                        best.append(inf)
                 add_arc(other_ri_id, node_id, hop)
-            else:
-                # The canonical s-r' path avoids the bottleneck: the
-                # plain distance |s r'| is realisable.
-                cand = cand_base + hop
-                if cand < best[node_id]:
-                    best[node_id] = cand
 
     for node_id, value in enumerate(best):
         if value != inf:

@@ -25,7 +25,15 @@ Bernstein–Karger adaptation:
    candidates (small replacement path, MTC, interval-avoiding value, and —
    for edges close to the landmark, where the path cover lemma's second
    term degenerates — an Algorithm-4-style scan over the level-0 centers).
-   The scan is bounded by the minimum of the other three: a center ``c``
+   The scan runs only on the near entries whose Section 7.1 value ``w`` is
+   not certified exact: for ``e = (p, ch)`` on the ``s``-``r`` path it
+   runs when ``w >= 2(dist(ch) + near_threshold) - dist(r)``, the bound
+   :func:`repro.core.msrp.solve_single_source` gates Algorithm 4 with.  A
+   smaller ``w`` equals ``|sr <> e|`` (the proof in
+   :mod:`repro.core.near_small` holds for any target, landmarks included),
+   and every scan candidate is the length of a walk avoiding ``e``, so
+   none could beat it: skipping the scan there changes no entry.  The
+   scan is bounded by the minimum of the other three: a center ``c``
    whose ``d(s, c) + d(c, r)`` is not below it is skipped, which is exact
    because every Section 8.1 value ``d(s, c, e)`` is at least ``d(s, c)``
    and a candidate replaces the value in hand only when strictly smaller.
@@ -284,6 +292,7 @@ def _assemble_for_source(
         (center, center_trees[center]) for center in sorted(centers.level(0))
     ]
 
+    near_threshold = scale.near_threshold
     small_value = near_small.get
     inf = math.inf
     table: PairEdgeTable = {}
@@ -296,13 +305,19 @@ def _assemble_for_source(
             while not current.contains_edge_index(edge_index):
                 current = next(interval_iter)
             edge = normalize_edge(path[edge_index], path[edge_index + 1])
+            small = small_value((landmark, edge), inf)
             value = min(
-                small_value((landmark, edge), inf),
+                small,
                 evaluator.mtc(landmark, path_length, current, edge),
                 interval_avoiding.get((landmark, current.ordinal), inf),
             )
             distance_to_landmark = path_length - (edge_index + 1)
-            if distance_to_landmark < scale.near_threshold:
+            # The scan runs on a near entry only when its Section 7.1 value
+            # is not certified exact (see the module docstring).
+            if (
+                distance_to_landmark < near_threshold
+                and small >= 2 * (edge_index + 1 + near_threshold) - path_length
+            ):
                 value = min(
                     value,
                     _near_landmark_candidate(
@@ -330,7 +345,11 @@ def _near_landmark_candidate(
     close to the landmark, with a canonical center-landmark path that avoids
     the edge; scanning the level-0 centers recovers that case.  Every
     candidate is realisable, so this extra generator can only tighten the
-    minimum, never corrupt it.
+    minimum, never corrupt it.  :func:`_assemble_for_source` calls it only
+    on near entries whose Section 7.1 value is not certified exact
+    (:mod:`repro.core.near_small`): no realisable candidate can beat an
+    exact value, so on a certified entry the scan would return
+    ``math.inf``.
 
     ``level0_centers`` are ``(center, tree)`` pairs in center-id order and
     ``source_dist`` the source tree's distances.  The candidate through

@@ -19,13 +19,17 @@ runs on exactly the near entries whose value is not; the slow
 ring instances against brute force.
 
 ``TestSection8CandidatesAreRealisable`` checks MTC, the Section 8.3 value
-and the near-landmark scan each on its own against brute force, and the
-slow ``TestSizeSweep`` checks whole solves from n = 60 to 480 on four
-graph families: overestimates are allowed, underestimates are not.
+and the near-landmark scan each on its own against brute force, the scan
+on every near landmark-table entry, including the certified ones the
+assembly skips.  ``TestIntervalAvoidingWork`` pins that the Section 8.3
+builder evaluates each MTC term at most twice, and the slow
+``TestSizeSweep`` checks whole solves from n = 60 to 480 on four graph
+families: overestimates are allowed, underestimates are not.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import pickle
@@ -47,6 +51,10 @@ from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.csr import bfs_distances_csr
 from repro.graph.graph import Graph, normalize_edge
 from repro.graph.repair import subtree_repair_distances
+from repro.multisource.bottleneck import (
+    MTCEvaluator,
+    compute_interval_avoiding_tables,
+)
 from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
 
 
@@ -402,21 +410,21 @@ SETUPS = {
 def _preprocessed(name, strategy):
     """A preprocessed solver plus what its Section 8 assembly saw.
 
-    Returns ``(solver, near_landmark_calls, source_to_center,
-    interval_avoiding)``: the arguments of every
-    ``_near_landmark_candidate`` call, every ``(source tree, Section 8.1
-    table)`` pair and every ``(kwargs, result)`` of
-    ``compute_interval_avoiding_tables`` (all empty under ``direct``).
+    Returns ``(solver, assemblies, source_to_center, interval_avoiding)``:
+    the keyword arguments of every ``_assemble_for_source`` call, every
+    ``(source tree, Section 8.1 table)`` pair and every ``(kwargs,
+    result)`` of ``compute_interval_avoiding_tables`` (all empty under
+    ``direct``).
     """
     graph, sources, params = SETUPS[name]()
-    calls, source_to_center, interval_avoiding = [], [], []
-    scan = pipeline._near_landmark_candidate
+    assemblies, source_to_center, interval_avoiding = [], [], []
+    assemble = pipeline._assemble_for_source
     build = pipeline.compute_source_to_center_tables
     avoid = pipeline.compute_interval_avoiding_tables
 
-    def recording_scan(*args):
-        calls.append(args)
-        return scan(*args)
+    def recording_assemble(**kwargs):
+        assemblies.append(kwargs)
+        return assemble(**kwargs)
 
     def recording_build(**kwargs):
         table = build(**kwargs)
@@ -428,7 +436,7 @@ def _preprocessed(name, strategy):
         interval_avoiding.append((kwargs, result))
         return result
 
-    pipeline._near_landmark_candidate = recording_scan
+    pipeline._assemble_for_source = recording_assemble
     pipeline.compute_source_to_center_tables = recording_build
     pipeline.compute_interval_avoiding_tables = recording_avoid
     try:
@@ -436,10 +444,52 @@ def _preprocessed(name, strategy):
             graph, sources, params=params, landmark_strategy=strategy
         ).preprocess()
     finally:
-        pipeline._near_landmark_candidate = scan
+        pipeline._assemble_for_source = assemble
         pipeline.compute_source_to_center_tables = build
         pipeline.compute_interval_avoiding_tables = avoid
-    return solver, calls, source_to_center, interval_avoiding
+    return solver, assemblies, source_to_center, interval_avoiding
+
+
+def _near_landmark_scans(name):
+    """The near-landmark scan's arguments on every near landmark-table entry.
+
+    Yields ``(evaluator, source_dist, level0_centers, landmark, edge,
+    bound)`` for every entry of a Section 8 assembly under ``auxiliary``
+    whose edge is near the landmark, certified or not.  ``bound`` is the
+    minimum of the Section 7.1, MTC and Section 8.3 values: what the
+    assembly would pass the scan without the certificate.
+    """
+    _solver, assemblies, _tables, avoiding = _preprocessed(name, "auxiliary")
+    by_source = {kwargs["source"]: (kwargs, result) for kwargs, result in avoiding}
+    for assembly in assemblies:
+        kwargs, interval_avoiding = by_source[assembly["source"]]
+        evaluator = kwargs["evaluator"]
+        center_trees = assembly["center_trees"]
+        level0_centers = [
+            (center, center_trees[center])
+            for center in sorted(assembly["centers"].level(0))
+        ]
+        source_dist = assembly["source_tree"].dist
+        small = assembly["near_small"]
+        threshold = assembly["scale"].near_threshold
+        for landmark, path in assembly["landmark_paths"].items():
+            path_length = len(path) - 1
+            for interval in assembly["landmark_intervals"][landmark]:
+                for index in range(interval.start_index, interval.end_index):
+                    if path_length - (index + 1) >= threshold:
+                        continue
+                    edge = normalize_edge(path[index], path[index + 1])
+                    bound = min(
+                        small.get((landmark, edge), math.inf),
+                        evaluator.mtc(landmark, path_length, interval, edge),
+                        interval_avoiding.get(
+                            (landmark, interval.ordinal), math.inf
+                        ),
+                    )
+                    yield (
+                        evaluator, source_dist, level0_centers, landmark, edge,
+                        bound,
+                    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,9 +595,9 @@ class TestBoundedScans:
         "name", ["grid-5x6", "cycle-12", "sparse-aux-2", "far-clusters-1"]
     )
     def test_near_landmark_candidate(self, name):
-        _solver, calls, _tables, _avoiding = _preprocessed(name, "auxiliary")
-        assert calls
-        for evaluator, source_dist, centers, landmark, edge, bound in calls:
+        checked = 0
+        for scan in _near_landmark_scans(name):
+            evaluator, source_dist, centers, landmark, edge, bound = scan
             _check_bounded(
                 lambda b: pipeline._near_landmark_candidate(
                     evaluator, source_dist, centers, landmark, edge, b
@@ -555,6 +605,8 @@ class TestBoundedScans:
                 plain_near_landmark(evaluator, centers, landmark, edge),
                 [bound],
             )
+            checked += 1
+        assert checked > 0
 
 
 class TestBoundPrecondition:
@@ -597,7 +649,7 @@ class TestBoundPrecondition:
         "name", ["cycle-12", "sparse-aux-1", "sparse-aux-2", "far-clusters-1"]
     )
     def test_source_to_center_values(self, name):
-        _solver, _calls, built, _avoiding = _preprocessed(name, "auxiliary")
+        built = _preprocessed(name, "auxiliary")[2]
         assert built
         for source_tree, table in built:
             assert table
@@ -621,7 +673,7 @@ class TestSection8CandidatesAreRealisable:
         "name", ["sparse-aux-1", "sparse-aux-2", "far-clusters-1", "ring-6"]
     )
     def test_mtc_interval_avoiding_and_scan(self, name):
-        _solver, calls, _tables, avoiding = _preprocessed(name, "auxiliary")
+        avoiding = _preprocessed(name, "auxiliary")[3]
         truth = _truth(name)
         checked = {"MTC": 0, "8.3": 0, "scan": 0}
         for kwargs, result in avoiding:
@@ -643,13 +695,44 @@ class TestSection8CandidatesAreRealisable:
                         value = result[(landmark, interval.ordinal)]
                         assert value >= exact[landmark][edge], ("8.3", *where)
                         checked["8.3"] += 1
-        for evaluator, _dist, centers, landmark, edge, _bound in calls:
+        for evaluator, _dist, centers, landmark, edge, _bound in (
+            _near_landmark_scans(name)
+        ):
             value = plain_near_landmark(evaluator, centers, landmark, edge)
             assert value >= truth[evaluator.source][landmark][edge], (
                 "scan", evaluator.source, landmark, edge,
             )
             checked["scan"] += 1
         assert all(checked.values()), checked
+
+
+class TestIntervalAvoidingWork:
+    """The Section 8.3 builder evaluates each MTC term at most twice.
+
+    A ``(landmark, interval ordinal, edge)`` triple is evaluated once as the
+    seed of its own ``[s, r, i]`` node, when ``edge`` is that interval's
+    bottleneck, and once as the ``r'`` term that every node with bottleneck
+    ``edge`` shares.
+    """
+
+    @pytest.mark.parametrize("name", ["sparse-aux-1", "ring-6"])
+    def test_each_mtc_term_is_evaluated_at_most_twice(self, name, monkeypatch):
+        avoiding = _preprocessed(name, "auxiliary")[3]
+        evaluated = collections.Counter()
+        mtc = MTCEvaluator.mtc
+
+        def recording(self, landmark, path_length, interval, edge):
+            evaluated[(landmark, interval.ordinal, edge)] += 1
+            return mtc(self, landmark, path_length, interval, edge)
+
+        monkeypatch.setattr(MTCEvaluator, "mtc", recording)
+        for kwargs, result in avoiding:
+            evaluated.clear()
+            assert compute_interval_avoiding_tables(**kwargs) == result
+            assert evaluated
+            assert max(evaluated.values()) <= 2, (
+                kwargs["source"], evaluated.most_common(3),
+            )
 
 
 def _certified(solver, source, target, edge):
@@ -800,7 +883,9 @@ class TestCertificateSweep:
 
     far-clusters and sparse-aux seeds 1-60 and ring seeds 1-40, each
     solved under both strategies: wherever ``_certified`` holds, the
-    Section 7.1 value and the solve's entry equal brute force.  The
+    Section 7.1 value and the solve's entry equal brute force, and under
+    ``auxiliary`` so does the landmark-table entry when the target is a
+    landmark (the Section 8 assembly skips its near-landmark scan).  The
     entries only the sharper bound certifies (``w[t, e] >= dist(ch) +
     near_threshold``) are counted: far-clusters and the ring have some,
     sparse-aux has none.
@@ -819,6 +904,7 @@ class TestCertificateSweep:
                     graph, sources, params=params, landmark_strategy=strategy
                 )
                 result = solver.solve()
+                landmarks = solver.landmarks.union
                 for source, target, edge, level in _path_entries(solver):
                     if level >= 0:
                         continue
@@ -828,6 +914,11 @@ class TestCertificateSweep:
                     where = (seed, strategy, source, target, edge)
                     assert value == truth[source][target][edge], where
                     assert result.replacement_length(source, target, edge) == value
+                    if strategy == "auxiliary" and target in landmarks:
+                        # The Section 8 assembly skips the near-landmark
+                        # scan on exactly these entries.
+                        table = solver.landmark_tables[source]
+                        assert table[(target, edge)] == value, where
                     tree = solver.source_trees[source]
                     child_depth = tree.dist[tree.edge_child(edge)]
                     if value >= child_depth + solver.scale.near_threshold:
