@@ -283,14 +283,12 @@ def compute_interval_avoiding_tables(
     s_edge_child = source_tree.edge_child
     s_tin, s_tout = source_tree.euler_intervals()
     source_dist = source_tree.dist
-    e_index: Dict[Edge, int] = {}
-    s_lo: List[int] = []
-    s_hi: List[int] = []
-    e_path_index: List[int] = []
-    edge_of_idx: List[Edge] = []
     ri_ids: Dict[Tuple[int, int], int] = {}
-    #: per distinct bottleneck edge: (landmark, its [s, r, i] node id)
-    groups: List[List[Tuple[int, int]]] = []
+    #: per distinct bottleneck edge, in first-use order: (edge, the Euler
+    #: interval of its child in the source tree, its path-edge index, the
+    #: group of (landmark, [s, r, i] node id) it is the bottleneck of)
+    groups: List[Tuple[Edge, int, int, int, List[Tuple[int, int]]]] = []
+    group_of: Dict[Edge, List[Tuple[int, int]]] = {}
     inf = math.inf
     best: List[float] = []
     for landmark in landmarks:
@@ -315,17 +313,18 @@ def compute_interval_avoiding_tables(
             if seed < best[node_id]:
                 best[node_id] = seed
 
-            idx = e_index.get(bottleneck_edge)
-            if idx is None:
-                idx = len(groups)
-                e_index[bottleneck_edge] = idx
+            group = group_of.get(bottleneck_edge)
+            if group is None:
+                group = group_of[bottleneck_edge] = []
                 child = s_edge_child(bottleneck_edge)
-                s_lo.append(s_tin[child])
-                s_hi.append(s_tout[child])
-                e_path_index.append(int(source_dist[child]) - 1)
-                edge_of_idx.append(bottleneck_edge)
-                groups.append([])
-            groups[idx].append((landmark, node_id))
+                groups.append((
+                    bottleneck_edge,
+                    s_tin[child],
+                    s_tout[child],
+                    int(source_dist[child]) - 1,
+                    group,
+                ))
+            group.append((landmark, node_id))
     path_lengths = {r: len(landmark_paths[r]) - 1 for r in landmarks}
 
     # Via other landmarks r', iterated outermost; each r' resolves every
@@ -340,8 +339,7 @@ def compute_interval_avoiding_tables(
         cand_base = float(source_dist[other])
         other_length = path_lengths[other]
         iof_get = interval_of_index[other].get
-        for idx, group in enumerate(groups):
-            edge = edge_of_idx[idx]
+        for edge, s_lo, s_hi, path_index, group in groups:
             # Subtree interval of e in r''s tree ((1, 0) — empty — when e
             # is not a tree edge there).
             child = o_edge_child(edge)
@@ -350,7 +348,7 @@ def compute_interval_avoiding_tables(
             else:
                 o_lo, o_hi = o_tin[child], o_tout[child]
             # source_tree.tree_path_uses_edge(e, other)
-            if not s_lo[idx] <= s_t_other <= s_hi[idx]:
+            if not s_lo <= s_t_other <= s_hi:
                 # The canonical s-r' path avoids the bottleneck: the plain
                 # distance |s r'| is realisable.
                 for landmark, node_id in group:
@@ -368,7 +366,7 @@ def compute_interval_avoiding_tables(
                 continue
             # The bottleneck lies on the canonical s-r' path: relate the
             # group's nodes to r''s own interval machinery.
-            other_interval = iof_get(e_path_index[idx])
+            other_interval = iof_get(path_index)
             if other_interval is None:
                 continue
             mtc_other = None
@@ -378,6 +376,7 @@ def compute_interval_avoiding_tables(
                 hop = o_dist[landmark]
                 if hop is inf:
                     continue
+                # other_tree.tree_path_uses_edge(e, landmark)
                 if o_lo <= o_tin[landmark] <= o_hi:
                     continue
                 hop = float(hop)
