@@ -21,8 +21,10 @@ This module provides:
 * :func:`center_table_readers` — the ``(center, landmark)`` pairs of the
   Section 8.2 tables that :meth:`MTCEvaluator.mtc` can read, so only
   those are built.
-* :func:`find_bottleneck_edges` — Section 8.3.1, the per-interval argmax of
-  the MTC value.
+* :func:`find_bottleneck_edges` — Section 8.3.1, the MTC value of every
+  edge of a canonical path and the per-interval argmax.  It is the only
+  product caller of :meth:`MTCEvaluator.mtc`: the Section 8.3 builder and
+  the assembly read the values it returns, so each term is evaluated once.
 * :func:`compute_interval_avoiding_tables` — Section 8.3.2, the per-source
   auxiliary graph whose Dijkstra distances are ``sr <> B[s, r, i]``.
 """
@@ -30,7 +32,7 @@ This module provides:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.graph.graph import Edge, normalize_edge
 from repro.graph.repair import PairEdgeTable
@@ -153,11 +155,11 @@ def center_table_readers(
     ``decompositions`` holds, per source, ``landmark -> intervals`` of the
     canonical ``s``-``landmark`` path (Definition 15).  :meth:`MTCEvaluator.mtc`
     reads ``center_to_landmark(c1, r, e)`` only with ``c1`` the start
-    vertex of an interval of that ``s``-``r`` decomposition, and every
-    caller (:func:`find_bottleneck_edges`, both ``mtc`` calls of
-    :func:`compute_interval_avoiding_tables`, the pipeline's assembly)
-    passes such an interval.  Every interval start is a center: it is the
-    source or a milestone of higher priority than the one before it.
+    vertex of an interval of that ``s``-``r`` decomposition, and its one
+    product caller, :func:`find_bottleneck_edges`, passes every interval
+    of it (as does :func:`compute_interval_avoiding_tables_reference`).
+    Every interval start is a center: it is the source or a milestone of
+    higher priority than the one before it.
 
     Returns ``center -> sorted landmarks``, centers in id order.  A center
     absent here is never queried, so building its tables, or a pair's
@@ -178,35 +180,43 @@ def find_bottleneck_edges(
     intervals: Sequence[PathInterval],
     landmark: int,
     evaluator: MTCEvaluator,
-) -> Dict[int, Tuple[Edge, int]]:
-    """Section 8.3.1: the max-MTC edge of every given interval of one path.
+) -> Tuple[List[float], Dict[int, Tuple[Edge, int]]]:
+    """Section 8.3.1: the MTC value of every path edge, and the bottlenecks.
 
-    Returns ``interval ordinal -> (bottleneck edge, its edge index)``.
-    Because every edge of an interval shares the same "avoid the interval"
-    term, the edge maximising the MTC value also maximises the true
-    replacement length (Lemma 24), so it is the bottleneck edge.
+    ``intervals`` is the path's whole Definition 15 decomposition.  Returns
+    ``(values, bottlenecks)``: ``values[i]`` is ``MTC(s, landmark, e)`` for
+    the path edge ``e`` with index ``i``, evaluated once here for the
+    Section 8.3 builder and the assembly to read, and ``bottlenecks`` maps
+    ``interval ordinal -> (bottleneck edge, its edge index)``, the first
+    edge of the interval with the largest value.  Because every edge of an
+    interval shares the same "avoid the interval" term, the edge maximising
+    the MTC value also maximises the true replacement length (Lemma 24), so
+    it is the bottleneck edge.
 
-    Lemma 24 needs both MTC terms exact, so the pipeline passes every
-    interval of the path but the last.  In the final interval ``[c1, r]``
-    the "passes through ``c2``" term is vacuous (``c2 = r``), the MTC
-    argmax can miss the longest replacement path, and the interval-avoiding
-    value of the edge it picks would underestimate other edges of the
-    interval; :mod:`repro.multisource.pipeline` says what covers them.
+    The final interval gets no bottleneck.  Lemma 24 needs both MTC terms
+    exact.  In the final interval ``[c1, r]`` the "passes through ``c2``"
+    term is vacuous (``c2 = r``, the term would be ``sr <> e`` itself), so
+    the argmax can miss the longest replacement path, and applying the
+    interval-avoiding value of the edge it picks to every edge of the
+    interval underestimated 35 entries on 23 of the ``sparse-aux``
+    benchmark seeds 1-60.  :mod:`repro.multisource.pipeline` says what
+    covers the final interval's edges instead.
     """
     path_length = len(path) - 1
-    bottlenecks: Dict[int, Tuple[Edge, int]] = {}
+    values: List[float] = []
     for interval in intervals:
-        best_edge: Optional[Edge] = None
-        best_index = -1
-        best_value = -1.0
         for edge_index in range(interval.start_index, interval.end_index):
             edge = normalize_edge(path[edge_index], path[edge_index + 1])
-            value = evaluator.mtc(landmark, path_length, interval, edge)
-            if best_edge is None or value > best_value:
-                best_edge, best_index, best_value = edge, edge_index, value
-        if best_edge is not None:
-            bottlenecks[interval.ordinal] = (best_edge, best_index)
-    return bottlenecks
+            values.append(evaluator.mtc(landmark, path_length, interval, edge))
+    bottlenecks: Dict[int, Tuple[Edge, int]] = {}
+    for interval in intervals[:-1]:
+        segment = values[interval.start_index:interval.end_index]
+        index = interval.start_index + segment.index(max(segment))
+        bottlenecks[interval.ordinal] = (
+            normalize_edge(path[index], path[index + 1]),
+            index,
+        )
+    return values, bottlenecks
 
 
 def compute_interval_avoiding_tables(
@@ -216,7 +226,7 @@ def compute_interval_avoiding_tables(
     landmark_intervals: Mapping[int, Sequence[PathInterval]],
     bottlenecks: Mapping[int, Mapping[int, Tuple[Edge, int]]],
     landmark_trees: Mapping[int, ShortestPathTree],
-    evaluator: MTCEvaluator,
+    mtc_values: Mapping[int, Sequence[float]],
     near_small: PairEdgeTable,
 ) -> Dict[Tuple[int, int], float]:
     """Section 8.3.2: replacement paths avoiding each interval's bottleneck.
@@ -226,9 +236,10 @@ def compute_interval_avoiding_tables(
     landmark_paths / landmark_intervals / bottlenecks:
         Per-landmark canonical paths, their interval decompositions and the
         bottleneck edge of each interval (from :func:`find_bottleneck_edges`).
-    evaluator:
-        The MTC evaluator for this source (provides the ``MTC`` edge
-        weights of the auxiliary graph).
+    mtc_values:
+        ``landmark -> MTC value of every path edge, by edge index`` (from
+        :func:`find_bottleneck_edges`): the ``MTC`` edge weights of the
+        auxiliary graph.
     near_small:
         Section 7.1 table ``(t, e) -> w[t, e]`` of this source (small
         replacement paths seed direct ``[s] -> [s, r, i]`` edges).
@@ -246,14 +257,10 @@ def compute_interval_avoiding_tables(
     bottleneck edge ``e``, and for each landmark ``r'`` each group resolves
     once what depends only on ``(r', e)``: ``e``'s subtree interval in
     ``r'``'s tree, whether ``e`` lies on the canonical ``s``-``r'`` path,
-    and then ``r'``'s interval holding ``e``, the term ``MTC(r', e)`` and
-    the ``[r', i']`` node.  So ``MTC(r', e)`` is evaluated once per
-    ``(r', e)``, not once per node of the group, and lazily, at the group's
-    first node that passes the tests: the Section 8.2 entries it reads are
-    exactly those the per-node form reads.  The quadratic loop body is
-    interval compares and dense-id arc appends — no per-query
-    :meth:`tree_path_uses_edge` / ``is_reachable`` predicates.  The
-    per-query form survives as
+    and then the term ``MTC(r', e)`` and the ``[r', i']`` node of ``r'``'s
+    interval holding ``e``.  The quadratic loop body is interval compares
+    and dense-id arc appends — no per-query :meth:`tree_path_uses_edge` /
+    ``is_reachable`` predicates.  The per-query form survives as
     :func:`compute_interval_avoiding_tables_reference`, the oracle the
     differential fuzz battery pins this builder against.
     """
@@ -262,14 +269,15 @@ def compute_interval_avoiding_tables(
 
     landmarks = sorted(landmark_paths)
 
-    # Index: for every landmark, map a path-edge index to its interval.
-    interval_of_index: Dict[int, Dict[int, PathInterval]] = {}
-    for landmark in landmarks:
-        mapping: Dict[int, PathInterval] = {}
-        for interval in landmark_intervals[landmark]:
-            for edge_index in range(interval.start_index, interval.end_index):
-                mapping[edge_index] = interval
-        interval_of_index[landmark] = mapping
+    # Index: for every landmark, the interval ordinal of each path-edge index.
+    ordinal_of_index: Dict[int, List[int]] = {
+        landmark: [
+            interval.ordinal
+            for interval in landmark_intervals[landmark]
+            for _ in range(interval.num_edges)
+        ]
+        for landmark in landmarks
+    }
 
     # Per (landmark, interval) node, grouped by distinct bottleneck edge:
     # every bottleneck edge is a tree edge of the source tree (it lies on a
@@ -292,12 +300,11 @@ def compute_interval_avoiding_tables(
     inf = math.inf
     best: List[float] = []
     for landmark in landmarks:
-        path_length = len(landmark_paths[landmark]) - 1
         for interval in landmark_intervals[landmark]:
             entry = bottlenecks[landmark].get(interval.ordinal)
             if entry is None:
                 continue
-            bottleneck_edge, _ = entry
+            bottleneck_edge, bottleneck_index = entry
             node_id = aux.intern(("ri", landmark, interval.ordinal))
             ri_ids[(landmark, interval.ordinal)] = node_id
             while len(best) <= node_id:
@@ -307,7 +314,7 @@ def compute_interval_avoiding_tables(
             seed = near_small.get((landmark, bottleneck_edge), inf)
 
             # MTC term for the bottleneck edge itself.
-            mtc_value = evaluator.mtc(landmark, path_length, interval, bottleneck_edge)
+            mtc_value = mtc_values[landmark][bottleneck_index]
             if mtc_value < seed:
                 seed = mtc_value
             if seed < best[node_id]:
@@ -321,11 +328,10 @@ def compute_interval_avoiding_tables(
                     bottleneck_edge,
                     s_tin[child],
                     s_tout[child],
-                    int(source_dist[child]) - 1,
+                    bottleneck_index,
                     group,
                 ))
             group.append((landmark, node_id))
-    path_lengths = {r: len(landmark_paths[r]) - 1 for r in landmarks}
 
     # Via other landmarks r', iterated outermost; each r' resolves every
     # distinct bottleneck edge once, for the whole group of nodes sharing it.
@@ -337,8 +343,8 @@ def compute_interval_avoiding_tables(
         o_tin, o_tout = other_tree.euler_intervals()
         s_t_other = s_tin[other]
         cand_base = float(source_dist[other])
-        other_length = path_lengths[other]
-        iof_get = interval_of_index[other].get
+        other_mtc = mtc_values[other]
+        other_ordinals = ordinal_of_index[other]
         for edge, s_lo, s_hi, path_index, group in groups:
             # Subtree interval of e in r''s tree ((1, 0) — empty — when e
             # is not a tree edge there).
@@ -364,12 +370,11 @@ def compute_interval_avoiding_tables(
                     if cand < best[node_id]:
                         best[node_id] = cand
                 continue
-            # The bottleneck lies on the canonical s-r' path: relate the
-            # group's nodes to r''s own interval machinery.
-            other_interval = iof_get(path_index)
-            if other_interval is None:
-                continue
-            mtc_other = None
+            # The bottleneck lies on the canonical s-r' path, at the same
+            # edge index as on the s-r path: relate the group's nodes to
+            # r''s own interval machinery.
+            mtc_other = other_mtc[path_index]
+            other_ri_id = None
             for landmark, node_id in group:
                 if landmark == other:
                     continue
@@ -380,11 +385,8 @@ def compute_interval_avoiding_tables(
                 if o_lo <= o_tin[landmark] <= o_hi:
                     continue
                 hop = float(hop)
-                if mtc_other is None:
-                    mtc_other = evaluator.mtc(
-                        other, other_length, other_interval, edge
-                    )
-                    key = (other, other_interval.ordinal)
+                if other_ri_id is None:
+                    key = (other, other_ordinals[path_index])
                     other_ri_id = ri_ids.get(key)
                     if other_ri_id is None:
                         other_ri_id = ri_ids[key] = aux.intern(("ri", *key))

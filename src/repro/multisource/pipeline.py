@@ -19,8 +19,10 @@ Bernstein–Karger adaptation:
    subtree repair of the source's tree
    (``compute_source_to_center_tables``; it does not read the Section 7.1
    tables),
-4. Section 8.3 — bottleneck edges per interval and the interval-avoiding
-   Dijkstra,
+4. Section 8.3 — the MTC value of every path edge and the bottleneck
+   edge of every interval but the last (``find_bottleneck_edges``, the
+   only place MTC is evaluated), then the interval-avoiding Dijkstra,
+   which reads those values,
 5. assembly via the path cover lemma, taking the minimum over the
    candidates (small replacement path, MTC, interval-avoiding value, and —
    for edges close to the landmark, where the path cover lemma's second
@@ -44,15 +46,12 @@ edge, so a value can only overestimate.
 **The final interval gets no interval-avoiding value.**  The Section 8.3
 value ``sr <> B[s, r, i]`` avoids only the interval's bottleneck edge and
 is applied to every edge of the interval, which is sound only when ``B``
-is the edge with the longest replacement path.  Lemma 24 finds it as the
-MTC argmax, and that needs both MTC terms exact.  In the final interval
-``[c1, r]`` the "passes through ``c2``" term is vacuous (``c2 = r``, the
-term would be ``sr <> e`` itself), so the argmax can miss, and applying
-that ``sr <> B`` underestimated 35 entries on 23 of the ``sparse-aux``
-benchmark seeds 1-60.  :func:`_assemble_for_source` therefore passes
-every interval but the last to :func:`find_bottleneck_edges`.  An edge
-``e`` of the final interval keeps the Section 7.1 value, the MTC ``c1``
-term and the near-landmark scan.  For an optimal replacement path ``R``:
+is the edge with the longest replacement path.
+:func:`find_bottleneck_edges` says why the MTC argmax can miss that edge
+in the final interval ``[c1, r]``, and gives that interval no bottleneck.
+An edge ``e`` of the final interval keeps the Section 7.1 value, the MTC
+``c1`` term and the near-landmark scan.  For an optimal replacement path
+``R``:
 
 * ``R`` leaves the path at or after ``c1``: the ``c1`` term is exact.
 * ``R`` is small (``|R| <= |se| + 2X``): the Section 7.1 value is exact
@@ -61,20 +60,37 @@ term and the near-landmark scan.  For an optimal replacement path ``R``:
   on ``R``'s suffix with a canonical ``c``-``r`` path that avoids ``e``,
   and the scan reads ``d(s, c, e) + d(c, r) = |R|``.
 
-Not proven here: that every edge of the final interval is near ``r``
-(the Section 7.1 tables and the scan cover near edges only), and that the
-scan's ``d(s, c, e)`` is a Section 8.1 table entry whenever ``e`` lies on
-the canonical ``s``-``c`` path (the fallback is then ``math.inf``).  When
-``r`` is not a center, ``c1`` is the last center before ``r``, and at the
-paper's constants level-0 centers are dense enough to keep the interval
-shorter than ``X`` w.h.p.; when ``r`` is a center the interval can be
-longer, but the ``c2`` term then reads ``r``'s own exact Section 8.1
-entry for every edge within its budget.  Measured: no underestimate on
-the ``sparse-aux`` seeds 1-60 (35 before this rule), on
-``sparse_workload(n, seed=n)`` for n = 240, 320 and 480 with algorithm
-seeds 0-5, 0-3 and 480 (14, 5 and 2 before), nor on ``cycle_graph(160)``
-plus 8 random chords at ``threshold_constant=0.1``, seeds 1-20 (39
-before).
+Not proven here: (1) that every edge of the final interval is near
+``r`` (the Section 7.1 tables and the scan cover near edges only), and
+(2) that the scan's ``d(s, c, e)`` is a Section 8.1 table entry whenever
+``e`` lies on the canonical ``s``-``c`` path (the fallback is then
+``math.inf``).  When ``r`` is not a center, ``c1`` is the last center
+before ``r``, and at the paper's constants level-0 centers are dense
+enough to keep the interval shorter than ``X`` w.h.p.; when ``r`` is a
+center the interval can be longer, but the ``c2`` term then reads
+``r``'s own exact Section 8.1 entry for every edge within its budget.
+Counted under ``auxiliary``, step (1) as the final-interval edges not
+near ``r`` and step (2) as the scan's lookups of ``d(s, c, e)`` with
+``e`` on the canonical ``s``-``c`` path that miss the Section 8.1 table
+(``TestFinalIntervalCover`` in ``tests/test_paper_lemmas.py`` pins the
+``sparse-aux`` rows):
+
+=================  ===============  =================
+Instance           (1) not near r   (2) missing
+=================  ===============  =================
+sparse-aux seed 1  0 of 669         0 of 3
+sparse-aux seed 2  0 of 627         no scan
+ring seed 1        42 of 1,135      3,001 of 17,427
+ring seed 6        78 of 1,149      3,427 of 15,437
+=================  ===============  =================
+
+The ring is ``cycle_graph(160)`` plus 8 random chords at
+``threshold_constant=0.1``.  On ``sparse-aux`` the second step is nearly
+vacuous.  Either miss can cost an overestimate, never an underestimate.
+Measured: no underestimate on the ``sparse-aux`` seeds 1-60 (35 while the
+final interval had a bottleneck), on ``sparse_workload(n, seed=n)`` for
+n = 240, 320 and 480 with algorithm seeds 0-5, 0-3 and 480 (14, 5 and 2
+before), nor on the ring seeds 1-20 (39 before).
 """
 
 from __future__ import annotations
@@ -268,13 +284,12 @@ def _assemble_for_source(
         center_trees=center_trees,
     )
 
-    # No bottleneck for the final interval: see the module docstring.
-    bottlenecks: Dict[int, Dict[int, Tuple[Edge, int]]] = {
-        landmark: find_bottleneck_edges(
-            path, landmark_intervals[landmark][:-1], landmark, evaluator
+    mtc_values: Dict[int, List[float]] = {}
+    bottlenecks: Dict[int, Dict[int, Tuple[Edge, int]]] = {}
+    for landmark, path in landmark_paths.items():
+        mtc_values[landmark], bottlenecks[landmark] = find_bottleneck_edges(
+            path, landmark_intervals[landmark], landmark, evaluator
         )
-        for landmark, path in landmark_paths.items()
-    }
 
     interval_avoiding = compute_interval_avoiding_tables(
         source=source,
@@ -283,7 +298,7 @@ def _assemble_for_source(
         landmark_intervals=landmark_intervals,
         bottlenecks=bottlenecks,
         landmark_trees=landmark_trees,
-        evaluator=evaluator,
+        mtc_values=mtc_values,
         near_small=near_small,
     )
 
@@ -298,6 +313,7 @@ def _assemble_for_source(
     table: PairEdgeTable = {}
     for landmark, path in landmark_paths.items():
         intervals = landmark_intervals[landmark]
+        mtc = mtc_values[landmark]
         path_length = len(path) - 1
         interval_iter = iter(intervals)
         current = next(interval_iter)
@@ -308,7 +324,7 @@ def _assemble_for_source(
             small = small_value((landmark, edge), inf)
             value = min(
                 small,
-                evaluator.mtc(landmark, path_length, current, edge),
+                mtc[edge_index],
                 interval_avoiding.get((landmark, current.ordinal), inf),
             )
             distance_to_landmark = path_length - (edge_index + 1)

@@ -225,7 +225,9 @@ def _check_tables_match_references(seed: int) -> None:
         )
 
         # Section 8.3.2: dense folded builder == dict-builder reference,
-        # on the real bottleneck/interval scaffolding of this source.
+        # on the real bottleneck/interval scaffolding of this source.  The
+        # dense builder reads the MTC values the bottleneck search hands
+        # it; the reference evaluates each MTC term afresh.
         evaluator = MTCEvaluator(
             source=source,
             source_tree=source_tree,
@@ -235,6 +237,7 @@ def _check_tables_match_references(seed: int) -> None:
         )
         landmark_paths = {}
         landmark_intervals = {}
+        mtc_values = {}
         bottlenecks = {}
         for landmark in sorted(landmarks.union):
             if landmark == source or not source_tree.is_reachable(landmark):
@@ -243,7 +246,7 @@ def _check_tables_match_references(seed: int) -> None:
             intervals = decompose_path(path, centers.priority_of)
             landmark_paths[landmark] = path
             landmark_intervals[landmark] = intervals
-            bottlenecks[landmark] = find_bottleneck_edges(
+            mtc_values[landmark], bottlenecks[landmark] = find_bottleneck_edges(
                 path, intervals, landmark, evaluator
             )
         kwargs = dict(
@@ -253,11 +256,12 @@ def _check_tables_match_references(seed: int) -> None:
             landmark_intervals=landmark_intervals,
             bottlenecks=bottlenecks,
             landmark_trees=landmark_trees,
-            evaluator=evaluator,
             near_small=near_small[source].values,
         )
-        dense = compute_interval_avoiding_tables(**kwargs)
-        reference = compute_interval_avoiding_tables_reference(**kwargs)
+        dense = compute_interval_avoiding_tables(mtc_values=mtc_values, **kwargs)
+        reference = compute_interval_avoiding_tables_reference(
+            evaluator=evaluator, **kwargs
+        )
         assert dense == reference, (
             f"seed={seed}: interval-avoiding tables differ for source {source}"
         )

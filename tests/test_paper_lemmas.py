@@ -21,8 +21,10 @@ ring instances against brute force.
 ``TestSection8CandidatesAreRealisable`` checks MTC, the Section 8.3 value
 and the near-landmark scan each on its own against brute force, the scan
 on every near landmark-table entry, including the certified ones the
-assembly skips.  ``TestIntervalAvoidingWork`` pins that the Section 8.3
-builder evaluates each MTC term at most twice, and the slow
+assembly skips.  ``TestMTCWork`` pins that the Section 8 assembly
+evaluates each MTC term exactly once, ``TestFinalIntervalCover`` counts
+the two steps of the final interval's cover that
+:mod:`repro.multisource.pipeline` does not prove, and the slow
 ``TestSizeSweep`` checks whole solves from n = 60 to 480 on four graph
 families: overestimates are allowed, underestimates are not.
 """
@@ -51,10 +53,7 @@ from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.csr import bfs_distances_csr
 from repro.graph.graph import Graph, normalize_edge
 from repro.graph.repair import subtree_repair_distances
-from repro.multisource.bottleneck import (
-    MTCEvaluator,
-    compute_interval_avoiding_tables,
-)
+from repro.multisource.bottleneck import MTCEvaluator
 from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
 
 
@@ -460,6 +459,26 @@ def _preprocessed(name, strategy):
     return solver, assemblies, source_to_center, interval_avoiding
 
 
+def _evaluators(name):
+    """``source -> MTCEvaluator`` of every Section 8 assembly of a setup.
+
+    Rebuilt from the recorded ``_assemble_for_source`` arguments and the
+    recorded Section 8.1 table of the source, as the assembly builds it.
+    """
+    _solver, assemblies, built, _avoiding = _preprocessed(name, "auxiliary")
+    tables = {tree.root: table for tree, table in built}
+    return {
+        assembly["source"]: MTCEvaluator(
+            source=assembly["source"],
+            source_tree=assembly["source_tree"],
+            source_to_center=tables[assembly["source"]],
+            center_to_landmark=assembly["center_to_landmark"],
+            center_trees=assembly["center_trees"],
+        )
+        for assembly in assemblies
+    }
+
+
 def _near_landmark_scans(name):
     """The near-landmark scan's arguments on every near landmark-table entry.
 
@@ -470,10 +489,11 @@ def _near_landmark_scans(name):
     assembly would pass the scan without the certificate.
     """
     _solver, assemblies, _tables, avoiding = _preprocessed(name, "auxiliary")
-    by_source = {kwargs["source"]: (kwargs, result) for kwargs, result in avoiding}
+    results = {kwargs["source"]: result for kwargs, result in avoiding}
+    evaluators = _evaluators(name)
     for assembly in assemblies:
-        kwargs, interval_avoiding = by_source[assembly["source"]]
-        evaluator = kwargs["evaluator"]
+        interval_avoiding = results[assembly["source"]]
+        evaluator = evaluators[assembly["source"]]
         center_trees = assembly["center_trees"]
         level0_centers = [
             (center, center_trees[center])
@@ -683,10 +703,11 @@ class TestSection8CandidatesAreRealisable:
     )
     def test_mtc_interval_avoiding_and_scan(self, name):
         avoiding = _preprocessed(name, "auxiliary")[3]
+        evaluators = _evaluators(name)
         truth = _truth(name)
         checked = {"MTC": 0, "8.3": 0, "scan": 0}
         for kwargs, result in avoiding:
-            evaluator = kwargs["evaluator"]
+            evaluator = evaluators[kwargs["source"]]
             exact = truth[evaluator.source]
             for landmark, path in kwargs["landmark_paths"].items():
                 path_length = len(path) - 1
@@ -715,18 +736,19 @@ class TestSection8CandidatesAreRealisable:
         assert all(checked.values()), checked
 
 
-class TestIntervalAvoidingWork:
-    """The Section 8.3 builder evaluates each MTC term at most twice.
+class TestMTCWork:
+    """The Section 8 assembly evaluates each MTC term exactly once.
 
-    A ``(landmark, interval ordinal, edge)`` triple is evaluated once as the
-    seed of its own ``[s, r, i]`` node, when ``edge`` is that interval's
-    bottleneck, and once as the ``r'`` term that every node with bottleneck
-    ``edge`` shares.
+    :func:`~repro.multisource.bottleneck.find_bottleneck_edges` evaluates
+    ``MTC(s, r, e)`` once per edge of every canonical ``s``-``r`` path and
+    hands the values to the Section 8.3 builder and the assembly, so one
+    ``_assemble_for_source`` call makes one evaluation per landmark-table
+    entry it returns.
     """
 
     @pytest.mark.parametrize("name", ["sparse-aux-1", "ring-6"])
-    def test_each_mtc_term_is_evaluated_at_most_twice(self, name, monkeypatch):
-        avoiding = _preprocessed(name, "auxiliary")[3]
+    def test_one_mtc_evaluation_per_table_entry(self, name, monkeypatch):
+        solver, assemblies, _tables, _avoiding = _preprocessed(name, "auxiliary")
         evaluated = collections.Counter()
         mtc = MTCEvaluator.mtc
 
@@ -735,13 +757,90 @@ class TestIntervalAvoidingWork:
             return mtc(self, landmark, path_length, interval, edge)
 
         monkeypatch.setattr(MTCEvaluator, "mtc", recording)
-        for kwargs, result in avoiding:
+        for assembly in assemblies:
             evaluated.clear()
-            assert compute_interval_avoiding_tables(**kwargs) == result
-            assert evaluated
-            assert max(evaluated.values()) <= 2, (
-                kwargs["source"], evaluated.most_common(3),
+            source = assembly["source"]
+            table = pipeline._assemble_for_source(**assembly)
+            assert table == solver.landmark_tables[source]
+            assert sum(evaluated.values()) == len(table), (
+                source, sum(evaluated.values()), len(table),
             )
+            assert set(evaluated.values()) == {1}, (
+                source, evaluated.most_common(3),
+            )
+
+
+class TestFinalIntervalCover:
+    """The two steps of the final interval's cover the pipeline does not prove.
+
+    An edge of the final interval of a canonical ``s``-``r`` path gets no
+    Section 8.3 value; the Section 7.1 value, the MTC ``c1`` term and the
+    near-landmark scan cover it (:mod:`repro.multisource.pipeline`).  That
+    needs two steps the pipeline docstring does not prove, counted here:
+
+    1. every final-interval edge is near ``r``;
+    2. the scan's ``d(s, c, e)`` is a Section 8.1 entry whenever ``e`` lies
+       on the canonical ``s``-``c`` path (the fallback is then
+       ``math.inf``).
+
+    Both counts are zero on the ``sparse-aux`` instances, where the
+    docstring claims them.  Step 1 holds there for every edge: the near
+    threshold (107) exceeds the eccentricity.  Step 2 is nearly vacuous
+    there: the Section 7.1 certificate leaves the scan 3 lookups on
+    sparse-aux-1 and none on sparse-aux-2.  On the ring at
+    ``threshold_constant=0.1`` both counts are positive; the pipeline
+    docstring records them.
+    """
+
+    @pytest.mark.parametrize("name", ["sparse-aux-1", "sparse-aux-2"])
+    def test_final_interval_edges_near_and_scan_reads_in_table(
+        self, name, monkeypatch
+    ):
+        solver, assemblies, built, _avoiding = _preprocessed(name, "auxiliary")
+        final_edges, not_near = 0, []
+        for assembly in assemblies:
+            threshold = assembly["scale"].near_threshold
+            for landmark, path in assembly["landmark_paths"].items():
+                final = assembly["landmark_intervals"][landmark][-1]
+                for index in range(final.start_index, final.end_index):
+                    final_edges += 1
+                    if len(path) - 1 - (index + 1) >= threshold:
+                        not_near.append((assembly["source"], landmark, index))
+        assert final_edges > 0
+        assert not not_near, (len(not_near), final_edges, not_near[:3])
+
+        # Step 2: every Section 8.1 lookup the scan makes, while the
+        # assemblies run again on their recorded arguments.
+        lookups = []
+        scanning = [False]
+        scan = pipeline._near_landmark_candidate
+        lookup = MTCEvaluator.source_to_center
+
+        def recording_scan(*args):
+            scanning[0] = True
+            try:
+                return scan(*args)
+            finally:
+                scanning[0] = False
+
+        def recording_lookup(self, center, edge):
+            if scanning[0]:
+                lookups.append((self.source, center, edge))
+            return lookup(self, center, edge)
+
+        monkeypatch.setattr(pipeline, "_near_landmark_candidate", recording_scan)
+        monkeypatch.setattr(MTCEvaluator, "source_to_center", recording_lookup)
+        for assembly in assemblies:
+            pipeline._assemble_for_source(**assembly)
+        monkeypatch.undo()
+        tables = {tree.root: table for tree, table in built}
+        missing = [
+            (source, center, edge)
+            for source, center, edge in lookups
+            if (center, edge) not in tables[source]
+            and solver.source_trees[source].tree_path_uses_edge(edge, center)
+        ]
+        assert not missing, (len(missing), len(lookups), missing[:3])
 
 
 def _certified(solver, source, target, edge):
