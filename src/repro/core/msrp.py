@@ -329,8 +329,10 @@ class MSRPSolver:
         """Provenance block for the on-disk store (:mod:`repro.store`).
 
         Returns the strategy, the governing :class:`AlgorithmParams` as a
-        plain dict and the per-phase timings of the solve that produced
-        the result, so a store records how its tables were computed.
+        plain dict, the sources and the executor's counters, so a store
+        records how its tables were computed.  The wall-clock
+        :attr:`phase_seconds` stay out: they differ between two solves of
+        one instance, and so would the store's bytes.
         """
         from dataclasses import asdict
 
@@ -338,7 +340,6 @@ class MSRPSolver:
             "strategy": self.landmark_strategy,
             "params": asdict(self.params),
             "sources": list(self.sources),
-            "phase_seconds": dict(self.phase_seconds),
             "executor_stats": dict(self.executor_stats),
         }
 

@@ -42,7 +42,9 @@ A store is a directory with exactly two files::
     segment is decoded.
 ``meta``
     Free-form provenance (strategy, :class:`AlgorithmParams` fields,
-    phase timings) — informational, not validated.
+    sources, executor counters) — informational, not validated.  It holds
+    no wall-clock timings, so two solves of one instance write stores of
+    equal size.
 
 **segments.bin** concatenates plain :mod:`array` buffers.  Per source
 ``s`` the store carries the BFS tree (``tree/<s>/parent`` with ``-1`` for

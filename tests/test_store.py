@@ -103,6 +103,23 @@ class TestRoundTrip:
         loaded, _ = load_store(directory)
         assert_results_identical(loaded, serial)
 
+    def test_identical_solves_write_identical_stores(self, tmp_path):
+        """Two solves of one seeded instance store the same metadata and size.
+
+        Wall-clock phase timings in the metadata would make both differ.
+        """
+        graph = generators.random_connected_graph(16, extra_edges=14, seed=4)
+        stores = []
+        for run in ("first", "second"):
+            solver, result = solve(graph, 4)
+            directory = tmp_path / run
+            write_store(str(directory), result, meta=solver.store_metadata())
+            size = sum(path.stat().st_size for path in directory.iterdir())
+            stores.append((solver.store_metadata(), size))
+        (meta, size), (other_meta, other_size) = stores
+        assert meta == other_meta
+        assert size == other_size
+
     def test_replacement_queries_after_load(self, tmp_path):
         graph = generators.random_connected_graph(16, extra_edges=14, seed=4)
         _, result = solve(graph, 4)
