@@ -4,7 +4,7 @@ algorithm of Gupta, Jain and Modi (PODC 2020, arXiv:2005.09262).
 The package is organised in layers:
 
 * :mod:`repro.graph` — graph container, BFS, shortest-path trees with
-  Euler-interval tree queries, subtree repair and workload generators
+  preorder-span tree queries, subtree repair and workload generators
   (the substrates the paper assumes).
 * :mod:`repro.rp` — classical single-pair replacement paths and brute-force
   oracles.

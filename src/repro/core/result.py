@@ -13,7 +13,6 @@ distance-oracle view of Bernstein & Karger.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from operator import index as _vertex_id
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -175,8 +174,8 @@ class ReplacementPathResult:
         target = _require_vertex(tree, target)
         child = tree.edge_child(self.require_edge(edge))
         if child is not None:
-            tin, tout = tree.euler_intervals()
-            if tin[child] <= tin[target] <= tout[child]:
+            pos, end = tree.spans()
+            if pos[child] <= pos[target] < end[child]:
                 return self._tables[source][target][int(tree.dist[child]) - 1]
         return tree.dist[target]
 
@@ -192,13 +191,10 @@ class ReplacementPathResult:
         child = tree.edge_child(self.require_edge(edge))
         lengths = list(tree.dist)
         if child is not None:
-            tin, tout = tree.euler_intervals()
-            preorder = tree.preorder()
-            lo = bisect_left(preorder, tin[child], key=tin.__getitem__)
-            hi = bisect_right(preorder, tout[child], key=tin.__getitem__)
+            pos, end = tree.spans()
             depth = int(tree.dist[child]) - 1
             per_source = self._tables[source]
-            for target in preorder[lo:hi]:
+            for target in tree.preorder()[pos[child]:end[child]]:
                 lengths[target] = per_source[target][depth]
         return lengths
 

@@ -48,30 +48,32 @@ PairEdgeTable = Dict[Tuple[int, Edge], float]
 def _repair_subtree(
     rows: Sequence[Tuple[int, ...]],
     pos: Sequence[int],
+    end: Sequence[int],
     dist: Sequence[float],
     preorder: Sequence[int],
-    end: Sequence[int],
-    lo: int,
+    child: int,
     parent: int,
     limit: float,
 ) -> Dict[int, int]:
-    """New root distances in the zone of ``preorder[lo]``'s cut top edge.
+    """New root distances in the zone of the cut tree edge ``(parent, child)``.
 
-    ``preorder[lo]`` is the subtree's top vertex ``ch``, ``parent`` its
-    tree parent and ``end[i]`` one past the last preorder position of
-    ``preorder[i]``'s subtree.  The zone is the subtree's vertices with
-    ``dist < limit``.  Returns ``vertex -> distance`` for the zone
-    vertices still reachable inside the zone; an absent vertex is cut off.
+    ``pos``/``end`` are the tree's spans
+    (:meth:`~repro.graph.tree.ShortestPathTree.spans`), so ``child``'s
+    subtree is ``preorder[pos[child]:end[child]]``.  The zone is the
+    subtree's vertices with ``dist < limit``.  Returns ``vertex ->
+    distance`` for the zone vertices still reachable inside the zone; an
+    absent vertex is cut off.
     """
     inf = math.inf
-    hi = end[lo]
+    lo = pos[child]
+    hi = end[child]
     seeds: List[Tuple[int, int]] = []
     i = lo
     while i < hi:
         y = preorder[i]
         if dist[y] >= limit:
             # Depth grows down the tree: y's whole subtree is past the window.
-            i = end[i]
+            i = end[y]
             continue
         i += 1
         best = inf
@@ -136,13 +138,7 @@ def subtree_repair_distances(
     dist = tree.dist
     parent = tree.parent
     preorder = tree.preorder()
-    pos = [-1] * len(parent)
-    for index, v in enumerate(preorder):
-        pos[v] = index
-    tin, tout = tree.euler_intervals()
-    # ShortestPathTree.subtree_size, inlined: the Euler interval holds one
-    # entry and one exit per subtree vertex.
-    end = [i + (tout[v] - tin[v] + 1) // 2 for i, v in enumerate(preorder)]
+    pos, end = tree.spans()
     # Position 0 is the root and -1 marks an unreachable target.
     target_pos = sorted({pos[t] for t in targets if pos[t] > 0})
 
@@ -153,12 +149,12 @@ def subtree_repair_distances(
         if dist[child] > max_depth:
             continue
         first = bisect_left(target_pos, lo)
-        last = bisect_left(target_pos, end[lo], first)
+        last = bisect_left(target_pos, end[child], first)
         if first == last:
             continue
         p = parent[child]
         limit = dist[child] + window
-        new = _repair_subtree(rows, pos, dist, preorder, end, lo, p, limit)
+        new = _repair_subtree(rows, pos, end, dist, preorder, child, p, limit)
         edge = (p, child) if p <= child else (child, p)
         k = first
         while k < last:
@@ -169,5 +165,5 @@ def subtree_repair_distances(
                 k += 1
             else:
                 # Skip the targets below t: they are past the window too.
-                k = bisect_left(target_pos, end[at], k, last)
+                k = bisect_left(target_pos, end[t], k, last)
     return result

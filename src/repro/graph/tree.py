@@ -4,31 +4,29 @@ Every phase of the replacement-path algorithms reasons about *canonical*
 shortest paths, which we fix to be the paths of a breadth-first-search tree
 rooted at the relevant vertex (a source, a landmark, or a center).  The
 :class:`ShortestPathTree` produced by :func:`repro.graph.bfs.bfs_tree`
-therefore carries, besides parents and distances, an Euler tour of the tree
-so the following predicates are answered in ``O(1)``:
-
-* ``is_ancestor(a, x)`` — is ``a`` on the tree path from the root to ``x``?
-* ``tree_path_uses_edge(e, x)`` — does the tree path root ``->`` ``x`` use
-  the tree edge ``e``?  (This is the "does ``e`` lie on the ``s v`` path"
-  predicate used throughout Sections 6-8 of the paper.)
-
-Both reduce to subtree-membership tests on Euler-tour intervals, the same
-technique the paper's Lemma 6 (LCA structure of Bender & Farach-Colton)
-relies on.
+therefore carries, besides parents and distances, each vertex's *span*:
+its position ``pos[v]`` in a preorder of the tree and the end
+``end[v] = pos[v] + |subtree(v)|`` of its subtree's run.  A subtree is one
+contiguous run of the preorder, ``preorder()[pos[v]:end[v]]``, so ``x``
+lies in ``subtree(v)`` iff ``pos[v] <= pos[x] < end[v]``.  That one test
+answers, in ``O(1)``, the tree question of Sections 6-8 of the paper
+(Lemma 6's ancestor query): ``tree_path_uses_edge(e, x)`` — does the tree
+path root ``->`` ``x`` use the tree edge ``e``? — tests ``x`` against the
+span of ``e``'s child.
 
 Laziness contract
 -----------------
 Construction stores only the three flat arrays BFS already produced —
 ``parent``, ``dist`` and ``order`` — and *adopts* them when they are plain
-lists (no copy).  The Euler ``tin``/``tout`` intervals and the preorder
-are materialised on first use and cached for the lifetime of the tree:
+lists (no copy).  The spans and the preorder are materialised on first use
+and cached for the lifetime of the tree:
 
 * a tree that only ever answers ``distance`` / ``path_to`` /
   ``edge_child`` / ``deepest_path_ancestor_indices`` queries (oracle
   distance tables, many center trees) never builds any derived structure;
-* the first subtree query (``is_ancestor``, ``tree_path_uses_edge``,
-  ``distance_avoiding`` on a tree edge, ``subtree_size``, …) builds the
-  intervals once, in ``O(n)``.
+* the first subtree query (``spans()``, ``tree_path_uses_edge``,
+  ``distance_avoiding`` on a tree edge, ``preorder()``) builds the spans
+  once, in ``O(n)``.
 
 A tree edge's child needs no derived structure: the parent array answers
 it.  An edge ``(u, v)`` whose endpoints are both vertices is a tree edge
@@ -37,8 +35,8 @@ with child ``v`` when ``parent[v] == u``, with child ``u`` when
 first, because a bare ``parent[-1]`` read would answer for the last vertex.
 
 The flat arrays themselves are part of the public surface: hot loops are
-encouraged to grab ``parent`` and ``euler_intervals()`` once and index
-them directly instead of paying a method call per query.
+encouraged to grab ``parent``, ``spans()`` and ``preorder()`` once and
+index them directly instead of paying a method call per query.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from repro.graph.graph import Edge, normalize_edge
 
 
 class ShortestPathTree:
-    """A rooted shortest-path tree with O(1) ancestor and path-edge queries.
+    """A rooted shortest-path tree with O(1) subtree and path-edge queries.
 
     Instances are produced by :func:`repro.graph.bfs.bfs_tree` and
     :func:`repro.graph.csr.bfs_tree_csr`; the constructor is considered
@@ -75,8 +73,8 @@ class ShortestPathTree:
     Notes
     -----
     List arguments are adopted without copying — the BFS kernels hand their
-    freshly built arrays straight over.  Derived structures (Euler
-    intervals, preorder) are built lazily; see the module docstring for
+    freshly built arrays straight over.  Derived structures (spans,
+    preorder) are built lazily; see the module docstring for
     the exact contract.
     """
 
@@ -85,8 +83,8 @@ class ShortestPathTree:
         "parent",
         "dist",
         "order",
-        "_tin",
-        "_tout",
+        "_pos",
+        "_end",
         "_preorder",
     )
 
@@ -108,32 +106,29 @@ class ShortestPathTree:
             )
         self.root = root
         # Derived structures; ``None`` until the first query that needs them.
-        self._tin: Optional[List[int]] = None
-        self._tout: Optional[List[int]] = None
+        self._pos: Optional[List[int]] = None
+        self._end: Optional[List[int]] = None
         self._preorder: Optional[List[int]] = None
 
     # -- lazy construction helpers ------------------------------------------
 
-    def _build_intervals(self) -> Tuple[List[int], List[int]]:
-        """Compute DFS entry/exit times without running a DFS.
+    def _build_spans(self) -> Tuple[List[int], List[int]]:
+        """Compute every vertex's preorder span without running a DFS.
 
-        A vertex's Euler interval is determined by arithmetic alone: a
-        subtree with ``k`` vertices occupies exactly ``2k`` timestamps (one
-        entry and one exit each), and the children of ``v`` own consecutive
-        blocks starting right after ``v``'s entry, in the order ``order``
-        visits them.  Two linear sweeps over ``order`` (which lists parents
-        before children — the only property this relies on) produce a valid
-        laminar interval family at a fraction of the DFS constant factor;
-        for plain BFS trees the timestamps coincide with a DFS over the
-        child lists, while ``prefer_path``-reparented trees may order
-        siblings differently (the intervals stay correct, the exact
-        timestamps are not part of the contract).  Unreachable vertices keep
-        the ``-1`` sentinel in both arrays, which makes every interval test
-        against them fail — exactly the answer structural queries need.
+        A subtree with ``k`` vertices occupies ``k`` consecutive preorder
+        positions, and the children of ``v`` own consecutive blocks
+        starting right after ``v``, in the order ``order`` visits them.
+        Two linear sweeps over ``order`` (which lists parents before
+        children — the only property this relies on) therefore place
+        every vertex: subtree sizes bottom-up, then blocks top-down.  For
+        plain BFS trees this is the preorder of a DFS over the child
+        lists; ``prefer_path``-reparented trees may order siblings
+        differently (the spans stay correct, the exact positions are not
+        part of the contract).  Unreachable vertices keep the ``-1``
+        sentinel in both arrays, which makes every span test against them
+        fail — exactly the answer structural queries need.
         """
         n = len(self.parent)
-        tin = [-1] * n
-        tout = [-1] * n
         parent = self.parent
         order = self.order
         # Bottom-up subtree sizes (children appear after parents in order).
@@ -142,53 +137,52 @@ class ShortestPathTree:
             p = parent[v]
             if p is not None:
                 size[p] += size[v]
-        # Top-down block assignment; cursor[v] is the next free timestamp
-        # inside v's interval.
-        cursor = [0] * n
+        # Top-down block assignment.  Once v is placed, size[v] is reused
+        # as the next free position inside v's run.
+        pos = [-1] * n
+        end = [-1] * n
         root = self.root
-        tin[root] = 0
-        tout[root] = 2 * size[root] - 1
-        cursor[root] = 1
+        pos[root] = 0
+        end[root] = size[root]
+        size[root] = 1
         for v in order:
             p = parent[v]
             if p is None:
                 continue
-            t = cursor[p]
-            tin[v] = t
-            tout[v] = t + 2 * size[v] - 1
-            cursor[v] = t + 1
-            cursor[p] = t + 2 * size[v]
-        self._tin = tin
-        self._tout = tout
-        return tin, tout
+            start = size[p]
+            pos[v] = start
+            end[v] = size[p] = start + size[v]
+            size[v] = start + 1
+        self._pos = pos
+        self._end = end
+        return pos, end
 
     # -- flat-array accessors for hot loops ----------------------------------
 
-    def euler_intervals(self) -> Tuple[List[int], List[int]]:
-        """The Euler ``(tin, tout)`` arrays (cached; ``-1`` = unreachable).
+    def spans(self) -> Tuple[List[int], List[int]]:
+        """The ``(pos, end)`` preorder spans (cached; ``-1`` = unreachable).
 
-        ``u`` is an ancestor of a *reachable* ``v`` iff
-        ``tin[u] <= tin[v] <= tout[u]``.
+        ``x`` lies in the subtree of ``v`` iff ``pos[v] <= pos[x] < end[v]``,
+        and that subtree is ``preorder()[pos[v]:end[v]]``.
         """
-        tin = self._tin
-        if tin is None:
-            return self._build_intervals()
-        return tin, self._tout  # type: ignore[return-value]
+        pos = self._pos
+        if pos is None:
+            return self._build_spans()
+        return pos, self._end  # type: ignore[return-value]
 
     def preorder(self) -> List[int]:
-        """The reachable vertices in DFS preorder (cached).
+        """The reachable vertices in preorder, root first (cached).
 
-        Derived by sorting the BFS order by ``tin`` — the Euler intervals
-        are laminar, so ascending entry times are exactly a preorder
-        consistent with ``parent``.  Consumers that walk the tree top-down
-        (the assembly sweep, the result's subtree slices) share this
-        instead of re-deriving it.
+        Filled from ``pos`` in ``O(n)``.  Consumers that walk the tree
+        top-down (the assembly sweep, the result's subtree slices, the
+        repair kernel) share this instead of re-deriving it.
         """
         preorder = self._preorder
         if preorder is None:
-            tin, _ = self.euler_intervals()
-            preorder = sorted(self.order, key=tin.__getitem__)
-            self._preorder = preorder
+            pos, _ = self.spans()
+            preorder = self._preorder = [0] * len(self.order)
+            for v in self.order:
+                preorder[pos[v]] = v
         return preorder
 
     # -- pickling ------------------------------------------------------------
@@ -196,7 +190,7 @@ class ShortestPathTree:
     def __getstate__(self):
         """Ship only the three flat BFS arrays; derived caches rebuild lazily.
 
-        The Euler intervals and the preorder are both ``O(n)`` to
+        The spans and the preorder are both ``O(n)`` to
         rematerialise and usually *larger* than the
         arrays they derive from, so a tree crosses the process boundary as
         exactly what BFS produced.  A worker that only answers
@@ -217,8 +211,8 @@ class ShortestPathTree:
         self.parent = parent
         self.dist = [inf if d == inf else d for d in dist]
         self.order = order
-        self._tin = None
-        self._tout = None
+        self._pos = None
+        self._end = None
         self._preorder = None
 
     @property
@@ -228,7 +222,7 @@ class ShortestPathTree:
         Exposed for tests pinning the laziness contract; not used by the
         algorithms themselves.
         """
-        return self._tin is not None
+        return self._pos is not None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -246,14 +240,6 @@ class ShortestPathTree:
         return v == self.root or self.parent[v] is not None
 
     # -- structural queries --------------------------------------------------
-
-    def is_ancestor(self, ancestor: int, descendant: int) -> bool:
-        """Return ``True`` when ``ancestor`` lies on the root->``descendant``
-        tree path (a vertex is an ancestor of itself)."""
-        if not self.is_reachable(descendant) or not self.is_reachable(ancestor):
-            return False
-        tin, tout = self.euler_intervals()
-        return tin[ancestor] <= tin[descendant] and tout[descendant] <= tout[ancestor]
 
     def edge_child(self, edge: Sequence[int]) -> Optional[int]:
         """Return the lower (child) endpoint of a tree edge, or ``None``.
@@ -281,16 +267,16 @@ class ShortestPathTree:
 
         Non-tree edges are never used by tree paths; for a tree edge the
         answer is a subtree-membership test on its child endpoint.  The
-        ``-1`` sentinel of unreachable targets fails the lower interval
-        bound (every tree-edge child has ``tin >= 1``), so no reachability
+        ``-1`` sentinel of unreachable targets fails the lower span bound
+        (every tree-edge child has ``pos >= 1``), so no reachability
         pre-check is needed.  Endpoints are coerced like
         :meth:`edge_child`'s.
         """
         child = self.edge_child(edge)
         if child is None:
             return False
-        tin, tout = self.euler_intervals()
-        return tin[child] <= tin[target] <= tout[child]
+        pos, end = self.spans()
+        return pos[child] <= pos[target] < end[child]
 
     def distance_avoiding(self, edge: Edge, target: int) -> float:
         """Root-``target`` distance when the canonical path avoids ``edge``.
@@ -306,12 +292,12 @@ class ShortestPathTree:
             return d
         child = self.edge_child(edge)
         if child is not None:
-            tin = self._tin
-            if tin is None:
-                tin, tout = self._build_intervals()
+            pos = self._pos
+            if pos is None:
+                pos, end = self._build_spans()
             else:
-                tout = self._tout
-            if tin[child] <= tin[target] <= tout[child]:
+                end = self._end
+            if pos[child] <= pos[target] < end[child]:
                 return math.inf
         return d
 
@@ -366,14 +352,6 @@ class ShortestPathTree:
                 p = self.parent[v]
                 result[v] = result[p] if p is not None else -1
         return result
-
-    def subtree_size(self, v: int) -> int:
-        """Return the number of vertices in the subtree rooted at ``v``."""
-        if not self.is_reachable(v):
-            return 0
-        tin, tout = self.euler_intervals()
-        # Euler intervals contain one entry and one exit per subtree vertex.
-        return (tout[v] - tin[v] + 1) // 2
 
     def reachable_vertices(self) -> List[int]:
         """Return the vertices reachable from the root (the BFS order)."""

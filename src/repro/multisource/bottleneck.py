@@ -255,10 +255,10 @@ def compute_interval_avoiding_tables(
     (the bottleneck edges are tree edges of the source tree, and many
     intervals share one): the ``[s, r, i]`` nodes are grouped by their
     bottleneck edge ``e``, and for each landmark ``r'`` each group resolves
-    once what depends only on ``(r', e)``: ``e``'s subtree interval in
+    once what depends only on ``(r', e)``: ``e``'s subtree span in
     ``r'``'s tree, whether ``e`` lies on the canonical ``s``-``r'`` path,
     and then the term ``MTC(r', e)`` and the ``[r', i']`` node of ``r'``'s
-    interval holding ``e``.  The quadratic loop body is interval compares
+    interval holding ``e``.  The quadratic loop body is span compares
     and dense-id arc appends — no per-query :meth:`tree_path_uses_edge` /
     ``is_reachable`` predicates.  The per-query form survives as
     :func:`compute_interval_avoiding_tables_reference`, the oracle the
@@ -281,7 +281,7 @@ def compute_interval_avoiding_tables(
 
     # Per (landmark, interval) node, grouped by distinct bottleneck edge:
     # every bottleneck edge is a tree edge of the source tree (it lies on a
-    # canonical s-r path), so its subtree interval, its path-edge index and
+    # canonical s-r path), so its subtree span, its path-edge index and
     # the edge itself are resolved once.  ``best[id]`` folds every
     # ``[s] -> [s, r, i]`` contribution — the small-path and MTC seeds plus
     # the entire ``via [r']`` family, whose ``[r']`` layer has the known
@@ -289,12 +289,12 @@ def compute_interval_avoiding_tables(
     # becomes one seed arc per node, with identical distances (pinned
     # against the reference builder by the differential fuzz battery).
     s_edge_child = source_tree.edge_child
-    s_tin, s_tout = source_tree.euler_intervals()
+    s_pos, s_end = source_tree.spans()
     source_dist = source_tree.dist
     ri_ids: Dict[Tuple[int, int], int] = {}
-    #: per distinct bottleneck edge, in first-use order: (edge, the Euler
-    #: interval of its child in the source tree, its path-edge index, the
-    #: group of (landmark, [s, r, i] node id) it is the bottleneck of)
+    #: per distinct bottleneck edge, in first-use order: (edge, the span of
+    #: its child in the source tree, its path-edge index, the group of
+    #: (landmark, [s, r, i] node id) it is the bottleneck of)
     groups: List[Tuple[Edge, int, int, int, List[Tuple[int, int]]]] = []
     group_of: Dict[Edge, List[Tuple[int, int]]] = {}
     inf = math.inf
@@ -326,8 +326,8 @@ def compute_interval_avoiding_tables(
                 child = s_edge_child(bottleneck_edge)
                 groups.append((
                     bottleneck_edge,
-                    s_tin[child],
-                    s_tout[child],
+                    s_pos[child],
+                    s_end[child],
                     bottleneck_index,
                     group,
                 ))
@@ -340,21 +340,21 @@ def compute_interval_avoiding_tables(
         other_tree = landmark_trees[other]
         o_dist = other_tree.dist
         o_edge_child = other_tree.edge_child
-        o_tin, o_tout = other_tree.euler_intervals()
-        s_t_other = s_tin[other]
+        o_pos, o_end = other_tree.spans()
+        s_pos_other = s_pos[other]
         cand_base = float(source_dist[other])
         other_mtc = mtc_values[other]
         other_ordinals = ordinal_of_index[other]
         for edge, s_lo, s_hi, path_index, group in groups:
-            # Subtree interval of e in r''s tree ((1, 0) — empty — when e
-            # is not a tree edge there).
+            # Span of e's child in r''s tree ((0, 0) — empty — when e is
+            # not a tree edge there).
             child = o_edge_child(edge)
             if child is None:
-                o_lo, o_hi = 1, 0
+                o_lo, o_hi = 0, 0
             else:
-                o_lo, o_hi = o_tin[child], o_tout[child]
+                o_lo, o_hi = o_pos[child], o_end[child]
             # source_tree.tree_path_uses_edge(e, other)
-            if not s_lo <= s_t_other <= s_hi:
+            if not s_lo <= s_pos_other < s_hi:
                 # The canonical s-r' path avoids the bottleneck: the plain
                 # distance |s r'| is realisable.
                 for landmark, node_id in group:
@@ -364,7 +364,7 @@ def compute_interval_avoiding_tables(
                     if hop is inf:
                         continue
                     # other_tree.tree_path_uses_edge(e, landmark)
-                    if o_lo <= o_tin[landmark] <= o_hi:
+                    if o_lo <= o_pos[landmark] < o_hi:
                         continue
                     cand = cand_base + hop
                     if cand < best[node_id]:
@@ -382,7 +382,7 @@ def compute_interval_avoiding_tables(
                 if hop is inf:
                     continue
                 # other_tree.tree_path_uses_edge(e, landmark)
-                if o_lo <= o_tin[landmark] <= o_hi:
+                if o_lo <= o_pos[landmark] < o_hi:
                     continue
                 hop = float(hop)
                 if other_ri_id is None:

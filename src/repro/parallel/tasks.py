@@ -61,26 +61,25 @@ def bruteforce_edges_task(
     Context: ``{"graph": CSRGraph, "source": int, "tree": ShortestPathTree}``.
     A key is the child endpoint of a tree edge (unique per edge); the value
     is ``(edge, {target: replacement_length})`` restricted to the targets
-    in the subtree below the failed edge — exactly the entries the serial
-    sweep in :func:`repro.rp.bruteforce.brute_force_single_source` fills
-    for that edge, in the same target order.
+    in the subtree below the failed edge, the child's preorder run —
+    exactly the entries the merge in
+    :func:`repro.rp.bruteforce.brute_force_single_source` fills for that
+    edge.
     """
     ctx = worker_context()
     csr = ctx["graph"]
     source = ctx["source"]
     tree = ctx["tree"]
-    reachable = tree.reachable_vertices()
-    is_ancestor = tree.is_ancestor
+    preorder = tree.preorder()
+    pos, end = tree.spans()
     results: Dict[int, Tuple[Any, Dict[int, float]]] = {}
     for child in children:
-        parent = tree.parent[child]
-        edge = normalize_edge(parent, child)
+        edge = normalize_edge(tree.parent[child], child)
         dist = bfs_distances_csr(csr, source, forbidden_edge=edge)
-        per_target: Dict[int, float] = {}
-        for t in reachable:
-            if t != source and is_ancestor(child, t):
-                per_target[t] = dist[t]
-        results[child] = (edge, per_target)
+        results[child] = (
+            edge,
+            {t: dist[t] for t in preorder[pos[child]:end[child]]},
+        )
     return results
 
 

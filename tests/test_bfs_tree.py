@@ -60,12 +60,16 @@ class TestShortestPathTree:
         with pytest.raises(NotOnPathError):
             tree.path_to(2)
 
-    def test_is_ancestor(self):
-        g = generators.path_graph(5)
-        tree = bfs_tree(g, 0)
-        assert tree.is_ancestor(2, 4)
-        assert tree.is_ancestor(4, 4)
-        assert not tree.is_ancestor(4, 2)
+    def test_spans_hold_each_subtree(self):
+        # Star with a pendant path: 0-1-2-3 plus 1-4, and 5 unreachable.
+        tree = bfs_tree(Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4)]), 0)
+        pos, end = tree.spans()
+        preorder = tree.preorder()
+        assert preorder == [0, 1, 2, 3, 4]
+        assert sorted(preorder[pos[1]:end[1]]) == [1, 2, 3, 4]
+        assert preorder[pos[2]:end[2]] == [2, 3]
+        assert preorder[pos[4]:end[4]] == [4]
+        assert pos[5] == end[5] == -1
 
     def test_tree_path_uses_edge(self):
         g = generators.path_graph(5)
@@ -120,10 +124,11 @@ class TestShortestPathTree:
             tree.deepest_path_ancestor_indices([1, 2, 3])
 
     def test_subtree_size(self):
+        # A span is as long as its subtree.
         g = generators.path_graph(5)
-        tree = bfs_tree(g, 0)
-        assert tree.subtree_size(0) == 5
-        assert tree.subtree_size(3) == 2
+        pos, end = bfs_tree(g, 0).spans()
+        assert end[0] - pos[0] == 5
+        assert end[3] - pos[3] == 2
 
     def test_fractional_edge_endpoints_rejected(self):
         # (0.5, 1.2) is not the tree edge (0, 1): truncating it would

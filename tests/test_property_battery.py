@@ -14,12 +14,12 @@ contracts against each other:
   removal separates the pair.
 * **CSR BFS == dict BFS** — the flat kernel and the reference
   implementation produce identical distances, parents and orders on the
-  same battery, with and without forbidden edges.
+  same battery, and identical distances with forbidden edges.
 * **Lazy tree == parent-walk reference** — the lazily materialised
-  structural queries of :class:`ShortestPathTree` (``is_ancestor``,
-  ``edge_child``, ``distance_avoiding``, ``subtree_size``) agree with
-  naive parent-pointer walks, and trees produced by ``bfs_many`` build no
-  structural cache until the first structural query.
+  structural queries of :class:`ShortestPathTree` (the preorder spans,
+  ``edge_child``, ``distance_avoiding``) agree with naive parent-pointer
+  walks, and trees produced by ``bfs_many`` build no structural cache
+  until the first structural query.
 * **Interned Dijkstra == reference Dijkstra** — the distance list of
   :class:`InternedAuxiliaryGraph`, read by each node's id, equals the
   dict-based reference's distances on the same randomly weighted
@@ -434,16 +434,15 @@ def test_lazy_tree_queries_match_parent_walk_reference(name):
         graph = GENERATORS[name](seed)
         n = graph.num_vertices
         tree = bfs_tree_csr(graph, seed % n)
-        for ancestor in range(n):
-            for descendant in range(n):
-                assert tree.is_ancestor(ancestor, descendant) == ref_is_ancestor(
-                    tree, ancestor, descendant
-                ), f"{name}: is_ancestor({ancestor}, {descendant})"
+        pos, end = tree.spans()
+        preorder = tree.preorder()
         for v in range(n):
-            expected = sum(
-                1 for x in range(n) if ref_is_ancestor(tree, v, x)
-            )
-            assert tree.subtree_size(v) == expected, f"{name}: subtree_size({v})"
+            if not tree.is_reachable(v):
+                assert pos[v] == end[v] == -1, f"{name}: span of unreachable {v}"
+                continue
+            run = preorder[pos[v]:end[v]]
+            expected = [x for x in range(n) if ref_is_ancestor(tree, v, x)]
+            assert run[0] == v and sorted(run) == expected, f"{name}: span of {v}"
         for edge in graph.edges():
             assert tree.edge_child(edge) == ref_edge_child(tree, edge), (
                 f"{name}: edge_child({edge})"
@@ -474,7 +473,7 @@ def test_bfs_many_trees_build_no_structural_cache(name):
         assert tree.distance(deepest) == len(path) - 1
         assert not tree.has_structural_cache
         # The first structural query materialises the caches, once.
-        assert tree.is_ancestor(root, deepest)
+        assert tree.tree_path_uses_edge((tree.parent[deepest], deepest), deepest)
         assert tree.has_structural_cache
 
 
@@ -589,13 +588,15 @@ def test_csr_bfs_equals_dict_bfs_extended():
     for name, factory in sorted(GENERATORS.items()):
         graph = factory(21)
         for root in range(graph.num_vertices):
-            assert bfs_distances_csr(graph, root) == bfs_distances(graph, root)
-        for edge in graph.edges():
-            dict_tree = bfs_tree(graph, 0, forbidden_edge=edge)
-            csr_tree = bfs_tree_csr(graph, 0, forbidden_edge=edge)
+            dict_tree = bfs_tree(graph, root)
+            csr_tree = bfs_tree_csr(graph, root)
             assert csr_tree.parent == dict_tree.parent
             assert csr_tree.dist == dict_tree.dist
             assert csr_tree.order == dict_tree.order
+        for edge in graph.edges():
+            assert bfs_distances_csr(graph, 0, forbidden_edge=edge) == bfs_distances(
+                graph, 0, forbidden_edge=edge
+            )
 
 
 @pytest.mark.slow

@@ -23,17 +23,26 @@ from tests.test_property_battery import GENERATORS
 
 
 def _per_edge_bfs(graph, tree, targets, max_depth):
-    """The kernel's table, one full forbidden-edge BFS per tree edge."""
-    targets = set(targets)
+    """The kernel's table, one full forbidden-edge BFS per tree edge.
+
+    A target's edges come from a walk up its parent pointers, so the
+    reference shares nothing with the kernel's preorder spans.
+    """
+    parent = tree.parent
+    avoiding = {}
     expected = {}
-    for child in tree.order[1:]:
-        if tree.dist[child] > max_depth:
-            continue
-        edge = normalize_edge(tree.parent[child], child)
-        dist = bfs_distances_csr(graph, tree.root, forbidden_edge=edge)
-        for t in tree.order:
-            if t in targets and tree.is_ancestor(child, t):
-                expected[(t, edge)] = dist[t]
+    for t in set(targets):
+        child = t
+        while parent[child] is not None:
+            p = parent[child]
+            if tree.dist[child] <= max_depth:
+                edge = normalize_edge(p, child)
+                if edge not in avoiding:
+                    avoiding[edge] = bfs_distances_csr(
+                        graph, tree.root, forbidden_edge=edge
+                    )
+                expected[(t, edge)] = avoiding[edge][t]
+            child = p
     return expected
 
 
