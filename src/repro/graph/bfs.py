@@ -7,9 +7,9 @@ one BFS per failed edge.
 
 Two entry points are provided:
 
-* :func:`bfs_distances` — distances only, the cheapest form.
+* :func:`bfs_distances` — distances only, the cheapest form, optionally
+  with an edge excluded (for brute-force baselines).
 * :func:`bfs_tree` — a full :class:`~repro.graph.tree.ShortestPathTree`,
-  optionally with an edge excluded (for brute-force baselines) and
   optionally with a *preferred path* forced into the tree, which the
   single-pair replacement-path algorithm uses to make the reversed ``s-t``
   path a tree path of the tree rooted at ``t``.
@@ -88,7 +88,6 @@ def bfs_distances(
 def bfs_tree(
     graph: Graph,
     source: int,
-    forbidden_edge: Optional[Sequence[int]] = None,
     prefer_path: Optional[Sequence[int]] = None,
 ) -> ShortestPathTree:
     """Run BFS from ``source`` and return the shortest-path tree.
@@ -99,8 +98,6 @@ def bfs_tree(
         The input graph.
     source:
         Root of the tree.
-    forbidden_edge:
-        Optional edge to exclude from the traversal (brute-force baselines).
     prefer_path:
         Optional vertex sequence starting at ``source``.  When given, the
         parents along the sequence are overridden so the sequence becomes a
@@ -115,11 +112,6 @@ def bfs_tree(
     ShortestPathTree
     """
     _check_source(graph, source)
-    banned = (
-        normalize_edge(_vertex_id(forbidden_edge[0]), _vertex_id(forbidden_edge[1]))
-        if forbidden_edge is not None
-        else None
-    )
     n = graph.num_vertices
     dist: List[float] = [math.inf] * n
     parent: List[Optional[int]] = [None] * n
@@ -131,15 +123,13 @@ def bfs_tree(
         order.append(u)
         du = dist[u]
         for v in graph.neighbors(u):
-            if banned is not None and normalize_edge(u, v) == banned:
-                continue
             if dist[v] is math.inf:
                 dist[v] = du + 1
                 parent[v] = u
                 queue.append(v)
 
     if prefer_path is not None:
-        _force_path(graph, source, dist, parent, prefer_path, banned)
+        _force_path(graph, source, dist, parent, prefer_path)
 
     return ShortestPathTree(source, parent, dist, order)
 
@@ -150,7 +140,6 @@ def _force_path(
     dist: List[float],
     parent: List[Optional[int]],
     prefer_path: Sequence[int],
-    banned,
 ) -> None:
     """Override BFS parents so ``prefer_path`` becomes a tree path.
 
@@ -165,8 +154,6 @@ def _force_path(
         u, v = prefer_path[i - 1], prefer_path[i]
         if not graph.has_edge(u, v):
             raise GraphError(f"prefer_path step ({u}, {v}) is not an edge")
-        if banned is not None and normalize_edge(u, v) == banned:
-            raise GraphError("prefer_path uses the forbidden edge")
         if dist[v] != dist[u] + 1:
             raise GraphError(
                 "prefer_path is not a shortest path: "

@@ -19,9 +19,10 @@ view of a :class:`~repro.graph.graph.Graph` and BFS kernels tuned for it:
   (same distances, parents, orders and error behaviour, including the
   ``forbidden_edge`` and ``prefer_path`` options) built on a level-
   synchronous frontier sweep with locals bound outside the loop.  The
-  ``forbidden_edge`` check is hoisted out of the per-arc path: only the rows
-  of the two banned endpoints are filtered, so excluding an edge costs the
-  same as a plain BFS instead of one edge comparison per traversed arc.
+  ``forbidden_edge`` check of :func:`bfs_distances_csr` is hoisted out of
+  the per-arc path: only the rows of the two banned endpoints are
+  filtered, so excluding an edge costs the same as a plain BFS instead of
+  one edge comparison per traversed arc.
 * :func:`bfs_many` — the batched entry point: compiles (or reuses) the CSR
   form once and amortises it over all requested roots, returning one
   :class:`~repro.graph.tree.ShortestPathTree` per distinct root, on the
@@ -246,7 +247,6 @@ def bfs_distances_csr(
 def bfs_tree_csr(
     graph: GraphLike,
     source: int,
-    forbidden_edge: Optional[Sequence[int]] = None,
     prefer_path: Optional[Sequence[int]] = None,
 ) -> ShortestPathTree:
     """BFS shortest-path tree; flat-kernel twin of ``bfs_tree``.
@@ -254,12 +254,11 @@ def bfs_tree_csr(
     Produces a :class:`ShortestPathTree` with the same parents, distances
     and dequeue order as :func:`repro.graph.bfs.bfs_tree` (the adjacency
     rows are sorted identically, and a level-synchronous sweep discovers
-    vertices in FIFO order), including the ``forbidden_edge`` and
-    ``prefer_path`` options and their validation errors.
+    vertices in FIFO order), including the ``prefer_path`` option and its
+    validation errors.
     """
     csr = ensure_csr(graph)
     _check_source(csr, source)
-    fu, fv = _banned_endpoints(forbidden_edge)
     rows = csr.rows
     inf = _INF
     n = csr.num_vertices
@@ -274,12 +273,7 @@ def bfs_tree_csr(
         nxt: List[int] = []
         push = nxt.append
         for u in frontier:
-            row = rows[u]
-            if u == fu:
-                row = [w for w in row if w != fv]
-            elif u == fv:
-                row = [w for w in row if w != fu]
-            for v in row:
+            for v in rows[u]:
                 if dist[v] is inf:
                     dist[v] = level
                     parent[v] = u
@@ -288,8 +282,7 @@ def bfs_tree_csr(
         frontier = nxt
 
     if prefer_path is not None:
-        banned = (fu, fv) if fu >= 0 else None
-        _force_path(csr, source, dist, parent, prefer_path, banned)
+        _force_path(csr, source, dist, parent, prefer_path)
 
     return ShortestPathTree(source, parent, dist, order)
 

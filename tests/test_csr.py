@@ -136,14 +136,6 @@ class TestCSRBfsEquivalence:
         for s in (0, 12, 24):
             assert_same_tree(bfs_tree(g, s), bfs_tree_csr(g, s))
 
-    def test_tree_with_forbidden_edge(self):
-        g = generators.grid_graph(4, 5)
-        for edge in g.edges()[:8]:
-            assert_same_tree(
-                bfs_tree(g, 0, forbidden_edge=edge),
-                bfs_tree_csr(g, 0, forbidden_edge=edge),
-            )
-
     def test_tree_with_prefer_path(self):
         g = generators.grid_graph(4, 4)
         path = bfs_tree(g, 0).path_to(15)
@@ -165,8 +157,6 @@ class TestCSRBfsEquivalence:
             bfs_tree_csr(g, 0, prefer_path=[0, 5, 4, 3, 2, 1])
         with pytest.raises(GraphError):
             bfs_tree_csr(g, 0, prefer_path=[1, 2])
-        with pytest.raises(GraphError):
-            bfs_tree_csr(g, 0, forbidden_edge=(0, 1), prefer_path=[0, 1])
 
 
 class TestBfsMany:

@@ -261,20 +261,14 @@ TRUNCATING_CALLS = {
         lambda: bfs_distances(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
         TypeError,
     ),
-    "bfs_tree": (
-        lambda: bfs_tree(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
-        TypeError,
-    ),
+    "bfs_tree": (lambda: bfs_tree(generators.cycle_graph(7), 0.5), TypeError),
     "bfs_distances_csr": (
         lambda: bfs_distances_csr(
             generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)
         ),
         TypeError,
     ),
-    "bfs_tree_csr": (
-        lambda: bfs_tree_csr(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
-        TypeError,
-    ),
+    "bfs_tree_csr": (lambda: bfs_tree_csr(generators.cycle_graph(7), 0.5), TypeError),
     "bfs_many": (lambda: bfs_many(generators.cycle_graph(7), [0.5]), TypeError),
     "replacement_distance": (
         lambda: replacement_distance(generators.cycle_graph(7), 0, 3, (0.5, 1.2)),
