@@ -519,7 +519,18 @@ class QueryServer:
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
             body = b""
-            length = int(headers.get("content-length", 0) or 0)
+            raw_length = headers.get("content-length") or "0"
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                await self._respond(
+                    writer,
+                    400,
+                    {
+                        "error": f"malformed Content-Length {raw_length!r}",
+                        "type": "InvalidParameterError",
+                    },
+                )
+                return False
+            length = int(raw_length)
             if length:
                 if length > MAX_BODY_BYTES:
                     await self._respond(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import urllib.request
 
 import pytest
@@ -171,6 +172,32 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="must be integers"):
             client.sweep(s + 0.5, (u, v))
         assert client.query(s, 1, (u, v)) == result.replacement_length(s, 1, (u, v))
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_answers_400(self, served, length):
+        # Regression: int() raised on "abc" and readexactly() on -5, so the
+        # connection dropped with no response at all.
+        graph, result, handle, client = served
+        raw = socket.create_connection(("127.0.0.1", handle.port), timeout=10)
+        try:
+            raw.sendall(
+                f"POST /query HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+            )
+            response = b""
+            while True:  # the server closes the connection after answering
+                chunk = raw.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        finally:
+            raw.close()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(body)["type"] == "InvalidParameterError"
+        s = result.sources[0]
+        edge = graph.edges()[0]
+        assert client.query(s, 1, edge) == result.replacement_length(s, 1, edge)
 
     def test_service_refuses_fractional_ids(self, served):
         # The in-process service coerces with operator.index, like the
