@@ -102,6 +102,7 @@ from repro.store.atomic import (
     fsync_directory as _fsync_directory,
     write_file_synced as _write_file_synced,
 )
+from repro.graph.csr import bfs_tree_csr
 from repro.graph.graph import Graph
 from repro.graph.tree import ShortestPathTree
 
@@ -506,9 +507,10 @@ def load_store(
     Validates, in order: manifest magic and format version, the JSON types
     of the manifest fields, the byte order and the graph counts, the
     SHA-256 of the segment payload, each
-    segment descriptor against the payload, and the graph fingerprint
+    segment descriptor against the payload, the graph fingerprint
     (recomputed from the decoded edge segments against the header's
-    claim).  Any mismatch
+    claim), each source's tree against ``bfs_tree_csr(graph, s)`` and
+    each values segment against its tree.  Any mismatch
     raises :class:`~repro.exceptions.InvalidParameterError` naming the
     expected and actual values.  All infinities are re-canonicalised onto
     the ``math.inf`` singleton on the way in.
@@ -573,6 +575,15 @@ def load_store(
             order = reader.read(f"tree/{s}/order").tolist()
             parent = [None if p == _NO_PARENT else p for p in parent_raw]
             dist = [inf if d == inf else d for d in dist_raw]
+            # Stores are written from solver results, whose trees are the
+            # graph's BFS trees; this also refuses out-of-range and cyclic
+            # parents, which the preorder split below would trip over.
+            expected = bfs_tree_csr(graph, s)
+            if (parent, dist, order) != (expected.parent, expected.dist, expected.order):
+                raise InvalidParameterError(
+                    f"tree/{s} segments do not hold the BFS tree of source {s} "
+                    "in the stored graph"
+                )
             tree = trees[s] = ShortestPathTree(s, parent, dist, order)
 
             values = reader.read(f"table/{s}/values").tolist()

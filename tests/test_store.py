@@ -333,20 +333,34 @@ class TestRejection:
         with pytest.raises(InvalidParameterError, match=named):
             load_header(store_dir)
 
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
-    def test_values_segment_not_matching_the_tree(self, store_dir, mmap):
-        # The values segment is split by dist over the source's preorder;
-        # a segment one length short cannot be split and is refused.
-        name = f"table/{load_header(store_dir).sources[0]}/values"
+    def _shorten_segment(self, directory, name, itemsize):
+        """Drop the last item of segment ``name`` from its descriptor."""
 
         def shorten(manifest):
             for descriptor in manifest["segments"]:
                 if descriptor["name"] == name:
                     descriptor["count"] -= 1
-                    descriptor["nbytes"] -= 8
+                    descriptor["nbytes"] -= itemsize
 
-        self._edit_manifest(store_dir, shorten)
+        self._edit_manifest(directory, shorten)
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    def test_values_segment_not_matching_the_tree(self, store_dir, mmap):
+        # The values segment is split by dist over the source's preorder;
+        # a segment one length short cannot be split and is refused.
+        name = f"table/{load_header(store_dir).sources[0]}/values"
+        self._shorten_segment(store_dir, name, 8)
         with pytest.raises(InvalidParameterError, match=f"{name} holds"):
+            load_store(store_dir, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    def test_tree_segment_not_matching_the_graph(self, store_dir, mmap):
+        # The same edit on a tree segment: the stored tree must be the
+        # graph's BFS tree, and a parent array one entry short is refused
+        # with a typed error, not an IndexError from the preorder split.
+        s = load_header(store_dir).sources[0]
+        self._shorten_segment(store_dir, f"tree/{s}/parent", 4)
+        with pytest.raises(InvalidParameterError, match=f"tree/{s} segments"):
             load_store(store_dir, mmap=mmap)
 
     def test_only_the_values_segment_per_table(self, store_dir):
