@@ -473,7 +473,8 @@ def test_bfs_many_trees_build_no_structural_cache(name):
         assert tree.distance(deepest) == len(path) - 1
         assert not tree.has_structural_cache
         # The first structural query materialises the caches, once.
-        assert tree.tree_path_uses_edge((tree.parent[deepest], deepest), deepest)
+        pos, end = tree.spans()
+        assert pos[root] <= pos[deepest] < end[root]
         assert tree.has_structural_cache
 
 
