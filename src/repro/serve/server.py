@@ -71,6 +71,9 @@ from repro.store.format import (
 DEFAULT_LRU_SLICES = 256
 #: Largest request body the server will read (1 MiB).
 MAX_BODY_BYTES = 1 << 20
+#: Longest request or header line the server will read (64 KiB, asyncio's
+#: default stream limit); a longer line gets 400.
+MAX_LINE_BYTES = 1 << 16
 #: Default ceiling on concurrently served connections; past it the server
 #: sheds load with 503 + ``Retry-After`` instead of queueing unboundedly.
 DEFAULT_MAX_CONNECTIONS = 64
@@ -299,6 +302,14 @@ def _encode_length(value: float) -> Dict[str, object]:
     return {"length": value, "infinite": False}
 
 
+def _line_too_long(line: str) -> Dict[str, object]:
+    """The 400 payload for a ``line`` (request or header) past the limit."""
+    return {
+        "error": f"{line} line longer than {MAX_LINE_BYTES} bytes",
+        "type": "InvalidParameterError",
+    }
+
+
 class QueryServer:
     """Minimal asyncio HTTP/1.1 server around an :class:`OracleService`.
 
@@ -359,7 +370,7 @@ class QueryServer:
     async def start(self) -> None:
         """Bind the listening socket (``port=0`` picks an ephemeral port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -460,7 +471,11 @@ class QueryServer:
         self._connections.add(writer)
         try:
             while True:
-                request_line = await reader.readline()
+                try:
+                    request_line = await reader.readline()
+                except ValueError:  # the line overran MAX_LINE_BYTES
+                    await self._respond(writer, 400, _line_too_long("request"))
+                    break
                 if not request_line or request_line in (b"\r\n", b"\n"):
                     break
                 self._busy.add(task)
@@ -540,6 +555,9 @@ class QueryServer:
                 body = await self._read_bounded(
                     reader.readexactly(length), self.read_timeout
                 )
+        except ValueError:  # a header line overran MAX_LINE_BYTES
+            await self._respond(writer, 400, _line_too_long("header"))
+            return False
         except asyncio.TimeoutError:
             self.requests_timed_out += 1
             await self._respond(

@@ -173,17 +173,13 @@ class TestValidation:
             client.sweep(s + 0.5, (u, v))
         assert client.query(s, 1, (u, v)) == result.replacement_length(s, 1, (u, v))
 
-    @pytest.mark.parametrize("length", ["abc", "-5"])
-    def test_malformed_content_length_answers_400(self, served, length):
-        # Regression: int() raised on "abc" and readexactly() on -5, so the
-        # connection dropped with no response at all.
+    @staticmethod
+    def _assert_refused_with_400(served, request: bytes) -> None:
+        """Send ``request`` on a raw socket; expect 400 and a live server."""
         graph, result, handle, client = served
         raw = socket.create_connection(("127.0.0.1", handle.port), timeout=10)
         try:
-            raw.sendall(
-                f"POST /query HTTP/1.1\r\nHost: x\r\n"
-                f"Content-Length: {length}\r\n\r\n".encode("latin-1")
-            )
+            raw.sendall(request)
             response = b""
             while True:  # the server closes the connection after answering
                 chunk = raw.recv(4096)
@@ -198,6 +194,30 @@ class TestValidation:
         s = result.sources[0]
         edge = graph.edges()[0]
         assert client.query(s, 1, edge) == result.replacement_length(s, 1, edge)
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_answers_400(self, served, length):
+        # Regression: int() raised on "abc" and readexactly() on -5, so the
+        # connection dropped with no response at all.
+        self._assert_refused_with_400(
+            served,
+            f"POST /query HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("latin-1"),
+        )
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /status HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /query?pad=" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header", "request-line"],
+    )
+    def test_over_long_line_answers_400(self, served, request_bytes):
+        # Regression: a line past asyncio's 64 KiB stream limit made
+        # readline() raise ValueError, so the connection dropped with no
+        # response and asyncio logged an unhandled exception.
+        self._assert_refused_with_400(served, request_bytes)
 
     def test_service_refuses_fractional_ids(self, served):
         # The in-process service coerces with operator.index, like the
