@@ -11,8 +11,9 @@ The package is organised in layers:
 * :mod:`repro.core` — the paper's SSRP/MSRP pipeline (Sections 5-7).
 * :mod:`repro.multisource` — the Section 8 machinery that computes
   source-to-landmark replacement paths in ``O~(m sqrt(n sigma) + sigma n^2)``.
-* :mod:`repro.parallel` — process-sharded execution of the per-source
-  phases (``AlgorithmParams.workers``), deterministic at any worker count.
+* :mod:`repro.parallel` — keyed execution of the per-source phases on
+  one in-process executor, with a checkpoint journal for resumable
+  solves (``AlgorithmParams.checkpoint``).
 * :mod:`repro.store`, :mod:`repro.serve` — the on-disk result store and the
   HTTP server that answers the paper's ``QUERY(x, y, e)`` from it
   (in process, :meth:`ReplacementPathResult.replacement_length`).

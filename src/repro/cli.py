@@ -73,15 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true", help="cross-check the output against brute force"
     )
     common.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for the sharded per-source phases "
-            "(0 = serial; output is byte-identical at any worker count)"
-        ),
-    )
-    common.add_argument(
         "--checkpoint",
         metavar="DIR",
         default=None,
@@ -187,7 +178,6 @@ def _make_solver(
     params = AlgorithmParams(
         seed=args.seed,
         verify=args.verify,
-        workers=args.workers,
         checkpoint=args.checkpoint,
     )
     return MSRPSolver(graph, sources, params=params, landmark_strategy=strategy)
@@ -201,18 +191,12 @@ def _print_solve_summary(solver: MSRPSolver, result, verified: bool) -> None:
         print(f"phase {phase:28s} {seconds * 1000:10.1f} ms")
     print(f"output entries (s, t, e): {result.output_size}")
     stats = solver.executor_stats
-    line = f"executor: {stats['executor']}"
-    if stats["crash_recoveries"]:
-        line += f", {stats['crash_recoveries']} crash recovery(ies)"
-    if stats["serial_degradations"]:
-        line += f", {stats['serial_degradations']} serial degradation(s)"
     journal = stats.get("journal")
     if journal is not None:
-        line += (
-            f"; journal: {stats['keys_reused_from_journal']} key(s) "
+        print(
+            f"journal: {stats['keys_reused_from_journal']} key(s) "
             f"resumed, {journal['records_written']} record(s) written"
         )
-    print(line)
     if verified:
         print("verification against brute force: PASSED")
 

@@ -22,19 +22,18 @@ radius and files ``(r, d(r, v))`` under every vertex ``v`` it reaches.  That
 costs the summed ball sizes, ``O(|L_k| n)`` at worst and as much memory,
 once per level, and each call then reads only the in-radius landmarks of
 its target (Lemma 9 expects a few) instead of testing all of ``L_k``.  A
-level no call asks for builds nothing, and the lists are dropped when the
-solver is pickled, so a sharded solve ships only the solver's inputs.
+level no call asks for builds nothing.
 
 Two details make the scan deterministic and cheaper.  Each target's list
 is in landmark-id order (a level is a frozenset, whose iteration order can
-differ between equal hierarchies and across a pickle round trip), so a tie
-between a table value (``7.0`` under the auxiliary strategy) and the
-tree-distance fallback (``7``) always resolves the same way.  And a
-landmark whose ``d(s, r) + d(r, t)`` is not below the best candidate so far
-is skipped before its table lookup: every ``d(s, r, e)`` table value is the
-length of an ``s``-``r`` walk, hence at least ``d(s, r)``, and a candidate
-replaces the best only when strictly smaller, so the skipped landmark could
-change neither the value nor the tie-break.
+differ between equal hierarchies), so a tie between a table value (``7.0``
+under the auxiliary strategy) and the tree-distance fallback (``7``)
+always resolves the same way.  And a landmark whose ``d(s, r) + d(r, t)``
+is not below the best candidate so far is skipped before its table
+lookup: every ``d(s, r, e)`` table value is the length of an ``s``-``r``
+walk, hence at least ``d(s, r)``, and a candidate replaces the best only
+when strictly smaller, so the skipped landmark could change neither the
+value nor the tie-break.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ class FarEdgeSolver:
         #: level -> target -> ``(landmark, d(r, t))`` within the level's
         #: radius, in landmark-id order; a level is built on first use
         self._in_radius: Dict[int, Dict[int, List[Tuple[int, float]]]] = {}
-
-    def __getstate__(self):
-        """Ship the solver's inputs only; the in-radius lists rebuild lazily."""
-        return (self._scale, self._levels, self._tables, self._source_trees)
-
-    def __setstate__(self, state) -> None:
-        self._scale, self._levels, self._tables, self._source_trees = state
-        self._in_radius = {}
 
     def _build_in_radius(self, level: int) -> Dict[int, List[Tuple[int, float]]]:
         """File every level-``level`` landmark under the vertices within its radius."""

@@ -56,13 +56,7 @@ from repro.graph.csr import bfs_many
 from repro.graph.graph import Graph
 from repro.graph.repair import PairEdgeTable
 from repro.graph.tree import ShortestPathTree
-from repro.parallel import (
-    CheckpointJournal,
-    Executor,
-    LocalProcessExecutor,
-    SerialExecutor,
-    run_sharded,
-)
+from repro.parallel import CheckpointJournal, Executor, run_sharded
 
 #: Valid values of the ``landmark_strategy`` argument.
 LANDMARK_STRATEGIES = ("direct", "auxiliary")
@@ -122,32 +116,21 @@ class MSRPSolver:
         self.near_small_tables: Dict[int, PairEdgeTable] = {}
         #: wall-clock seconds per phase, filled in as the solver runs
         self.phase_seconds: Dict[str, float] = {}
-        #: the Executor spanning the current solve, while one is open
-        self._pool: Optional[Executor] = None
-        #: :meth:`Executor.stats` of the most recent executor scope (its
-        #: kind, crash recoveries, serial degradations, journal reuse);
-        #: empty until a solve ran.
+        #: the Executor spanning the current solve, while one runs
+        self._executor: Optional[Executor] = None
+        #: :meth:`Executor.stats` of the most recent solve (its journal
+        #: counters); empty until a solve ran.
         self.executor_stats: Dict[str, object] = {}
 
     # -- pipeline --------------------------------------------------------------
 
     def _make_executor(self) -> Executor:
-        """Build the executor for one solve scope from ``params.workers``.
-
-        A :class:`~repro.parallel.SerialExecutor` when ``workers <= 1``,
-        otherwise a :class:`~repro.parallel.LocalProcessExecutor` of that
-        many workers.  With ``params.checkpoint`` set the journal rides
-        on it.
-        """
-        params = self.params
-        executor: Executor = (
-            SerialExecutor()
-            if params.workers <= 1
-            else LocalProcessExecutor(params.workers)
-        )
-        if params.checkpoint is not None:
+        """Build the executor for one solve; with ``params.checkpoint``
+        set, the checkpoint journal rides on it."""
+        executor = Executor()
+        if self.params.checkpoint is not None:
             journal = CheckpointJournal.open(
-                params.checkpoint, identity=self._journal_identity()
+                self.params.checkpoint, identity=self._journal_identity()
             )
             executor.attach_journal(journal)
         return executor
@@ -157,11 +140,10 @@ class MSRPSolver:
 
         Covers everything that determines the solve's output: the graph
         (by fingerprint), the result-affecting parameters (by hash — the
-        scheduling knobs ``workers``/``checkpoint`` and the post-hoc
-        ``verify`` flag are excluded, so a journal written under one
-        worker count resumes under another), the landmark strategy and
-        the source set.  A journal whose identity differs refuses to open
-        rather than splice mismatched results.
+        ``checkpoint`` directory and the post-hoc ``verify`` flag are
+        excluded), the landmark strategy and the source set.  A journal
+        whose identity differs refuses to open rather than splice
+        mismatched results.
         """
         import hashlib
         import json
@@ -170,7 +152,7 @@ class MSRPSolver:
         from repro.store.format import graph_fingerprint
 
         params = asdict(self.params)
-        for knob in ("workers", "checkpoint", "verify"):
+        for knob in ("checkpoint", "verify"):
             del params[knob]
         params_blob = json.dumps(params, sort_keys=True).encode("utf-8")
         return {
@@ -181,32 +163,30 @@ class MSRPSolver:
         }
 
     @contextmanager
-    def _pool_scope(self) -> Iterator[Executor]:
+    def _executor_scope(self) -> Iterator[Executor]:
         """One :class:`~repro.parallel.Executor` spanning the whole solve.
 
-        Every sharded phase of the pipeline (BFS fan-out, Section 7.1 and
+        Every keyed phase of the pipeline (BFS fan-out, Section 7.1 and
         8.1-8.3 builds, assembly sweep, brute-force verification) runs on
-        the same executor, each new phase context broadcast into the
-        already-running workers — one transport start-up per solve instead
-        of one per phase.  Re-entrant, so ``solve()`` calling
+        the same executor, so the journal numbers its phases in one
+        deterministic sequence.  Re-entrant, so ``solve()`` calling
         ``preprocess()`` shares the outer scope's executor.  On exit the
         executor's counters are preserved in :attr:`executor_stats`.
         """
-        if self._pool is not None:
-            yield self._pool
+        if self._executor is not None:
+            yield self._executor
             return
         executor = self._make_executor()
-        self._pool = executor
+        self._executor = executor
         try:
-            with executor:
-                yield executor
+            yield executor
         finally:
             self.executor_stats = executor.stats()
-            self._pool = None
+            self._executor = None
 
     def preprocess(self) -> "MSRPSolver":
         """Run the preprocessing phase (Sections 5 and 8)."""
-        with self._pool_scope():
+        with self._executor_scope():
             self._preprocess()
         return self
 
@@ -227,7 +207,9 @@ class MSRPSolver:
         # source reuses the same tree object.  The root fan-out runs on the
         # solve's executor.
         landmark_roots = sorted(self.landmarks.union)
-        trees = bfs_many(self.graph, self.sources + landmark_roots, pool=self._pool)
+        trees = bfs_many(
+            self.graph, self.sources + landmark_roots, pool=self._executor
+        )
         self.source_trees = {s: trees[s] for s in self.sources}
         self.landmark_trees = {r: trees[r] for r in landmark_roots}
         self.phase_seconds["bfs_trees"] = time.perf_counter() - start
@@ -245,7 +227,7 @@ class MSRPSolver:
                 "trees": self.source_trees,
                 "scale": self.scale,
             },
-            pool=self._pool,
+            pool=self._executor,
         )
         self.phase_seconds["near_small_auxiliary"] = time.perf_counter() - start
 
@@ -273,19 +255,19 @@ class MSRPSolver:
             landmark_trees=self.landmark_trees,
             near_small=self.near_small_tables,
             rng=rng,
-            pool=self._pool,
+            pool=self._executor,
         )
 
     def solve(self) -> ReplacementPathResult:
         """Run the full pipeline and return the replacement-path tables.
 
         One :class:`~repro.parallel.Executor` spans the whole call —
-        preprocessing, assembly and (with ``params.verify``) the sharded
-        brute-force cross-check all reuse the same worker processes.  With
-        ``params.checkpoint`` set, every completed chunk is journaled and
-        a re-run of a killed solve resumes from the journal.
+        preprocessing, assembly and (with ``params.verify``) the
+        brute-force cross-check.  With ``params.checkpoint`` set, every
+        completed chunk is journaled and a re-run of a killed solve
+        resumes from the journal.
         """
-        with self._pool_scope() as pool:
+        with self._executor_scope() as executor:
             if self.landmark_tables is None:
                 self._preprocess()
 
@@ -316,7 +298,7 @@ class MSRPSolver:
                     "far_solver": far_solver,
                     "large_solver": large_solver,
                 },
-                pool=pool,
+                pool=executor,
             )
             self.phase_seconds["assembly"] = time.perf_counter() - start
 
@@ -329,8 +311,8 @@ class MSRPSolver:
         """Provenance block for the on-disk store (:mod:`repro.store`).
 
         Returns the strategy, the governing :class:`AlgorithmParams` as a
-        plain dict, the sources and the executor's counters, so a store
-        records how its tables were computed.  The wall-clock
+        plain dict, the sources and the executor's journal counters, so a
+        store records how its tables were computed.  The wall-clock
         :attr:`phase_seconds` stay out: they differ between two solves of
         one instance, and so would the store's bytes.
         """
@@ -352,7 +334,9 @@ class MSRPSolver:
         """
         from repro.rp.bruteforce import brute_force_multi_source
 
-        reference = brute_force_multi_source(self.graph, self.sources, pool=self._pool)
+        reference = brute_force_multi_source(
+            self.graph, self.sources, pool=self._executor
+        )
         mismatches = result.differences_from(reference)
         if mismatches:
             over = under = one_sided = 0
@@ -402,9 +386,8 @@ def solve_single_source(
     of the target's list is that edge's replacement length
     (:data:`~repro.core.result.PerSourceTable`).
 
-    A module-level function (not a solver method) so the process-sharded
-    assembly phase can dispatch it per source through
-    :mod:`repro.parallel.tasks`.
+    A module-level function (not a solver method) so the keyed assembly
+    phase can run it per source through :mod:`repro.parallel.tasks`.
     """
     order = tree.order
     dist = tree.dist

@@ -59,19 +59,9 @@ class AlgorithmParams:
         brute-force oracle and raise
         :class:`~repro.exceptions.InternalInvariantError` on mismatch.
         Intended for tests and small instances only.
-    workers:
-        Process count for the sharded per-source phases
-        (:mod:`repro.parallel`).  ``0`` (default) and ``1`` run serially;
-        any larger value shards the BFS fan-out, the Section 7.1/8.1-8.3
-        builds, the assembly sweeps and (under ``verify``) the brute-force
-        oracle's per-edge BFS sweep across that many worker processes.
-        Output is byte-identical at every worker count.  A solve runs
-        every phase on one executor: a
-        :class:`~repro.parallel.SerialExecutor` when ``workers <= 1``,
-        otherwise one :class:`~repro.parallel.LocalProcessExecutor` pool.
     checkpoint:
         Directory of a :class:`~repro.parallel.CheckpointJournal`.  When
-        set, every completed chunk of every sharded phase is durably
+        set, every completed chunk of every keyed phase is durably
         journaled as the solve runs, and a re-run with the same graph,
         parameters and checkpoint directory resumes by re-executing only
         unjournaled work — fingerprint-identical to an uninterrupted run.
@@ -84,7 +74,6 @@ class AlgorithmParams:
     interval_constant: float = 2.0
     seed: Optional[int] = None
     verify: bool = False
-    workers: int = 0
     checkpoint: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -94,8 +83,6 @@ class AlgorithmParams:
             raise InvalidParameterError("threshold_constant must be positive")
         if self.interval_constant < 1:
             raise InvalidParameterError("interval_constant must be at least 1")
-        if self.workers < 0:
-            raise InvalidParameterError("workers must be non-negative")
         if self.checkpoint is not None and self.seed is None:
             raise InvalidParameterError(
                 "checkpointed solves require a fixed seed: a resumed run "

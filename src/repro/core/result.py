@@ -44,9 +44,9 @@ def _checked_table(
 
     A per-target mapping is the edge-keyed layout (``to_dict()`` output),
     whose ``dist[t]`` keys would pass a length check.  The copy puts
-    infinities back on the ``math.inf`` singleton: pickled worker tables
-    hold *new* floats, and ``is math.inf`` callers (the benchmark
-    fingerprint) must not tell a sharded run from a serial one.
+    infinities back on the ``math.inf`` singleton: tables replayed from a
+    checkpoint journal hold *new* floats, and ``is math.inf`` callers (the
+    benchmark fingerprint) must not tell a resumed run from a fresh one.
     """
     inf = math.inf
     table: PerSourceTable = {}

@@ -39,18 +39,6 @@ class InternalInvariantError(ReproError, AssertionError):
     """
 
 
-class WorkerCrashError(ReproError, RuntimeError):
-    """Raised when a sharded phase loses pool workers beyond recovery.
-
-    The parallel scheduler detects abnormal worker exits (SIGKILL, OOM
-    kill, broken result pipes) and chunk timeouts, respawns the pool and
-    re-executes only the unfinished chunks a bounded number of times.
-    Only when those retries are exhausted *and* serial degradation is
-    disabled does this error surface — a deliberate, typed failure instead
-    of a hang or a bare ``BrokenPipeError`` from ``multiprocessing``.
-    """
-
-
 class ServerStartupError(ReproError, RuntimeError):
     """Raised when an embedded query server fails to come up in time.
 

@@ -1,20 +1,19 @@
 """Deterministic fault injection (the chaos harness).
 
 Seeded, reproducible failures for every subsystem with a fault surface:
-SIGKILL a pool worker as it picks up a specific chunk, hang a chunk past
-its timeout, crash ``write_store`` at a named checkpoint, drop or delay
-the Nth accepted server connection, corrupt store bytes.  The chaos
-batteries (``tests/test_faults_*.py``, the CI ``chaos-smoke`` job) use
-this package to assert the system-wide contract: under any injected
-fault the result is fingerprint-identical to the fault-free run, or a
-typed :class:`~repro.exceptions.ReproError` is raised — never a hang,
-never a silent wrong answer.  See :mod:`repro.faults.harness` for the
+crash ``write_store`` or a checkpointed solve at a named checkpoint, drop
+or delay the Nth accepted server connection, corrupt store bytes.  The
+chaos batteries (``tests/test_faults_*.py`` and
+``tests/test_checkpoint_resume.py``) use this package to assert the
+system-wide contract: under any injected fault the result is
+fingerprint-identical to the fault-free run, or a typed
+:class:`~repro.exceptions.ReproError` is raised — never a hang, never a
+silent wrong answer.  See :mod:`repro.faults.harness` for the
 plan format and hook points, and ``docs/robustness.md`` for the
 failure-mode matrix this harness pins.
 """
 
 from repro.faults.harness import (
-    CHUNK_KINDS,
     CONNECTION_KINDS,
     CORRUPTIONS,
     KINDS,
@@ -24,7 +23,6 @@ from repro.faults.harness import (
     InjectedFault,
     active_plan,
     checkpoint,
-    chunk_checkpoint,
     connection_action,
     corrupt_store,
     derive_fault_index,
@@ -33,7 +31,6 @@ from repro.faults.harness import (
 )
 
 __all__ = [
-    "CHUNK_KINDS",
     "CONNECTION_KINDS",
     "CORRUPTIONS",
     "KINDS",
@@ -43,7 +40,6 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "checkpoint",
-    "chunk_checkpoint",
     "connection_action",
     "corrupt_store",
     "derive_fault_index",

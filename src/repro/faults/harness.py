@@ -1,7 +1,7 @@
 """Deterministic fault injection for the chaos batteries.
 
 The robustness contract of this codebase is *correct or loud*: under any
-single fault — a SIGKILLed pool worker, a dropped client connection, a
+single fault — a solve killed mid-journal, a dropped client connection, a
 truncated store file, a crash mid-``write_store`` — the system must either
 produce a result fingerprint-identical to the fault-free run or raise a
 typed :class:`~repro.exceptions.ReproError`.  Never a hang, never a silent
@@ -13,37 +13,26 @@ Design
 A :class:`FaultPlan` is a list of :class:`Fault` records serialised to a
 JSON file; the ``REPRO_FAULT_PLAN`` environment variable points running
 code at it.  Production code calls tiny hook functions at its fault
-points (:func:`chunk_checkpoint` in the executors' chunk dispatch,
-:func:`checkpoint` in the store writer and the checkpoint journal,
-:func:`connection_action` in the server's accept path); with no plan
-installed every hook is a single dict lookup, so the hooks are safe to
-leave in hot-ish paths.
+points (:func:`checkpoint` in the store writer and the checkpoint
+journal, :func:`connection_action` in the server's accept path); with
+no plan installed every hook is a single dict lookup, so the hooks are
+safe to leave in hot-ish paths.
 
 Faults are **one-shot by default** and claimed atomically across
 processes: each firing creates a marker file next to the plan with
-``os.open(..., O_CREAT | O_EXCL)``, so a killed-and-retried chunk does not
-re-trigger the same kill (``times`` raises the budget for
-always-fail scenarios).  The marker files double as test instrumentation:
-:func:`fired_count` proves an injected fault actually fired.
+``os.open(..., O_CREAT | O_EXCL)``, so a resumed solve does not
+re-trigger the crash that interrupted it (``times`` raises the budget
+for always-fail scenarios).  The marker files double as test
+instrumentation: :func:`fired_count` proves an injected fault actually
+fired.
 
 Determinism comes from seeds, not wall clocks: fault parameters for the
 seeded chaos sweeps are derived with :func:`derive_fault_index`, a tagged
-child of the test seed (same derivation the parallel layer uses), so a
+child of the test seed (same derivation the sampling layer uses), so a
 failing seed replays exactly.
 
 Fault kinds
 -----------
-``kill_worker``
-    SIGKILL the pool worker as it picks up chunk ``chunk_index`` — the
-    real abnormal-exit path, not an exception stand-in.  Refuses to fire
-    outside a daemonic pool worker (a typo in a plan must never kill the
-    test process itself).
-``hang_chunk``
-    Sleep ``seconds`` inside the chunk dispatch, exercising the pool's
-    per-chunk timeout detection.
-``raise_chunk``
-    Raise :class:`InjectedFault` from the chunk dispatch — a deterministic
-    task failure, which the pool must propagate (not retry).
 ``crash_at``
     Raise :class:`InjectedFault` at the named :func:`checkpoint` — used to
     interrupt ``write_store`` between its staging steps and checkpointed
@@ -60,8 +49,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -71,13 +58,11 @@ from repro.exceptions import InvalidParameterError, ReproError
 #: Environment variable holding the path of the active fault-plan file.
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Fault kinds hooked into the pool worker's chunk dispatch.
-CHUNK_KINDS = frozenset({"kill_worker", "hang_chunk", "raise_chunk"})
-#: Fault kinds hooked into named checkpoints (store writer).
+#: Fault kinds hooked into named checkpoints (store writer, journal).
 CHECKPOINT_KINDS = frozenset({"crash_at"})
 #: Fault kinds hooked into the server's connection accept path.
 CONNECTION_KINDS = frozenset({"drop_connection", "delay_connection"})
-KINDS = CHUNK_KINDS | CHECKPOINT_KINDS | CONNECTION_KINDS
+KINDS = CHECKPOINT_KINDS | CONNECTION_KINDS
 
 
 class InjectedFault(ReproError):
@@ -94,13 +79,11 @@ class Fault:
     """One injected fault: a kind plus its trigger parameters."""
 
     kind: str
-    #: chunk index within a sharded phase (``CHUNK_KINDS``).
-    chunk_index: Optional[int] = None
     #: checkpoint name (``crash_at``), e.g. ``"store.write.staged"``.
     at: Optional[str] = None
     #: zero-based accepted-connection counter (``CONNECTION_KINDS``).
     connection_index: Optional[int] = None
-    #: sleep duration for ``hang_chunk`` / ``delay_connection``.
+    #: sleep duration for ``delay_connection``.
     seconds: float = 0.0
     #: how many times this fault may fire (claims are cross-process).
     times: int = 1
@@ -114,8 +97,6 @@ class Fault:
             raise InvalidParameterError(
                 f"fault times must be at least 1, got {self.times}"
             )
-        if self.kind in CHUNK_KINDS and self.chunk_index is None:
-            raise InvalidParameterError(f"{self.kind} fault needs chunk_index")
         if self.kind in CHECKPOINT_KINDS and not self.at:
             raise InvalidParameterError(f"{self.kind} fault needs at=<checkpoint>")
         if self.kind in CONNECTION_KINDS and self.connection_index is None:
@@ -145,7 +126,7 @@ def install_plan(plan: FaultPlan, directory: str) -> str:
     """Write ``plan`` into ``directory`` and return the plan file's path.
 
     The caller (normally a test) points ``REPRO_FAULT_PLAN`` at the
-    returned path; pool workers inherit the variable through fork/spawn.
+    returned path; child processes inherit the variable.
     """
     path = os.path.join(directory, "fault_plan.json")
     with open(path, "w") as handle:
@@ -187,7 +168,7 @@ def derive_fault_index(seed: Optional[int], tag: str, n: int) -> int:
     """Seeded, tagged choice of a fault target in ``range(n)``.
 
     Uses the parallel layer's tagged child-seed derivation so chaos
-    sweeps are reproducible across runs, platforms and worker counts.
+    sweeps are reproducible across runs and platforms.
     """
     from repro.parallel.seeding import child_rng
 
@@ -226,8 +207,8 @@ def _claim(plan_path: str, fault_index: int, fault: Fault) -> bool:
     """Atomically claim one firing of ``fault`` (cross-process, one-shot).
 
     Marker files are created with ``O_CREAT | O_EXCL``, so exactly one
-    process wins each of the ``times`` slots even when a killed worker's
-    chunk is retried concurrently elsewhere.
+    process wins each of the ``times`` slots even when several processes
+    share the plan.
     """
     for slot in range(fault.times):
         marker = f"{plan_path}.fired.{fault_index}.{slot}"
@@ -237,44 +218,6 @@ def _claim(plan_path: str, fault_index: int, fault: Fault) -> bool:
         except FileExistsError:
             continue
     return False
-
-
-def _execute_chunk_fault(fault: Fault) -> None:
-    if fault.kind == "kill_worker":
-        import multiprocessing
-
-        if not multiprocessing.current_process().daemon:
-            # A kill_worker fault outside a pool worker would SIGKILL the
-            # test (or user) process itself; fail loudly instead.
-            raise InjectedFault(
-                "kill_worker fault triggered outside a daemonic pool worker"
-            )
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif fault.kind == "hang_chunk":
-        time.sleep(fault.seconds)
-    elif fault.kind == "raise_chunk":
-        raise InjectedFault(
-            f"injected deterministic failure in chunk {fault.chunk_index}"
-        )
-
-
-def chunk_checkpoint(chunk_index: int) -> None:
-    """Executor hook: fire any chunk fault aimed at ``chunk_index``.
-
-    Called by the chunk dispatch of every transport just before the task
-    body runs — the pool's worker-side dispatch and ``SerialExecutor``'s
-    in-process chunk loop alike, so the chaos battery exercises any
-    :class:`~repro.parallel.Executor` through one interface.  A no-op
-    (one env lookup) when no plan is installed.
-    """
-    current = _current_plan()
-    if current is None:
-        return
-    path, plan = current
-    for index, fault in enumerate(plan.faults):
-        if fault.kind in CHUNK_KINDS and fault.chunk_index == chunk_index:
-            if _claim(path, index, fault):
-                _execute_chunk_fault(fault)
 
 
 def checkpoint(name: str) -> None:

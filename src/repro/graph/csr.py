@@ -140,8 +140,9 @@ class CSRGraph:
         return self.rows[v]
 
     def has_vertex(self, v: int) -> bool:
-        """Return ``True`` when ``v`` is a valid vertex id."""
-        return 0 <= v < self.num_vertices
+        """Return ``True`` when ``v`` is a valid vertex id (``operator.index``
+        coerced, so ``0.5`` raises ``TypeError``)."""
+        return 0 <= _vertex_id(v) < self.num_vertices
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge membership via binary search on the sorted row of ``u``."""
@@ -161,8 +162,8 @@ class CSRGraph:
 
         The rows are the working form every kernel iterates; the typed
         offset/neighbour arrays are a derived cache that costs one linear
-        pass to rematerialise, so dropping them keeps worker transfer at
-        one copy of the adjacency structure.
+        pass to rematerialise, so dropping them keeps a pickle at one copy
+        of the adjacency structure.
         """
         return self.rows
 
@@ -302,12 +303,11 @@ def bfs_many(
     between a landmark that is also a source).
 
     The roots run as one :func:`repro.parallel.run_sharded` phase of
-    :func:`~repro.parallel.tasks.bfs_roots_task` on ``pool``, an
-    :class:`~repro.parallel.Executor`: a process pool shards the distinct
-    roots (the compiled CSR form ships once per worker and each worker
-    runs a contiguous chunk of roots).  Without a pool the roots run
-    in-process.  The returned mapping is identical either way — same
-    trees, same first-seen key order.
+    :func:`~repro.parallel.tasks.bfs_roots_task` on ``pool``, the solve's
+    :class:`~repro.parallel.Executor`, which numbers the phase for its
+    checkpoint journal.  Without a pool the roots run on a fresh executor.
+    The returned mapping is identical either way — same trees, same
+    first-seen key order.
 
     Returns
     -------

@@ -117,8 +117,12 @@ class Graph:
         return normalize_edge(u, v) in self._edge_set
 
     def has_vertex(self, v: int) -> bool:
-        """Return ``True`` when ``v`` is a valid vertex id."""
-        return 0 <= v < self._n
+        """Return ``True`` when ``v`` is a valid vertex id.
+
+        ``v`` is coerced with ``operator.index``, so ``0.5`` is refused
+        (``TypeError``) instead of passing as a vertex.
+        """
+        return 0 <= _vertex_id(v) < self._n
 
     # -- convenience -------------------------------------------------------
 
@@ -190,11 +194,9 @@ class Graph:
     def __getstate__(self):
         """Compact pickled form: adjacency rows + edge tuple, no caches.
 
-        The cached CSR view is dropped (the receiving process recompiles it
+        The cached CSR view is dropped (the unpickled graph recompiles it
         lazily on first traversal) and the edge *set* is rebuilt from the
-        edge tuple on restore, so the wire format carries each edge once.
-        This is what ships a graph to pool workers under the ``spawn``
-        start method.
+        edge tuple on restore, so the pickle carries each edge once.
         """
         return (self._n, self._adj, self._edges)
 

@@ -192,10 +192,10 @@ class ShortestPathTree:
 
         The spans and the preorder are both ``O(n)`` to
         rematerialise and usually *larger* than the
-        arrays they derive from, so a tree crosses the process boundary as
-        exactly what BFS produced.  A worker that only answers
-        distance-style queries never rebuilds anything — the laziness
-        contract survives the round trip.
+        arrays they derive from, so a pickled tree (a checkpoint journal
+        record) holds exactly what BFS produced.  A reader that only
+        answers distance-style queries never rebuilds anything — the
+        laziness contract survives the round trip.
         """
         return (self.root, self.parent, self.dist, self.order)
 

@@ -1,8 +1,8 @@
 """repro.lint — AST-based invariant linter for the architecture contracts.
 
-The reproduction's guarantees (byte-identical parallelism, inf
+The reproduction's guarantees (byte-identical checkpoint resume, inf
 re-canonicalisation at pickle boundaries, typed correct-or-loud errors,
-frozen broadcast contexts, non-vacuous chaos tests, no numpy in the
+frozen phase contexts, non-vacuous chaos tests, no numpy in the
 product) are documented in ROADMAP.md and docs/ — this package
 enforces them mechanically with stdlib ``ast`` so a PR that erodes one
 fails CI instead of failing review.  Rule catalogue: ``docs/lint.md``.

@@ -2,7 +2,7 @@
 
 A fault-injection test that never checks
 :func:`repro.faults.fired_count` can pass vacuously: rename a hook,
-misspell a checkpoint name, or change a chunk index and the "fault"
+misspell a checkpoint name, or change a connection index and the "fault"
 silently stops firing while the test keeps asserting the happy path.
 The harness grew ``fired_count`` exactly to close that hole (the
 dynamic anti-vacuity check); this rule is its static mirror — it flags

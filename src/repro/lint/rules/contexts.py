@@ -1,10 +1,11 @@
-"""REPRO004 — frozen executor/broadcast contexts stay frozen.
+"""REPRO004 — installed phase contexts stay frozen.
 
 The executor contract (docs/executors.md) freezes a phase context — and
-every component inside it — the moment it is installed: contexts ship
-once per worker and later phases reference components by token, so a
-mutation after install would silently diverge one worker's view from its
-siblings' and from the serial path.  Task code must treat
+every component inside it — the moment it is installed: every key of
+the phase reads the same context, so a mutation by one key's task would
+make later keys depend on earlier ones.  A resumed solve recomputes only
+the keys the checkpoint journal lacks, so such a result would differ
+from an uninterrupted run's.  Task code must treat
 :func:`repro.parallel.executor.worker_context` as read-only.
 
 The rule flags, anywhere under ``src/repro``, mutations of a value
@@ -13,8 +14,8 @@ augmented subscript assignment, and calls to the dict-mutating methods
 (``update``/``pop``/``popitem``/``clear``/``setdefault``) — both through
 a variable bound to the call and directly on the call result.  Deeper
 aliasing (``alias = ctx; alias[...] = ...``) and component-level
-mutation are out of mechanical reach; the chaos battery's byte-identity
-assertions remain the backstop for those.
+mutation are out of mechanical reach; the crash-resume battery's
+byte-identity assertions remain the backstop for those.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _refers_to_context(node: ast.expr, names: Set[str]) -> bool:
 
 @rule(
     "REPRO004",
-    "mutation of a frozen worker/broadcast context after install",
+    "mutation of a frozen phase context after install",
 )
 def check_frozen_contexts(project: Project) -> Iterable[Finding]:
     for module in project.repro_modules():
@@ -101,9 +102,10 @@ def check_frozen_contexts(project: Project) -> Iterable[Finding]:
                         col=node.col_offset,
                         rule="REPRO004",
                         message=(
-                            f"{what} a frozen worker context in {qualname}; "
+                            f"{what} a frozen phase context in {qualname}; "
                             f"contexts are installed once per phase and "
-                            f"shared read-only across workers — mutating one "
-                            f"desynchronises workers from the serial path"
+                            f"shared read-only by its keys — mutating one "
+                            f"makes a resumed solve differ from an "
+                            f"uninterrupted one"
                         ),
                     )

@@ -1,12 +1,14 @@
-"""REPRO001 / REPRO002 — the byte-identical-parallelism invariants.
+"""REPRO001 / REPRO002 — the byte-identical-resume invariants.
 
 REPRO001 guards the task layer: every function in
 ``repro.parallel.tasks`` is contractually a *pure function of (context,
-keys)* — that is what makes the sharded merge byte-identical to the
-serial loop at any worker count.  The rule scans each task function plus
-one level of calls it makes into this package (call-graph-lite, resolved
-through the per-module symbol tables) for the three nondeterminism
-sources that have actually bitten distributed pipelines:
+keys)* — that is what makes a resumed solve byte-identical to an
+uninterrupted one, because the checkpoint journal replays some keys'
+results from an earlier process and recomputes the rest in this one.
+The rule scans each task function plus one level of calls it makes into
+this package (call-graph-lite, resolved through the per-module symbol
+tables) for the three nondeterminism sources that have actually bitten
+such pipelines:
 
 * wall-clock reads whose value can enter results (``time.time``,
   ``datetime.now``, ``os.urandom``, ``uuid.uuid4``, ``secrets``);
@@ -14,7 +16,7 @@ sources that have actually bitten distributed pipelines:
   timings are observability, never part of the fingerprinted output;
 * randomness that bypasses the seeded tagged-child derivation
   (module-level ``random.*`` uses the process-global RNG; an *unseeded*
-  ``random.Random()`` differs per worker) — route through
+  ``random.Random()`` differs per process) — route through
   :func:`repro.parallel.seeding.child_rng` instead;
 * iteration over ``set``s (hash order varies across processes under
   ``PYTHONHASHSEED``) and ``for`` loops over ``dict.values()``/``keys()``
@@ -152,7 +154,7 @@ def _scan_task_function(
                     col=node.col_offset,
                     rule="REPRO001",
                     message=(
-                        f"nondeterministic call {dotted}() in sharded task "
+                        f"nondeterministic call {dotted}() in task "
                         f"path {where}; task functions must be pure "
                         f"functions of (context, keys)"
                     ),
@@ -164,7 +166,7 @@ def _scan_task_function(
                     col=node.col_offset,
                     rule="REPRO001",
                     message=(
-                        f"{dotted}() uses the process-global RNG in sharded "
+                        f"{dotted}() uses the process-global RNG in "
                         f"task path {where}; derive a seeded child via "
                         f"repro.parallel.seeding.child_rng instead"
                     ),
@@ -178,9 +180,9 @@ def _scan_task_function(
                     col=node.col_offset,
                     rule="REPRO001",
                     message=(
-                        f"unseeded {dotted}() in sharded task path {where}; "
-                        f"pass an explicit derived seed (child_rng) so every "
-                        f"worker replays the same stream"
+                        f"unseeded {dotted}() in task path {where}; "
+                        f"pass an explicit derived seed (child_rng) so a "
+                        f"resumed solve replays the same stream"
                     ),
                 )
         elif isinstance(node, ast.For):
@@ -194,8 +196,8 @@ def _scan_task_function(
                     col=node.col_offset,
                     rule="REPRO001",
                     message=(
-                        f"iteration over a set in sharded task path {where}; "
-                        f"set order varies across worker processes "
+                        f"iteration over a set in task path {where}; "
+                        f"set order varies across processes "
                         f"(PYTHONHASHSEED) — iterate sorted(...) or an "
                         f"ordered collection"
                     ),
@@ -215,9 +217,9 @@ def _scan_task_function(
                     rule="REPRO001",
                     message=(
                         f"loop over .{it.func.attr}() feeds an ordered merge "
-                        f"in sharded task path {where}; iterate a sorted or "
+                        f"in task path {where}; iterate a sorted or "
                         f"explicitly ordered view so the merge order is "
-                        f"worker-count-invariant"
+                        f"the same in every process"
                     ),
                 )
         elif isinstance(node, (ast.ListComp, ast.DictComp)):
@@ -233,7 +235,7 @@ def _scan_task_function(
                         rule="REPRO001",
                         message=(
                             f"comprehension over a set builds an ordered "
-                            f"result in sharded task path {where}; wrap the "
+                            f"result in task path {where}; wrap the "
                             f"iterable in sorted(...)"
                         ),
                     )
@@ -241,7 +243,7 @@ def _scan_task_function(
 
 @rule(
     "REPRO001",
-    "nondeterminism sources inside sharded task functions",
+    "nondeterminism sources inside task functions",
 )
 def check_task_determinism(project: Project) -> Iterable[Finding]:
     tasks = project.by_name.get(TASKS_MODULE)
@@ -250,10 +252,10 @@ def check_task_determinism(project: Project) -> Iterable[Finding]:
     scanned: Dict[Tuple[str, str], Tuple[Module, ast.AST, str]] = {}
     for name, node in tasks.functions.items():
         if "." in name:
-            continue  # methods would not pickle as spawn tasks anyway
+            continue  # tasks are module-level functions
         scanned.setdefault((tasks.name, name), (tasks, node, name))
         # One level of intra-package call resolution: the helpers a task
-        # body calls run inside the worker too.
+        # body calls feed its results too.
         for call in ast.walk(node):
             if not isinstance(call, ast.Call):
                 continue

@@ -145,10 +145,10 @@ def compute_auxiliary_tables(
     Section 8.2 builds
     (:func:`~repro.multisource.bottleneck.center_table_readers`).
 
-    Every per-root/per-center/per-source phase runs on ``pool``, an open
+    Every per-root/per-center/per-source phase runs on ``pool``, an
     :class:`~repro.parallel.Executor` (the solver passes the one spanning
-    its solve); without one the phases run in-process.  The returned
-    tables are byte-identical on every executor at any worker count.
+    its solve); without one each phase runs on a fresh executor.  The
+    returned tables are byte-identical either way.
     """
     if rng is None:
         # A bare ``Random(seed)`` here would replay the exact stream the

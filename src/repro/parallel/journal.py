@@ -1,6 +1,6 @@
-"""Append-only checkpoint journal for resumable sharded solves.
+"""Append-only checkpoint journal for resumable solves.
 
-A long solve is a sequence of sharded phases, each a pure function of
+A long solve is a sequence of keyed phases, each a pure function of
 ``(context, keys)``.  The journal records each *completed chunk's*
 results on disk as the solve runs, so a killed solve resumes by
 re-executing only the keys with no journaled result — and, because the
@@ -29,11 +29,8 @@ the same record with identical bytes.
 
 Resume is **key-granular**, not chunk-granular: a phase's journaled
 records are unioned into one ``{key: value}`` map and only the absent
-keys re-execute.  Chunk boundaries depend on the worker count, so this
-is what lets a solve journaled under ``--workers 4`` resume under
-``--workers 0`` (or vice versa) without recomputing journaled keys —
-the merge order is defined by the input key list either way, preserving
-the byte-identical-at-any-worker-count invariant.
+keys re-execute, chunked afresh.  The merge order is defined by the
+input key list either way, so the resumed output is byte-identical.
 
 Fault hooks (:mod:`repro.faults`): ``journal.record`` fires after every
 record append and ``journal.phase.<task>`` after every phase that did
@@ -80,10 +77,8 @@ class CheckpointJournal:
     """One solve attempt's on-disk record of completed chunks.
 
     Construct via :meth:`open` (which creates or validates the
-    directory); executors call :meth:`load_phase` before running a phase
-    and :meth:`append` after each completed chunk.  The object is
-    parent-side only — workers never touch the journal, so no
-    cross-process coordination is needed beyond the atomic renames.
+    directory); the executor calls :meth:`load_phase` before running a
+    phase and :meth:`append` after each completed chunk.
     """
 
     def __init__(self, directory: str, manifest: Dict[str, Any]):

@@ -1,4 +1,4 @@
-"""Deterministic, decorrelated child seeds for sampling and worker RNGs.
+"""Deterministic, decorrelated child seeds for the sampling RNGs.
 
 The MSRP algorithm consumes randomness in exactly one place — sampling the
 landmark and center hierarchies — but its correctness lemmas (4, 9, 12, 18,
@@ -18,10 +18,10 @@ seed is a tagged SHA-256 hash of the parent seed, so
   (``PYTHONHASHSEED`` does not affect it — no use of built-in ``hash``),
 * ``None`` (fresh OS randomness) stays ``None``.
 
-The same helper seeds per-source worker RNGs in the process-sharded
-pipeline: a worker that needs randomness for source ``s`` uses
-``child_rng(seed, "source", s)``, which is deterministic at any worker
-count and chunking.
+The same helper would seed per-source randomness in a task: a task that
+needed randomness for source ``s`` would use
+``child_rng(seed, "source", s)``, which does not depend on how the keys
+are chunked.
 """
 
 from __future__ import annotations

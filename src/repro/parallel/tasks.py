@@ -1,18 +1,16 @@
-"""Module-level task functions for the sharded pipeline phases.
+"""Task functions for the keyed pipeline phases.
 
 Each function here is the per-chunk body of one
 :func:`repro.parallel.executor.run_sharded` phase: it reads the phase's shared
 inputs from :func:`~repro.parallel.executor.worker_context` and returns a
-``{key: result}`` dict for the chunk it was handed.  They live at module
-scope (not as closures or methods) because the ``spawn`` start method
-pickles task functions by qualified name.
+``{key: result}`` dict for the chunk it was handed.
 
 Every task is a deterministic pure function of (context, keys): no task
-consumes randomness, mutates the context, or depends on sibling keys, which
-is what makes the sharded merge byte-identical to the serial loop.  Workers
-run strictly serial code: a task that calls a sharded helper without a
-``pool`` runs it in-process on a ``SerialExecutor``, and a
-``LocalProcessExecutor`` used inside a pool worker runs in-process too.
+consumes randomness, mutates the context, or depends on sibling keys.
+That is what makes a resumed solve byte-identical to an uninterrupted
+one: the checkpoint journal replays some keys' results from an earlier
+process and recomputes the rest, and the merge cannot tell them apart.
+``repro-lint`` rule REPRO001 scans these functions for nondeterminism.
 
 Imports of :mod:`repro.core.msrp` and :mod:`repro.multisource.pipeline`
 are deferred into the task bodies: those modules are the *call sites* of
@@ -29,19 +27,6 @@ from repro.graph.csr import bfs_distances_csr, bfs_tree_csr
 from repro.graph.graph import normalize_edge
 from repro.multisource.tables import compute_center_to_landmark_tables
 from repro.parallel.executor import worker_context
-
-
-def chaos_probe_task(keys: Sequence[int]) -> Dict[int, int]:
-    """Trivial pure task pinning the fault-injection battery.
-
-    Context: ``{"bias": int}``.  Cheap on purpose — the chaos tests
-    exercise the *scheduler's* crash recovery (worker kills, hangs,
-    timeouts, serial degradation), and a heavyweight task body would only
-    slow the battery down without widening its coverage.
-    """
-    ctx = worker_context()
-    bias = ctx["bias"]
-    return {key: key * key + bias for key in keys}
 
 
 def bfs_roots_task(roots: Sequence[int]) -> Dict[int, Any]:

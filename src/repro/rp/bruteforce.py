@@ -15,13 +15,11 @@ the ``T_s`` subtree below ``e``; this keeps its output exactly aligned with
 the efficient algorithms (same canonical paths, same set of reported
 ``(t, e)`` pairs).
 
-The one-BFS-per-tree-edge sweep is embarrassingly parallel, so the single-
-and multi-source oracles take the same ``pool`` as the efficient pipeline
-(an :class:`~repro.parallel.Executor`): the per-edge sweep shards across
-the pool with output entry-for-entry identical to the serial sweep
-(including ``math.inf`` canonicalisation), which is what makes
-``verify=True`` runs and the nightly differential-fuzz sweeps usable on
-larger instances.  Without a pool the sweep runs in-process.
+The single- and multi-source oracles take the same ``pool`` as the
+efficient pipeline (an :class:`~repro.parallel.Executor`): the
+one-BFS-per-tree-edge sweep runs as a keyed phase of the solve's
+executor, so a checkpointed ``verify=True`` solve journals it with the
+rest.  Without a pool the sweep runs on a fresh executor.
 """
 
 from __future__ import annotations
@@ -68,10 +66,10 @@ def brute_force_single_source(
 ) -> SingleSourceAnswer:
     """Ground-truth SSRP: replacement lengths for every target and failed edge.
 
-    The one-BFS-per-tree-edge sweep runs as one sharded phase on ``pool``
-    (in-process without one); the merge re-canonicalises infinities so a
-    process pool's answer is entry-for-entry identical to the serial
-    sweep, ``is math.inf`` checks included.
+    The one-BFS-per-tree-edge sweep runs as one keyed phase on ``pool``
+    (a fresh executor without one); the merge re-canonicalises infinities
+    so an answer replayed from a checkpoint journal is entry-for-entry
+    identical to a fresh one, ``is math.inf`` checks included.
 
     Returns
     -------
@@ -87,13 +85,11 @@ def brute_force_single_source(
     tree = source_tree if source_tree is not None else bfs_tree_csr(graph, source)
     # One BFS per tree edge: compile the CSR view once and reuse it for the
     # whole sweep (this loop dominates the oracle's running time).  The
-    # sweep is keyed by the child endpoint of each tree edge; every
-    # transport executes the identical task function, so the pooled and
-    # serial answers are structurally the same object graph.
+    # sweep is keyed by the child endpoint of each tree edge.
     csr = graph.csr()
     reachable = tree.reachable_vertices()
     children = [child for child in reachable if tree.parent[child] is not None]
-    sharded = run_sharded(
+    swept = run_sharded(
         bruteforce_edges_task,
         children,
         {"graph": csr, "source": source, "tree": tree},
@@ -102,10 +98,11 @@ def brute_force_single_source(
     inf = math.inf
     answer: SingleSourceAnswer = {t: {} for t in reachable if t != source}
     for child in children:
-        edge, per_target = sharded[child]
+        edge, per_target = swept[child]
         for t, value in per_target.items():
-            # Pickled floats lose singleton identity; re-canonicalise so
-            # ``is math.inf`` consumers cannot tell a sharded run apart.
+            # Journaled (pickled) floats lose singleton identity;
+            # re-canonicalise so ``is math.inf`` consumers cannot tell a
+            # resumed run apart.
             answer[t][edge] = inf if value == inf else value
     return answer
 
@@ -117,9 +114,8 @@ def brute_force_multi_source(
 ) -> MultiSourceAnswer:
     """Ground-truth MSRP: one brute-force SSRP per source.
 
-    Every per-source edge sweep runs on ``pool`` (in-process without
-    one), so a multi-source verification never pays more than the one
-    pool start-up of the caller's executor.
+    Every per-source edge sweep runs on ``pool`` (a fresh executor
+    without one).
     """
     answer: MultiSourceAnswer = {}
     for s in map(_vertex_id, sources):

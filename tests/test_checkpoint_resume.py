@@ -1,12 +1,11 @@
 """Crash-resume battery: checkpointed solves survive being killed.
 
 The contract (``docs/executors.md``): with ``checkpoint=<dir>`` set,
-every completed chunk of every sharded phase is durably journaled as the
+every completed chunk of every keyed phase is durably journaled as the
 solve runs, and a solve killed at *any* point resumes — same graph, same
 params, same directory — by re-executing only unjournaled work, with
-entries (order and ``math.inf`` identity included) byte-identical to an
-uninterrupted run.  Resume is key-granular, so the worker count may
-change between the interrupted run and the resume.
+entries byte-identical to an uninterrupted run: same order, same
+``repr`` and type (``7`` is not ``7.0``), and ``math.inf`` identity.
 
 Kills come from :mod:`repro.faults` ``crash_at`` faults aimed at the
 journal's named checkpoints (``journal.record`` after each record
@@ -37,19 +36,20 @@ from repro.faults import (
     fired_count,
 )
 from repro.graph import generators
-from repro.parallel import CheckpointJournal, SerialExecutor, run_sharded
+from repro.graph.graph import Graph
+from repro.parallel import CheckpointJournal, Executor, run_sharded, worker_context
 from repro.parallel.journal import (
     JOURNAL_FORMAT_VERSION,
     MANIFEST_NAME,
     RECORDS_DIR_NAME,
 )
-from repro.parallel.tasks import chaos_probe_task
 
-#: Hard wall-clock bound per test (same rationale as the chaos battery).
+#: Hard wall-clock bound per test: a regression into a hang must fail the
+#: test rather than stall CI.
 TEST_TIME_LIMIT = 120.0
 
 #: Problem size of the solver-level tests — large enough for every phase
-#: of the auxiliary pipeline to shard, small enough for a fast battery.
+#: of the auxiliary pipeline to run, small enough for a fast battery.
 N = 48
 
 #: Checkpoint names that actually fire during the ``N``-vertex auxiliary
@@ -80,31 +80,49 @@ def hard_time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
-def _make_solver(checkpoint=None, workers: int = 0) -> MSRPSolver:
-    graph = generators.random_connected_graph(N, extra_edges=2 * N, seed=N)
-    rng = random.Random(N)
-    sources = sorted(rng.sample(range(N), 3))
+def chaos_probe_task(keys):
+    """Trivial pure task for the journal mechanics.  Context: ``{"bias"}``."""
+    bias = worker_context()["bias"]
+    return {key: key * key + bias for key in keys}
+
+
+def _graph() -> Graph:
+    """The ``N``-vertex instance plus a pendant vertex ``N`` on vertex 0.
+
+    The pendant edge is a bridge, so every source's entry for target
+    ``N`` avoiding it is ``math.inf`` — which arms the identity check of
+    :func:`_assert_identical`.
+    """
+    base = generators.random_connected_graph(N, extra_edges=2 * N, seed=N)
+    return Graph(N + 1, list(base.edges()) + [(0, N)])
+
+
+def _make_solver(checkpoint=None, seed: int = N) -> MSRPSolver:
+    sources = sorted(random.Random(N).sample(range(N), 3))
     return MSRPSolver(
-        graph,
+        _graph(),
         sources,
-        params=AlgorithmParams(seed=N, workers=workers, checkpoint=checkpoint),
+        params=AlgorithmParams(seed=seed, checkpoint=checkpoint),
         landmark_strategy="auxiliary",
     )
 
 
+def _identities(entries):
+    return [(s, t, e, repr(v), type(v), v is math.inf) for s, t, e, v in entries]
+
+
 @pytest.fixture(scope="module")
 def baseline():
-    """Entries of the uninterrupted, checkpoint-free serial solve."""
+    """Entries of the uninterrupted, checkpoint-free solve."""
     entries = list(_make_solver().solve().iter_entries())
     assert entries, "solver produced no entries"
+    assert any(v is math.inf for *_key, v in entries), "no infinite entry"
     return entries
 
 
 def _assert_identical(entries, baseline) -> None:
-    assert entries == baseline
-    baseline_inf = sum(1 for *_k, v in baseline if v is math.inf)
-    entries_inf = sum(1 for *_k, v in entries if v is math.inf)
-    assert entries_inf == baseline_inf
+    """Entry by entry: key, ``repr``, type and ``math.inf`` identity."""
+    assert _identities(entries) == _identities(baseline)
 
 
 def _records(checkpoint: str):
@@ -123,13 +141,11 @@ def test_run_sharded_checkpoint_round_trip(tmp_path):
     keys, context = list(range(24)), {"bias": 7}
     ckpt = str(tmp_path / "journal")
     plain = run_sharded(chaos_probe_task, keys, context)
-    first = SerialExecutor().attach_journal(CheckpointJournal.open(ckpt))
-    with first:
-        assert run_sharded(chaos_probe_task, keys, context, pool=first) == plain
+    first = Executor().attach_journal(CheckpointJournal.open(ckpt))
+    assert run_sharded(chaos_probe_task, keys, context, pool=first) == plain
     assert _records(ckpt), "no records journaled"
-    replay = SerialExecutor().attach_journal(CheckpointJournal.open(ckpt))
-    with replay:
-        assert run_sharded(chaos_probe_task, keys, context, pool=replay) == plain
+    replay = Executor().attach_journal(CheckpointJournal.open(ckpt))
+    assert run_sharded(chaos_probe_task, keys, context, pool=replay) == plain
     assert replay.keys_reused_from_journal == len(keys)
 
 
@@ -206,19 +222,17 @@ def test_checkpoint_requires_seed():
 # ---------------------------------------------------------------------------
 
 
-def _crash_then_resume(
-    tmp_path, baseline, crash_at: str, crash_workers: int, resume_workers: int
-):
+def _crash_then_resume(tmp_path, baseline, crash_at: str):
     """Kill a checkpointed solve at ``crash_at``; resume; compare."""
     ckpt = str(tmp_path / "ckpt")
     plan = FaultPlan([Fault("crash_at", at=crash_at)])
     with active_plan(plan, str(tmp_path)) as plan_path:
         with pytest.raises(InjectedFault):
-            _make_solver(checkpoint=ckpt, workers=crash_workers).solve()
+            _make_solver(checkpoint=ckpt).solve()
         assert fired_count(plan_path) == 1, "the injected crash never fired"
     assert _records(ckpt), "crash landed before anything was journaled"
 
-    resumed = _make_solver(checkpoint=ckpt, workers=resume_workers)
+    resumed = _make_solver(checkpoint=ckpt)
     _assert_identical(list(resumed.solve().iter_entries()), baseline)
     stats = resumed.executor_stats
     assert stats["keys_reused_from_journal"] > 0
@@ -226,53 +240,9 @@ def _crash_then_resume(
 
 
 def test_crash_resume_serial(tmp_path, baseline):
-    """Serial checkpointed solve killed mid-pipeline resumes identically,
+    """A checkpointed solve killed mid-pipeline resumes identically,
     reusing the journaled keys instead of recomputing them."""
-    _crash_then_resume(
-        tmp_path,
-        baseline,
-        crash_at="journal.phase.near_small_task",
-        crash_workers=0,
-        resume_workers=0,
-    )
-
-
-def test_crash_resume_process_executor(tmp_path, baseline):
-    """Same contract through the process transport: the journal is
-    parent-side, so multiprocessing does not change what is recorded."""
-    _crash_then_resume(
-        tmp_path,
-        baseline,
-        crash_at="journal.phase.center_tables_task",
-        crash_workers=2,
-        resume_workers=2,
-    )
-
-
-def test_resume_across_worker_counts(tmp_path, baseline):
-    """Key-granular resume: a journal written serially resumes under a
-    pool (chunk boundaries differ; the merged entries must not)."""
-    _crash_then_resume(
-        tmp_path,
-        baseline,
-        crash_at="journal.record",
-        crash_workers=0,
-        resume_workers=2,
-    )
-
-
-def test_kill_worker_during_checkpointed_solve(tmp_path, baseline):
-    """Crash recovery and journaling compose: a SIGKILLed pool worker
-    mid-checkpointed-solve still yields identical entries, and only
-    landed chunks were journaled."""
-    ckpt = str(tmp_path / "ckpt")
-    plan = FaultPlan([Fault("kill_worker", chunk_index=1)])
-    with active_plan(plan, str(tmp_path)) as plan_path:
-        solver = _make_solver(checkpoint=ckpt, workers=2)
-        _assert_identical(list(solver.solve().iter_entries()), baseline)
-        assert fired_count(plan_path) == 1
-    assert solver.executor_stats["crash_recoveries"] >= 1
-    assert solver.executor_stats["journal"]["records_written"] > 0
+    _crash_then_resume(tmp_path, baseline, "journal.phase.near_small_task")
 
 
 def test_completed_journal_replays_without_fresh_work(tmp_path, baseline):
@@ -294,21 +264,13 @@ def test_journal_refuses_different_solve(tmp_path):
     the same directory fails loudly instead of splicing wrong answers."""
     ckpt = str(tmp_path / "ckpt")
     _make_solver(checkpoint=ckpt).solve()
-    graph = generators.random_connected_graph(N, extra_edges=2 * N, seed=N)
-    rng = random.Random(N)
-    sources = sorted(rng.sample(range(N), 3))
-    other = MSRPSolver(
-        graph,
-        sources,
-        params=AlgorithmParams(seed=N + 1, workers=0, checkpoint=ckpt),
-        landmark_strategy="auxiliary",
-    )
+    other = _make_solver(checkpoint=ckpt, seed=N + 1)
     with pytest.raises(InvalidParameterError, match="different solve"):
         other.solve()
 
 
 # ---------------------------------------------------------------------------
-# seeded sweep: crash point and worker counts drawn from the seed
+# seeded sweep: the crash point drawn from the seed
 # ---------------------------------------------------------------------------
 
 
@@ -316,21 +278,19 @@ def _resume_round(seed: int, tmp_path, baseline) -> None:
     crash_at = CRASH_POINTS[
         derive_fault_index(seed, "resume-point", len(CRASH_POINTS))
     ]
-    crash_workers = 2 * derive_fault_index(seed, "resume-crash-workers", 2)
-    resume_workers = 2 * derive_fault_index(seed, "resume-resume-workers", 2)
     round_dir = tmp_path / f"seed{seed}"
     round_dir.mkdir()
-    _crash_then_resume(round_dir, baseline, crash_at, crash_workers, resume_workers)
+    _crash_then_resume(round_dir, baseline, crash_at)
 
 
 @pytest.mark.parametrize("seed", [0])
 def test_resume_sweep_smoke(seed, tmp_path, baseline):
-    """Fast per-push slice of the sweep (CI ``chaos-smoke`` job)."""
+    """Fast per-push slice of the sweep."""
     _resume_round(seed, tmp_path, baseline)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", list(range(1, 9)))
 def test_resume_sweep_full(seed, tmp_path, baseline):
-    """Nightly: eight more seeds across crash points and worker counts."""
+    """Nightly: eight more seeds across the crash points."""
     _resume_round(seed, tmp_path, baseline)

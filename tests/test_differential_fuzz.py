@@ -52,7 +52,7 @@ from repro.multisource.tables import (
     compute_source_to_center_tables,
     compute_source_to_center_tables_reference,
 )
-from repro.parallel import LocalProcessExecutor, SerialExecutor, child_rng
+from repro.parallel import child_rng
 from repro.rp.bruteforce import brute_force_multi_source
 
 #: name -> seeded factory.  Sizes stay small enough for the brute-force
@@ -71,9 +71,7 @@ FAST_SEEDS = range(3)
 SLOW_SEEDS = range(100, 150)  # ~50 seeds per generator for the nightly job
 
 
-def _check_pipeline_matches_bruteforce(
-    name: str, seed: int, workers: int = 0, oracle_workers: int = 0
-) -> None:
+def _check_pipeline_matches_bruteforce(name: str, seed: int) -> None:
     graph = GENERATORS[name](seed)
     rng = random.Random(seed)
     count = min(3, max(1, graph.num_vertices))
@@ -81,18 +79,13 @@ def _check_pipeline_matches_bruteforce(
     result = multiple_source_replacement_paths(
         graph,
         sources,
-        params=AlgorithmParams(seed=seed, workers=workers),
+        params=AlgorithmParams(seed=seed),
         landmark_strategy="auxiliary",
     )
-    oracle_pool = (
-        LocalProcessExecutor(oracle_workers) if oracle_workers else SerialExecutor()
-    )
-    with oracle_pool:
-        reference = brute_force_multi_source(graph, sources, pool=oracle_pool)
+    reference = brute_force_multi_source(graph, sources)
     mismatches = result.differences_from(reference)
     assert not mismatches, (
-        f"{name}/seed={seed}/workers={workers}"
-        f"/oracle_workers={oracle_workers}: {len(mismatches)} mismatches, "
+        f"{name}/seed={seed}: {len(mismatches)} mismatches, "
         f"first: {mismatches[:3]}"
     )
 
@@ -366,23 +359,9 @@ def test_source_to_center_tables_subsampled_regime():
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_auxiliary_pipeline_matches_bruteforce_sweep(name):
-    """~50 seeded graphs per generator through the full pipeline.
-
-    The seed also toggles the process-sharded path (``workers`` cycles
-    through 0/2/3) *and* the sharded brute-force oracle (``oracle_workers``
-    alternates 0/2 on a coprime stride), so the nightly job fuzzes the
-    parallel merge, the per-solve pool lifecycle and the sharded oracle
-    against each other on the same instances it already sweeps — a
-    sharded pipeline is regularly checked against a serial oracle and
-    vice versa, so the two parallel paths can never only be compared to
-    themselves.
-    """
+    """~50 seeded graphs per generator through the full pipeline."""
     for seed in SLOW_SEEDS:
-        workers = (0, 2, 3)[seed % 3]
-        oracle_workers = (0, 2)[seed % 2]
-        _check_pipeline_matches_bruteforce(
-            name, seed, workers=workers, oracle_workers=oracle_workers
-        )
+        _check_pipeline_matches_bruteforce(name, seed)
 
 
 @pytest.mark.slow

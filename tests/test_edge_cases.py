@@ -257,6 +257,15 @@ TRUNCATING_CALLS = {
         TypeError,
     ),
     "Graph.__contains__": (lambda: (0.5, 1.2) in generators.cycle_graph(7), TypeError),
+    "Graph.has_vertex": (lambda: generators.cycle_graph(7).has_vertex(0.5), TypeError),
+    "CSRGraph.has_vertex": (
+        lambda: generators.cycle_graph(7).csr().has_vertex(0.5),
+        TypeError,
+    ),
+    "bfs_distances-source": (
+        lambda: bfs_distances(generators.cycle_graph(7), 0.5),
+        TypeError,
+    ),
     "bfs_distances": (
         lambda: bfs_distances(generators.cycle_graph(7), 0, forbidden_edge=(0.5, 1.2)),
         TypeError,

@@ -156,7 +156,7 @@ def _corruption_round(seed, tmp_path, solved):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_corruption_smoke(seed, tmp_path, solved):
-    """Fast per-push slice (CI ``chaos-smoke`` job)."""
+    """Fast per-push slice of the corruption sweep."""
     _corruption_round(seed, tmp_path, solved)
 
 
@@ -176,3 +176,19 @@ def test_corruption_sweep_covers_every_mode(tmp_path, solved):
     assert len(seen) == len(CORRUPTIONS), (
         f"corruption sweep exercised only {sorted(seen)}"
     )
+
+
+# ---------------------------------------------------------------------------
+# fault plan validation
+# ---------------------------------------------------------------------------
+
+
+def test_fault_plan_validation():
+    with pytest.raises(InvalidParameterError):
+        Fault("no_such_kind", at="store.write.staged")
+    with pytest.raises(InvalidParameterError):
+        Fault("crash_at")  # needs at=<checkpoint>
+    with pytest.raises(InvalidParameterError):
+        Fault("drop_connection")  # needs connection_index
+    with pytest.raises(InvalidParameterError):
+        Fault("crash_at", at="store.write.staged", times=0)

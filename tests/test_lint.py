@@ -348,8 +348,8 @@ class TestRepro004FrozenContexts:
 CHAOS_CLEAN = """\
     from repro.faults import Fault, FaultPlan, active_plan, fired_count
 
-    def test_kill_recovers(tmp_path):
-        plan = FaultPlan([Fault("kill_worker", chunk_index=0)])
+    def test_crash_is_loud(tmp_path):
+        plan = FaultPlan([Fault("crash_at", at="journal.record")])
         with active_plan(plan, str(tmp_path)) as plan_path:
             run_phase()
             assert fired_count(plan_path) == 1
@@ -371,23 +371,23 @@ class TestRepro005ChaosAntivacuity:
         report = lint_paths(self.tree(tmp_path, mutant) / "tests")
         findings = fired(report, "REPRO005")
         assert len(findings) == 1
-        assert "test_kill_recovers" in findings[0].message
+        assert "test_crash_is_loud" in findings[0].message
 
     def test_helper_that_injects_and_asserts_satisfies_callers(self, tmp_path):
         source = """\
             from repro.faults import Fault, FaultPlan, active_plan, fired_count
 
-            def _chaos_round(tmp_path, kind):
-                plan = FaultPlan([Fault(kind, chunk_index=0)])
+            def _chaos_round(tmp_path, at):
+                plan = FaultPlan([Fault("crash_at", at=at)])
                 with active_plan(plan, str(tmp_path)) as plan_path:
                     run_phase()
                     assert fired_count(plan_path) == 1
 
-            def test_kill(tmp_path):
-                _chaos_round(tmp_path, "kill_worker")
+            def test_record_crash(tmp_path):
+                _chaos_round(tmp_path, "journal.record")
 
-            def test_hang(tmp_path):
-                _chaos_round(tmp_path, "hang_chunk")
+            def test_phase_crash(tmp_path):
+                _chaos_round(tmp_path, "journal.phase.bfs_roots_task")
         """
         report = lint_paths(self.tree(tmp_path, source) / "tests")
         assert fired(report, "REPRO005") == []

@@ -34,7 +34,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import pickle
 import random
 
 import pytest
@@ -605,20 +604,6 @@ class TestBoundedScans:
                 )
                 finite += got is not math.inf
         assert finite > 0
-
-    def test_pickled_far_solver_answers_alike(self):
-        # The in-radius lists are derived: a solver that built them
-        # pickles to the bytes of a fresh one and answers the same.
-        solver = _preprocessed("far-clusters-1", "auxiliary")[0]
-        far, fresh = _solvers(solver)[0], _solvers(solver)[0]
-        entries = [entry for entry in _path_entries(solver) if entry[3] >= 0]
-        expected = [far.candidate_edge(*entry) for entry in entries]
-        assert pickle.dumps(far) == pickle.dumps(fresh)
-        copy = pickle.loads(pickle.dumps(far))
-        got = [copy.candidate_edge(*entry) for entry in entries]
-        assert [(v, type(v), v is math.inf) for v in got] == [
-            (v, type(v), v is math.inf) for v in expected
-        ]
 
     @pytest.mark.parametrize(
         "name", ["grid-5x6", "cycle-12", "sparse-aux-2", "far-clusters-1"]

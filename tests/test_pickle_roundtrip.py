@@ -1,13 +1,12 @@
 """Pickle round-trip equivalence battery for the compiled substrates.
 
-The process-sharded pipeline (:mod:`repro.parallel`) ships graphs, trees
-and auxiliary graphs across process boundaries — under ``spawn`` every
-context object is pickled once per worker, and every task result is
-pickled on the way back.  These tests pin the contract the scheduler
-relies on: a round-tripped substrate answers **every** query identically
-to the original, lazy caches are dropped (not silently shipped) and
-rebuild on demand, and the ``math.inf`` singleton identity the hot paths
-test with ``is`` survives restoration.
+The checkpoint journal (:mod:`repro.parallel.journal`) pickles every
+journaled task result (trees, tables) and a resume unpickles them in a
+fresh process, and results pickle with their graph.  These tests pin the
+contract a resume relies on: a round-tripped substrate answers **every**
+query identically to the original, lazy caches are dropped (not
+silently shipped) and rebuild on demand, and the ``math.inf`` singleton
+identity the hot paths test with ``is`` survives restoration.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Round-trip and rejection battery for the versioned oracle store.
 
 The store is the persistence half of the preprocess-once/query-often
-split, so its contract mirrors the parallel layer's: a store-loaded
+split, so its contract mirrors the checkpoint journal's: a store-loaded
 result answers **every** query identically to the in-process solve that
 produced it (including ``math.inf`` singleton identity and iteration
-order, which the benchmark fingerprints hash), at any worker count, and
-every corruption mode — bad magic, wrong format version, edited payload,
+order, which the benchmark fingerprints hash), and every corruption mode — bad magic, wrong format version, edited payload,
 header/payload fingerprint disagreement — is rejected loudly instead of
 served.
 """
@@ -49,7 +48,7 @@ GENERATORS = {
 }
 
 
-def solve(graph, seed, workers=0, strategy="auxiliary"):
+def solve(graph, seed, strategy="auxiliary"):
     import random
 
     rng = random.Random(seed)
@@ -58,7 +57,7 @@ def solve(graph, seed, workers=0, strategy="auxiliary"):
     solver = MSRPSolver(
         graph,
         sources,
-        params=AlgorithmParams(seed=seed, workers=workers),
+        params=AlgorithmParams(seed=seed),
         landmark_strategy=strategy,
     )
     return solver, solver.solve()
@@ -92,16 +91,6 @@ class TestRoundTrip:
             assert_results_identical(loaded, result)
             assert header.fingerprint == graph_fingerprint(graph)
             assert header.sources == list(result.sources)
-
-    def test_sharded_solve_round_trips_identically(self, tmp_path):
-        """Store written from a workers=2 solve == store from serial solve."""
-        graph = generators.random_connected_graph(20, extra_edges=18, seed=9)
-        _, serial = solve(graph, 9, workers=0)
-        solver, sharded = solve(graph, 9, workers=2)
-        directory = str(tmp_path / "sharded")
-        write_store(directory, sharded, meta=solver.store_metadata())
-        loaded, _ = load_store(directory)
-        assert_results_identical(loaded, serial)
 
     def test_identical_solves_write_identical_stores(self, tmp_path):
         """Two solves of one seeded instance store the same metadata and size.
